@@ -105,7 +105,6 @@ void RetransmitTimeoutAblation() {
     apps::SyncCounterApp app;
     core::RedPlaneConfig rp;
     rp.request_timeout = timeout;
-    rp.retx_scan_interval = timeout / 3;
     deploy.DeployRedPlane(app, rp);
 
     RttProbe probe(tb.external[0]);

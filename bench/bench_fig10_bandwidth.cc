@@ -16,6 +16,7 @@ using namespace redplane::bench;
 namespace {
 
 constexpr std::size_t kPackets = 30'000;
+constexpr std::size_t kFlows = 200;
 
 struct BandwidthResult {
   double original = 0;
@@ -149,7 +150,7 @@ BandwidthResult RunReadCentric(const char* which) {
   }
   h.deploy.DeployRedPlane(*app);
   // Long-lived flows with modest churn, as in the replayed traces.
-  h.Inject(/*flows=*/200);
+  h.Inject(kFlows);
   return h.Collect();
 }
 
@@ -160,7 +161,7 @@ BandwidthResult RunEpc() {
   h.deploy.DeployRedPlane(sgw);
   // A population of users; signaling (and therefore write-buffering)
   // touches one user's partition at a time.
-  h.Inject(/*flows=*/200, 0, /*data_per_signaling=*/17, /*num_users=*/32);
+  h.Inject(kFlows, 0, /*data_per_signaling=*/17, /*num_users=*/32);
   return h.Collect();
 }
 
@@ -178,7 +179,7 @@ BandwidthResult RunHeavyHitter() {
   // Write-centric traffic runs at high rate; snapshot bandwidth is fixed,
   // so its share is rate-dependent (the paper measures at ~Tbps-scale
   // injection).
-  h.Inject(/*flows=*/200, /*vlan=*/1, 0, 0, /*interarrival=*/Nanoseconds(300));
+  h.Inject(kFlows, /*vlan=*/1, 0, 0, /*interarrival=*/Nanoseconds(300));
   return h.Collect();
 }
 
@@ -196,7 +197,7 @@ BandwidthResult RunSyncCounter(ObsSession* obs) {
     for (auto* server : h.tb->store) obs->Watch(server->counters());
     obs->StartSampling(h.deploy.sim(), obs->metrics_period(), Seconds(2));
   }
-  h.Inject(/*flows=*/200);
+  h.Inject(kFlows);
   BandwidthResult r = h.Collect();
   if (obs != nullptr) {
     obs->SampleOnce(h.deploy.sim().Now());
@@ -228,7 +229,7 @@ BatchingResult RunSyncCounterBatching(SimDuration coalesce_delay) {
   core::RedPlaneConfig rp;
   rp.coalesce_delay = coalesce_delay;
   h.deploy.DeployRedPlane(counter, rp);
-  h.Inject(/*flows=*/200);
+  h.Inject(kFlows);
   BatchingResult r;
   r.bw = h.Collect();
   r.req_bytes = h.deploy.redplane(0)->protocol_request_bytes();
@@ -276,7 +277,7 @@ ModeResult RunSyncCounterMode(core::ConsistencyMode mode) {
     const SimTime now = sink->sim().Now();
     if (now >= sent_at) r.oneway_us.Add(ToMicroseconds(now - sent_at));
   });
-  h.Inject(/*flows=*/200, 0, 0, 0, Microseconds(4), Milliseconds(1),
+  h.Inject(kFlows, 0, 0, 0, Microseconds(4), Milliseconds(1),
            /*stamp=*/true);
   r.bw = h.Collect();
   r.merge_deltas = h.deploy.redplane(0)->stats().Get("merge_deltas_sent");
@@ -289,7 +290,8 @@ int main(int argc, char** argv) {
   ObsSession obs(argc, argv);
   ObsSession* obs_ptr = obs.enabled() ? &obs : nullptr;
   std::printf("=== Fig. 10: RedPlane replication bandwidth overhead ===\n");
-  std::printf("(64 B packets, 1000 flows, %zu packets per app)\n\n", kPackets);
+  std::printf("(64 B packets, %zu flows, %zu packets per app)\n\n", kFlows,
+              kPackets);
   struct Row {
     const char* name;
     BandwidthResult r;

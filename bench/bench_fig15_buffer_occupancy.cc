@@ -54,7 +54,6 @@ double MeasurePeakOccupancy(double rate_gbps, double loss,
   apps::SyncCounterApp counter;
   core::RedPlaneConfig rp;
   rp.request_timeout = Milliseconds(1);
-  rp.retx_scan_interval = Microseconds(100);
   deploy.DeployRedPlane(counter, rp);
 
   // 1500 B packets at the requested rate for a 2 ms window.

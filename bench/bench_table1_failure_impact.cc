@@ -25,7 +25,7 @@ struct Impact {
   std::string recovery_timeline;
 };
 
-struct Scenario {
+struct FailureRig {
   Deployment deploy;
   routing::Testbed* tb = nullptr;
   std::unique_ptr<routing::FailureInjector> injector;
@@ -92,7 +92,7 @@ struct Scenario {
 Impact FirewallImpact() {
   Impact impact;
   for (bool redplane : {false, true}) {
-    Scenario s;
+    FailureRig s;
     s.Build();
     apps::FirewallApp fw(kInternalPrefix, kInternalMask);
     if (redplane) {
@@ -134,7 +134,7 @@ Impact FirewallImpact() {
 Impact SgwImpact() {
   Impact impact;
   for (bool redplane : {false, true}) {
-    Scenario s;
+    FailureRig s;
     s.Build();
     apps::EpcSgwApp sgw;
     if (redplane) {
@@ -173,7 +173,7 @@ Impact SgwImpact() {
 Impact HeavyHitterImpact() {
   Impact impact;
   for (bool redplane : {false, true}) {
-    Scenario s;
+    FailureRig s;
     s.Build();
     apps::HeavyHitterConfig cfg;
     cfg.vlans = {1};
@@ -229,7 +229,7 @@ Impact HeavyHitterImpact() {
 Impact KvImpact() {
   Impact impact;
   for (bool redplane : {false, true}) {
-    Scenario s;
+    FailureRig s;
     s.Build();
     apps::KvStoreApp kv;
     if (redplane) {

@@ -1,41 +1,44 @@
 #!/usr/bin/env python3
 """Fault-campaign CI driver: run the audited failure campaign and gate on it.
 
-Three gates, mirroring the campaign binary's own exit-code contract:
+Every gate runs the campaign binary on a batch of schedules: schedule JSON
+files under tests/schedules/ (--schedule, repeated) or schedules drawn by
+the seeded fuzzer (--fuzz).  The binary judges the batch and its exit code
+is the verdict.
 
- 1. Clean sweep — every scenario (switch crash, link flap, lease-expiry
-    race, store failover) across --seeds seeds with the auditor armed must
-    finish with zero invariant violations and zero linearizability
-    failures.  Any violation fails the job; the campaign's per-violation
-    causal-slice artifacts (slice JSON + text) land in --out-dir for
-    upload.
+ 1. Clean failover scenarios — the four failure scenarios (switch crash,
+    link flap, lease-boundary crash, store failover), each committed for
+    five seeds as tests/schedules/<scenario>_s<seed>.json, replay with the
+    auditor armed and must finish with zero invariant violations and zero
+    linearizability failures.  Per-run causal slices, recovery timelines
+    (<label>_s<seed>.recovery.json) and fleet time-series (.fleet.csv)
+    land in --out-dir for upload.
 
- 2. Oracle self-test — re-run one scenario per protocol mutation
-    (--mutate=lease/seq/chain).  Each mutation must be *caught* by the
-    auditor: a silent mutated run means the monitors have gone blind, and
-    the job fails even though nothing "broke".
+ 2. Oracle self-test — the four <scenario>_s42 schedules re-run once per
+    protocol mutation (--mutate=lease/seq/chain).  Each mutation must be
+    *caught* somewhere in the batch: a silent mutated batch means the
+    monitors have gone blind, and the job fails even though nothing
+    "broke".
 
- 3. Recovery forensics — the campaign binary additionally fails any clean
-    run whose fault injection did not produce exactly one detected,
-    complete recovery episode with phase durations summing to the measured
-    downtime (DESIGN.md section 13).  Per-run recovery timelines
-    (<scenario>_s<seed>.recovery.json) and fleet time-series (.fleet.csv)
-    land in --out-dir alongside the campaign report.
+ 3. Recovery forensics — the binary fails any unmutated replay (gates 1,
+    4 and 6) with a recovery episode that did not complete or whose phase
+    durations do not sum to the measured downtime (DESIGN.md section 13).
 
- 4. Consistency-mode spectrum (DESIGN.md section 14) — the clean sweep
-    re-runs under --consistency=replicated (local reads within a staleness
-    bound) and --consistency=mergeable (zero-RTT multi-writer CRDT counts),
-    each judged by its own monitors and offline oracles.  The mutation
-    self-test then checks the mode-aware mapping: --mutate=stale must trip
-    bounded_staleness under replicated but is *legal* (auditor silent)
-    under mergeable; --mutate=merge must trip merge_convergence under
-    mergeable and is a no-op under single-owner.  The campaign binary
-    encodes the expectations; a wrong outcome either way fails the job.
-
-The single-owner gates run twice: once per-packet and once with replication
+Gates 1 and 2 run twice: once per-packet and once with replication
 batching on (--batching=16), so the monitors are proven to see through
 batch envelopes — clean batched runs stay silent and mutated batched runs
 are still caught.
+
+ 4. Consistency-mode spectrum (DESIGN.md section 14) — gate 1 re-runs under
+    --consistency=replicated (local reads within a staleness bound) and
+    --consistency=mergeable (zero-RTT multi-writer CRDT counts), each
+    judged by its own monitors and offline oracles.  The mutation
+    self-test then checks the mode-aware mapping on the _s42 schedules:
+    --mutate=stale must trip bounded_staleness under replicated but is
+    *legal* (auditor silent) under mergeable; --mutate=merge must trip
+    merge_convergence under mergeable and is a no-op under single-owner.
+    The campaign binary encodes the expectations; a wrong outcome either
+    way fails the job.
 
  5. Adversarial fuzz (--fuzz N, DESIGN.md section 15) — N randomized
     fault+load schedules drawn by the seeded generator, split across the
@@ -49,13 +52,14 @@ are still caught.
     seq_monotonic under --mutate=seq, capacity schedules single_owner
     under --mutate=lease.
 
- 6. Repro regressions — every minimized schedule committed under
-    tests/schedules/ (one per fuzz-found-and-fixed bug class) is replayed
-    and must be clean: these are the fuzzer's trophies pinned forever.
+ 6. Committed schedules — every schedule under tests/schedules/ (the
+    failover scenarios and one minimized repro per fuzz-found-and-fixed
+    bug class) replays clean in all three modes, and again with
+    --batching=16 in single-owner mode.
 
 Usage:
   ci/campaign.py --campaign build/tools/campaign --out-dir campaign-out
-                 [--seeds 5] [--packets 40] [--fuzz N] [--fuzz-seed BASE]
+                 [--packets 40] [--fuzz N] [--fuzz-seed BASE]
                  [--schedules-dir tests/schedules] [--skip-selftest]
                  [--skip-batching] [--skip-modes]
 """
@@ -65,11 +69,14 @@ import pathlib
 import subprocess
 import sys
 
-# Campaign binary exit codes (tools/campaign.cc).
+# Campaign binary exit codes (tools/campaign/main.cc).
 EXIT_CLEAN_OR_DETECTED = 0
 EXIT_MUTATION_SILENT = 2
 
 MUTATIONS = ["lease", "seq", "chain"]
+
+# The failover scenarios committed as tests/schedules/<scenario>_s<seed>.json.
+SCENARIOS = ["switch_crash", "link_flap", "lease_race", "store_failover"]
 
 # (mutation, mode, expectation label) — the binary itself decides pass/fail
 # from its mode-aware mapping; the label is for the failure message only.
@@ -90,6 +97,10 @@ FUZZ_CLASS_MUTATIONS = [
 ]
 
 
+def schedule_args(paths):
+    return [f"--schedule={p}" for p in paths]
+
+
 def run(campaign, out_dir, extra, label):
     cmd = [campaign, f"--out-dir={out_dir}"] + extra
     print(f"\n=== {label}: {' '.join(cmd)}", flush=True)
@@ -103,8 +114,8 @@ def main():
                     help="path to the built tools/campaign binary")
     ap.add_argument("--out-dir", required=True,
                     help="report + causal-slice artifact directory")
-    ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--packets", type=int, default=40)
+    ap.add_argument("--packets", type=int, default=40,
+                    help="base traffic per flow of the drawn fuzz schedules")
     ap.add_argument("--fuzz", type=int, default=0,
                     help="number of randomized fault+load schedules to run "
                          "(split across the three consistency modes; 0 = "
@@ -114,7 +125,8 @@ def main():
     ap.add_argument("--schedules-dir",
                     default=str(pathlib.Path(__file__).resolve().parent.parent
                                 / "tests" / "schedules"),
-                    help="committed minimized repros replayed as regressions")
+                    help="committed schedules: failover scenarios and "
+                         "minimized repros")
     ap.add_argument("--skip-selftest", action="store_true",
                     help="skip the mutation oracle self-test runs")
     ap.add_argument("--skip-batching", action="store_true",
@@ -131,25 +143,31 @@ def main():
     if not args.skip_batching:
         batch_axes.append(("-batched", ["--batching=16"]))
 
+    schedules_dir = pathlib.Path(args.schedules_dir)
+    scenarios = sorted(p for sc in SCENARIOS
+                       for p in schedules_dir.glob(f"{sc}_s*.json"))
+    selftest = schedule_args(schedules_dir / f"{sc}_s42.json"
+                             for sc in SCENARIOS)
+    if not scenarios:
+        failures.append(f"no scenario schedules under {schedules_dir}")
+
     for suffix, batch_args in batch_axes:
         axis = "batching on" if batch_args else "per-packet"
 
-        # Gate 1: clean sweep — all scenarios, auditor armed, must be silent.
+        # Gate 1: clean scenarios, auditor armed, must be silent.
         rc = run(args.campaign, out / f"clean{suffix}",
-                 [f"--seeds={args.seeds}", f"--packets={args.packets}"]
-                 + batch_args,
-                 f"clean sweep ({args.seeds} seeds x all scenarios, {axis})")
+                 schedule_args(scenarios) + batch_args,
+                 f"clean scenarios ({len(scenarios)} schedules, {axis})")
         if rc != EXIT_CLEAN_OR_DETECTED:
             failures.append(
-                f"clean sweep ({axis}) exited {rc}: auditor reported "
-                f"violations (causal slices under {out / f'clean{suffix}'})")
+                f"clean scenarios ({axis}) exited {rc}: violations or a "
+                f"failed recovery gate (see {out / f'clean{suffix}'})")
 
         # Gate 2: each seeded protocol mutation must trip its monitor.
         if not args.skip_selftest:
             for mut in MUTATIONS:
                 rc = run(args.campaign, out / f"mutate-{mut}{suffix}",
-                         ["--seeds=1", f"--packets={args.packets}",
-                          f"--mutate={mut}"] + batch_args,
+                         selftest + [f"--mutate={mut}"] + batch_args,
                          f"oracle self-test (mutate={mut}, {axis})")
                 if rc == EXIT_MUTATION_SILENT:
                     failures.append(
@@ -163,19 +181,18 @@ def main():
     if not args.skip_modes:
         for mode in ["replicated", "mergeable"]:
             rc = run(args.campaign, out / f"clean-{mode}",
-                     [f"--seeds={args.seeds}", f"--packets={args.packets}",
-                      f"--consistency={mode}"],
-                     f"clean sweep (consistency={mode})")
+                     schedule_args(scenarios) + [f"--consistency={mode}"],
+                     f"clean scenarios (consistency={mode})")
             if rc != EXIT_CLEAN_OR_DETECTED:
                 failures.append(
-                    f"clean sweep (consistency={mode}) exited {rc}: "
+                    f"clean scenarios (consistency={mode}) exited {rc}: "
                     f"violations or oracle failures under the weaker mode "
                     f"(see {out / f'clean-{mode}'})")
         if not args.skip_selftest:
             for mut, mode, expectation in MODE_MUTATIONS:
                 rc = run(args.campaign, out / f"mutate-{mut}-{mode}",
-                         ["--seeds=1", f"--packets={args.packets}",
-                          f"--mutate={mut}", f"--consistency={mode}"],
+                         selftest + [f"--mutate={mut}",
+                                     f"--consistency={mode}"],
                          f"mode-aware oracle self-test "
                          f"(mutate={mut}, consistency={mode})")
                 if rc == EXIT_MUTATION_SILENT:
@@ -221,21 +238,25 @@ def main():
                     failures.append(
                         f"fuzz class {cls} + mutate={mut}: campaign exited {rc}")
 
-    # Gate 6: committed minimized repros replay clean, in every mode.  The
+    # Gate 6: every committed schedule replays clean, in every mode.  The
     # schedule file does not pin a consistency mode, and some fuzz-found
     # bugs only manifest under a weaker mode (e.g. the tail-crash commit
-    # evidence gap needs replicated-mode buffered reads), so each repro is
-    # replayed under all three.
-    schedules = sorted(pathlib.Path(args.schedules_dir).glob("*.json"))
-    for sched in schedules:
-        for mode in ["single", "replicated", "mergeable"]:
-            rc = run(args.campaign, out / "repros",
-                     [f"--schedule={sched}", f"--consistency={mode}"],
-                     f"repro regression ({sched.name}, consistency={mode})")
-            if rc != EXIT_CLEAN_OR_DETECTED:
-                failures.append(
-                    f"repro {sched.name} (consistency={mode}) exited {rc}: "
-                    f"a previously fixed fuzz-found bug is back")
+    # evidence gap needs replicated-mode buffered reads), so each batch is
+    # replayed under all three, plus batched single-owner.
+    committed = schedule_args(sorted(schedules_dir.glob("*.json")))
+    passes = [("single", []), ("replicated", []), ("mergeable", [])]
+    if not args.skip_batching:
+        passes.append(("single", ["--batching=16"]))
+    for mode, batch_args in passes:
+        tag = mode + ("-batched" if batch_args else "")
+        rc = run(args.campaign, out / f"committed-{tag}",
+                 committed + [f"--consistency={mode}"] + batch_args,
+                 f"committed schedules ({tag})")
+        if rc != EXIT_CLEAN_OR_DETECTED:
+            failures.append(
+                f"committed schedules ({tag}) exited {rc}: a failover "
+                f"scenario or a previously fixed fuzz-found bug regressed "
+                f"(see {out / f'committed-{tag}'})")
 
     if failures:
         print("\nFAULT CAMPAIGN FAILED:")

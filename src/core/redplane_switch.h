@@ -48,10 +48,6 @@ struct RedPlaneConfig {
   SimDuration renew_interval = Milliseconds(500);
   /// Retransmit an unacknowledged request after this long.
   SimDuration request_timeout = Microseconds(500);
-  /// Unused since retransmission moved to per-entry timers (each mirrored
-  /// request carries its own deadline in the simulator's timing wheel);
-  /// retained so existing configs keep compiling.
-  SimDuration retx_scan_interval = Microseconds(100);
   /// Mirror truncation: bytes of a request kept for retransmission
   /// (replication header + state value; never the piggybacked output
   /// unless mirror_include_piggyback is set).

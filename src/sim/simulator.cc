@@ -87,7 +87,7 @@ void Simulator::SpillDueWheelSlots(SimTime limit) {
   }
 }
 
-bool Simulator::PopAndRunOne(SimTime limit) {
+bool Simulator::PopAndRunNext(SimTime limit) {
   for (;;) {
     // Re-spill each iteration: skipping a tombstoned heap event can move
     // the heap top past wheel slots that were not due a moment ago.  The
@@ -117,12 +117,12 @@ bool Simulator::PopAndRunOne(SimTime limit) {
 
 std::size_t Simulator::Run(std::size_t limit) {
   std::size_t count = 0;
-  while (count < limit && PopAndRunOne(INT64_MAX)) ++count;
+  while (count < limit && PopAndRunNext(INT64_MAX)) ++count;
   return count;
 }
 
 void Simulator::RunUntil(SimTime t) {
-  while (PopAndRunOne(t)) {
+  while (PopAndRunNext(t)) {
   }
   now_ = std::max(now_, t);
 }

@@ -281,7 +281,7 @@ class Simulator {
     }
   }
 
-  bool PopAndRunOne(SimTime limit);
+  bool PopAndRunNext(SimTime limit);
   /// Moves every wheel slot due at or before `limit` and not after the
   /// current heap top into the heap, preserving (time, sequence) order.
   void SpillDueWheelSlots(SimTime limit);

@@ -375,7 +375,6 @@ TEST(BatchingTest, RetxScanStopsWhenGiveUpDrainsTheTable) {
   cfg.lease_period = Seconds(2);
   cfg.renew_interval = Seconds(1);
   cfg.request_timeout = Microseconds(200);
-  cfg.retx_scan_interval = Microseconds(50);
   cfg.max_retransmissions = 3;
   BatchHarness h(app, {.rp_cfg = cfg});
   h.SendBurst(1);

@@ -88,7 +88,6 @@ struct ChainHarness {
     rp_cfg.lease_period = Milliseconds(20);
     rp_cfg.renew_interval = Milliseconds(10);
     rp_cfg.request_timeout = Microseconds(300);
-    rp_cfg.retx_scan_interval = Microseconds(100);
     rp = std::make_unique<core::RedPlaneSwitch>(
         *sw, app,
         [this](const net::PartitionKey&) { return manager->HeadIp(); },

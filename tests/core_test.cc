@@ -243,7 +243,6 @@ TEST(RedPlaneSwitchTest, RetransmissionRecoversFromRequestLoss) {
   CountingEchoApp app;
   RedPlaneConfig config;
   config.request_timeout = Microseconds(200);
-  config.retx_scan_interval = Microseconds(50);
   sim::LinkConfig lossy;
   lossy.loss_rate = 0.3;  // 30% loss on the switch<->store path
   CoreHarness h(app, config, lossy);
@@ -411,7 +410,6 @@ TEST(RedPlaneSwitchTest, MirrorOccupancyGrowsWithLoss) {
   CountingEchoApp app;
   RedPlaneConfig config;
   config.request_timeout = Milliseconds(1);
-  config.retx_scan_interval = Microseconds(200);
 
   auto run_with_loss = [&](double loss) {
     sim::LinkConfig link;

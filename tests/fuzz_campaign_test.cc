@@ -1,11 +1,13 @@
 // Adversarial scenario engine (DESIGN.md §15): schedule generator
 // well-formedness, JSON round-trip, ddmin minimization, deterministic
-// replay, and the committed minimized repros under tests/schedules/.
+// replay, and the committed schedules under tests/schedules/ (failover
+// scenarios and minimized repros).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -137,6 +139,22 @@ TEST(ScheduleJson, RoundTripsExactly) {
     ASSERT_EQ(back->faults.size(), s.faults.size());
     ASSERT_EQ(back->loads.size(), s.loads.size());
   }
+  // lease_ns is optional: absent means 50 ms and stays absent on output;
+  // present, it survives the round trip.
+  const auto plain = ScheduleFromJson(R"({"seed": 7, "faults": []})");
+  ASSERT_TRUE(plain.has_value());
+  EXPECT_EQ(plain->lease, Milliseconds(50));
+  EXPECT_EQ(ToJson(*plain).find("lease_ns"), std::string::npos);
+  const auto short_lease =
+      ScheduleFromJson(R"({"seed": 7, "lease_ns": 10000000, "faults": []})");
+  ASSERT_TRUE(short_lease.has_value());
+  EXPECT_EQ(short_lease->lease, Milliseconds(10));
+  const std::string json = ToJson(*short_lease);
+  EXPECT_NE(json.find("\"lease_ns\": 10000000"), std::string::npos) << json;
+  const auto back = ScheduleFromJson(json);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->lease, Milliseconds(10));
+  EXPECT_EQ(ToJson(*back), json);
 }
 
 TEST(ScheduleJson, RejectsMalformedDocuments) {
@@ -152,11 +170,14 @@ TEST(ScheduleJson, RejectsMalformedDocuments) {
   EXPECT_FALSE(
       ScheduleFromJson(R"({"loads": [{"kind": "dance_party", "at_ns": 1}]})")
           .has_value());
-  // Negative injection time / non-positive traffic are nonsense timelines.
+  // Negative injection time / non-positive traffic or lease are nonsense
+  // timelines.
   EXPECT_FALSE(ScheduleFromJson(
                    R"({"faults": [{"kind": "link_cut", "at_ns": -5}]})")
                    .has_value());
   EXPECT_FALSE(ScheduleFromJson(R"({"packets_per_flow": 0})").has_value());
+  EXPECT_FALSE(ScheduleFromJson(R"({"lease_ns": 0})").has_value());
+  EXPECT_FALSE(ScheduleFromJson(R"({"lease_ns": -10000000})").has_value());
   // Well-formed minimal document parses.
   EXPECT_TRUE(ScheduleFromJson(R"({"seed": 1, "faults": [], "loads": []})")
                   .has_value());
@@ -279,11 +300,21 @@ TEST(DeterministicReplay, SameSeedAndScheduleGiveIdenticalTraceHash) {
   }
 }
 
-// --- committed repros ------------------------------------------------------
+// --- committed schedules ---------------------------------------------------
+
+std::filesystem::path SchedulesDir() {
+  return std::filesystem::path(REDPLANE_SOURCE_DIR) / "tests" / "schedules";
+}
+
+std::optional<Schedule> LoadSchedule(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return ScheduleFromJson(buf.str());
+}
 
 TEST(CommittedSchedules, EveryReproParsesAndReplaysClean) {
-  const std::filesystem::path dir =
-      std::filesystem::path(REDPLANE_SOURCE_DIR) / "tests" / "schedules";
+  const std::filesystem::path dir = SchedulesDir();
   ASSERT_TRUE(std::filesystem::is_directory(dir));
   const std::string out_dir = TempOutDir("fuzz_repro");
   std::size_t count = 0;
@@ -291,18 +322,16 @@ TEST(CommittedSchedules, EveryReproParsesAndReplaysClean) {
     if (entry.path().extension() != ".json") continue;
     ++count;
     SCOPED_TRACE(entry.path().filename().string());
-    std::ifstream in(entry.path());
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const auto schedule = ScheduleFromJson(buf.str());
+    const auto schedule = LoadSchedule(entry.path());
     ASSERT_TRUE(schedule.has_value());
     EXPECT_FALSE(schedule->Empty());
     // Round-trip stability keeps the committed artifacts diff-friendly.
     const auto again = ScheduleFromJson(ToJson(*schedule));
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(ToJson(*again), ToJson(*schedule));
-    // Replay as a regression: these are minimized repros of fixed bugs, so
-    // a clean run is the pass condition.  The schedule does not pin a
+    // Replay as a regression: failover scenarios and minimized repros of
+    // fixed bugs, so a clean run is the pass condition.  The schedule does
+    // not pin a
     // consistency mode and some bugs only reproduce under a weaker one
     // (the tail-crash commit gap needs replicated buffered reads; the
     // stale-resync rollback needs mergeable deltas), so replay all three.
@@ -317,7 +346,33 @@ TEST(CommittedSchedules, EveryReproParsesAndReplaysClean) {
           << result.oracle_why << " violations=" << result.violations.size();
     }
   }
-  EXPECT_GE(count, 6u);
+  EXPECT_GE(count, 26u);
+}
+
+TEST(CommittedSchedules, FailoverScenariosRecoverInOneEpisode) {
+  // Each failover scenario injects exactly one fault, so it must yield
+  // exactly one recovery episode that completes (service resumed) with
+  // phase durations summing to the measured downtime (DESIGN.md §13).
+  // Mergeable mode never pauses flows, so its episodes are not judged.
+  const std::string out_dir = TempOutDir("fuzz_failover");
+  for (const char* name : {"switch_crash_s42", "link_flap_s42",
+                           "lease_race_s42", "store_failover_s42"}) {
+    SCOPED_TRACE(name);
+    const auto schedule =
+        LoadSchedule(SchedulesDir() / (std::string(name) + ".json"));
+    ASSERT_TRUE(schedule.has_value());
+    ASSERT_EQ(schedule->faults.size(), 1u);
+    for (const core::ConsistencyMode mode :
+         {core::ConsistencyMode::kSingleOwner,
+          core::ConsistencyMode::kReplicatedRead}) {
+      SCOPED_TRACE(static_cast<int>(mode));
+      const RunResult r = RunSchedule(*schedule, mode, {}, out_dir, name);
+      EXPECT_TRUE(r.Clean()) << r.oracle_why;
+      ASSERT_EQ(r.episodes.size(), 1u);
+      EXPECT_TRUE(r.episodes[0].complete);
+      EXPECT_TRUE(r.episodes[0].phase_sum_ok);
+    }
+  }
 }
 
 }  // namespace

@@ -105,6 +105,11 @@ struct CodecCase {
   std::size_t payload_bytes;
 };
 
+// gtest's default printer dumps the struct's raw bytes, which include the
+// (ASLR-randomised) address of `name`; test IDs listed by
+// --gtest_list_tests would then change on every run.
+void PrintTo(const CodecCase& c, std::ostream* os) { *os << c.name; }
+
 class CodecRoundTrip : public ::testing::TestWithParam<CodecCase> {};
 
 TEST_P(CodecRoundTrip, SerializeParsePreservesFields) {

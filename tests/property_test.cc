@@ -128,7 +128,6 @@ TEST_P(ProtocolFuzz, AdversarialScheduleStaysLinearizable) {
   rp_cfg.lease_period = Milliseconds(2);
   rp_cfg.renew_interval = Milliseconds(1);
   rp_cfg.request_timeout = Microseconds(300);
-  rp_cfg.retx_scan_interval = Microseconds(60);
   auto shard = [](const net::PartitionKey&) { return kStoreIp; };
   core::RedPlaneSwitch rp1(*sw1, app, shard, rp_cfg);
   core::RedPlaneSwitch rp2(*sw2, app, shard, rp_cfg);

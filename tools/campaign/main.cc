@@ -1,46 +1,51 @@
-// Fault-campaign runner: sweeps seeds × failure scenarios with the online
-// protocol auditor armed, and reports what it saw.
+// Fault-campaign runner: executes a batch of fault+load schedules with the
+// online protocol auditor armed, and reports what it saw.
 //
 // Each run builds the paper's testbed (Appendix D), deploys a counter app
 // under RedPlane on both aggregation switches, drives traffic from an
-// external host while injecting faults, and checks the protocol live with
-// src/audit: single lease owner, sequence monotonicity, chain-commit-
-// before-ack, ε staleness, and per-flow counter linearizability.
+// external host while a Schedule (tools/campaign/schedule.h) injects its
+// faults and load phases, and checks the protocol live with src/audit:
+// single lease owner, sequence monotonicity, chain-commit-before-ack,
+// ε staleness, and per-flow counter linearizability.
 //
-// Three operating modes:
+// A batch comes from one of two sources:
 //
-//   legacy sweep (default) — the four named scenarios × seeds, with the
-//   recovery-forensics gate (exactly one phase-consistent episode per
-//   fault) and the mode-aware --mutate self-tests (DESIGN.md §14).
+//   --schedule=FILE (repeatable) — replay schedule JSON: the failover
+//   scenarios (switch crash, link flap, lease-boundary crash, store
+//   failover) and the minimized fuzz repros under tests/schedules/.  Each
+//   run prints its deterministic trace hash; with one schedule,
+//   --expect-hash=H fails if the replay diverges.  Unmutated replays also
+//   pass the recovery gate: every recovery episode completes, with phase
+//   durations that sum to the measured downtime (DESIGN.md §13).
 //
 //   --fuzz=N — the adversarial scenario engine (DESIGN.md §15): N seeded
 //   random schedules of fault events (crashes, link cuts, gray failures,
 //   ECMP re-salts) composed with adversarial load phases (flash crowds,
-//   lease churn, SYN floods), each executed with the full oracle stack
-//   armed.  On a violation the schedule is delta-debugged down to a
-//   1-minimal causal slice and written as a replayable JSON artifact.
-//   --fuzz-class picks a scenario-class focus; --mutate turns a fuzz run
-//   into a detector self-test (the expected monitor must fire somewhere in
-//   the batch).
+//   lease churn, SYN floods).  --fuzz-class picks a scenario-class focus
+//   and --packets the base traffic per flow.  On a violation the first
+//   failing schedule is delta-debugged down to a 1-minimal causal slice
+//   and written as a replayable JSON artifact.
 //
-//   --schedule=FILE — replay one schedule JSON (e.g. a minimized repro
-//   from tests/schedules/); prints the deterministic trace hash, and with
-//   --expect-hash=H fails if the replay diverges.
+// Both sources share one judge.  Without --mutate every run must be clean.
+// With --mutate the batch is a detector self-test (DESIGN.md §14): the
+// mode-aware expected monitor must fire somewhere in the batch, or, where
+// the mutation is legal under the mode, the auditor must stay silent.
 //
 // Exit codes: 0 = clean (or, with --mutate, the expected monitor fired — or
 // the auditor correctly stayed silent where the mutation is legal);
-// 1 = invariant violation on a clean run (or a monitor fired on a legal
-// mutation, or a replay hash mismatch); 2 = a --mutate run where the
-// expected monitor stayed silent (the oracle is broken).
+// 1 = invariant violation or failed recovery gate on a clean run (or a
+// monitor fired on a legal mutation, or a replay hash mismatch); 2 = a
+// --mutate batch where the expected monitor stayed silent (the oracle is
+// broken); 64 = usage error.
 //
 // Usage:
-//   campaign [--seeds=5] [--scenario=all] [--out-dir=campaign_out]
-//            [--packets=120] [--mutate=none|lease|chain|seq|stale|merge]
+//   campaign (--schedule=FILE... | --fuzz=N) [--out-dir=campaign_out]
+//            [--mutate=none|lease|chain|seq|stale|merge]
 //            [--consistency=single|replicated|mergeable]
 //            [--batching=<coalesce delay in us; 0 = off>]
-//            [--fuzz=N] [--fuzz-class=mixed|gray|churn|flash|capacity]
-//            [--fuzz-seed=BASE] [--no-minimize]
-//            [--schedule=FILE] [--expect-hash=H]
+//            [--fuzz-class=mixed|gray|churn|flash|capacity]
+//            [--fuzz-seed=BASE] [--packets=120] [--no-minimize]
+//            [--expect-hash=H]
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -95,169 +100,130 @@ std::size_t TotalViolations(const RunResult& r) {
   return r.violations.size() + r.lin_failures + r.oracle_failures;
 }
 
-int RunFuzz(int fuzz_runs, FuzzClass fuzz_class, std::uint64_t fuzz_seed,
-            int packets, core::ConsistencyMode mode, const MutationSpec& mut,
-            const std::string& consistency, const std::string& mutate,
-            const std::string& out_dir, bool minimize) {
-  GeneratorConfig gen_cfg;
-  gen_cfg.focus = fuzz_class;
-  gen_cfg.packets_per_flow = packets;
-  const Expectation ex = ExpectationFor(mut, mode);
+/// Why an unmutated run fails, or empty if it passes.  With
+/// `require_recovery`, every recovery episode must also complete with phase
+/// durations summing to the measured downtime (DESIGN.md §13 invariant).
+std::string CleanRunFailure(const RunResult& r, bool require_recovery) {
+  if (!r.Clean()) {
+    return r.delivered > 0 ? std::to_string(TotalViolations(r)) +
+                                 " invariant violation(s)"
+                           : "no traffic delivered";
+  }
+  if (!require_recovery) return {};
+  for (const EpisodeOut& eo : r.episodes) {
+    if (!eo.complete) {
+      return "recovery episode " + std::to_string(eo.id) +
+             " incomplete (service never resumed)";
+    }
+    if (!eo.phase_sum_ok) {
+      return "recovery episode " + std::to_string(eo.id) +
+             " phases do not sum to the measured downtime (see " +
+             r.recovery_json_path + ")";
+    }
+  }
+  return {};
+}
 
-  std::vector<RunResult> runs;
+/// The one pass/fail rule for a batch, returning the exit code.
+int Judge(const std::vector<RunResult>& runs, const MutationSpec& mut,
+          core::ConsistencyMode mode, const std::string& mutate,
+          bool require_recovery) {
+  const std::string consistency = core::ConsistencyModeName(mode);
+  if (!mut.any()) {
+    int failed = 0;
+    for (const RunResult& r : runs) {
+      const std::string why = CleanRunFailure(r, require_recovery);
+      if (why.empty()) continue;
+      ++failed;
+      std::cerr << "[campaign] FAIL: " << r.label << " seed " << r.seed
+                << ": " << why << "\n";
+    }
+    if (failed > 0) return 1;
+    std::cout << "[campaign] OK: " << runs.size() << " schedule(s) clean "
+              << "under " << consistency << "\n";
+    return 0;
+  }
+
+  const Expectation ex = ExpectationFor(mut, mode);
+  std::size_t violations = 0;
   std::size_t expected_fired = 0;
-  int first_bad = -1;
-  Schedule first_bad_schedule;
-  for (int i = 0; i < fuzz_runs; ++i) {
-    const std::uint64_t seed = fuzz_seed + static_cast<std::uint64_t>(i);
-    const Schedule sched = GenerateSchedule(seed, gen_cfg);
-    const std::string label =
-        std::string("fuzz_") + FuzzClassName(fuzz_class) + "_" +
-        std::to_string(i);
-    std::cout << "[campaign] fuzz " << i + 1 << "/" << fuzz_runs
-              << " seed=" << seed << " class=" << FuzzClassName(fuzz_class)
-              << " events=" << sched.NumEvents()
-              << " consistency=" << consistency << " ..." << std::flush;
-    RunResult r = RunSchedule(sched, mode, mut, out_dir, label);
-    std::cout << " sent=" << r.sent << " delivered=" << r.delivered
-              << " violations=" << TotalViolations(r)
-              << " hash=" << r.trace_hash << "\n";
+  for (const RunResult& r : runs) {
+    violations += TotalViolations(r);
     for (const ViolationOut& v : r.violations) {
       if (v.monitor == ex.monitor) ++expected_fired;
     }
-    if (!r.Clean() && first_bad < 0) {
-      first_bad = i;
-      first_bad_schedule = sched;
-    }
-    runs.push_back(std::move(r));
   }
-
-  std::filesystem::create_directories(out_dir);
-  {
-    std::ofstream json(out_dir + "/report.json");
-    WriteJsonReport(json, runs, mode, mut);
-    std::ofstream md(out_dir + "/report.md");
-    WriteMarkdownReport(md, runs);
-  }
-
-  if (mut.any()) {
-    std::size_t violations = 0;
-    for (const RunResult& r : runs) violations += TotalViolations(r);
-    if (ex.silence) {
-      if (violations > 0) {
-        std::cerr << "[campaign] FAIL: mutation '" << mutate
-                  << "' is legal under --consistency=" << consistency
-                  << " but the fuzz batch reported " << violations
-                  << " violation(s)\n";
-        return 1;
-      }
-      std::cout << "[campaign] OK: mutation '" << mutate
-                << "' is legal under --consistency=" << consistency
-                << "; auditor stayed silent across " << fuzz_runs
-                << " fuzz schedules\n";
-      return 0;
+  if (ex.silence) {
+    if (violations > 0) {
+      std::cerr << "[campaign] FAIL: mutation '" << mutate
+                << "' is legal under " << consistency
+                << " but the batch reported " << violations
+                << " violation(s)\n";
+      return 1;
     }
-    // Self-test: the seeded mutation must be caught somewhere in the batch.
-    // The legacy three keep the looser contract (any violation counts: a
-    // seq corruption may surface first as a linearizability failure).
-    const bool legacy = mut.lease || mut.seq || mut.chain;
-    if (expected_fired == 0 && !(legacy && violations > 0)) {
-      std::cerr << "[campaign] FAIL: mutation '" << mutate << "' active but "
-                << ex.monitor << " stayed silent across " << fuzz_runs
-                << " fuzz schedules\n";
-      return 2;
-    }
-    std::cout << "[campaign] OK: mutation detected under fuzz ("
-              << violations << " violation(s), " << expected_fired << " from "
-              << ex.monitor << ")\n";
+    std::cout << "[campaign] OK: mutation '" << mutate
+              << "' is legal under " << consistency
+              << "; auditor stayed silent across " << runs.size()
+              << " schedule(s)\n";
     return 0;
   }
-
-  if (first_bad < 0) {
-    std::cout << "[campaign] OK: " << fuzz_runs << " fuzz schedule(s) clean "
-              << "under --consistency=" << consistency << "\n";
-    return 0;
+  // Self-test: the seeded mutation must be caught somewhere in the batch.
+  // lease/seq/chain keep the looser contract (any violation counts: a seq
+  // corruption may surface first as a linearizability failure).
+  const bool any_counts = mut.lease || mut.seq || mut.chain;
+  if (expected_fired == 0 && !(any_counts && violations > 0)) {
+    std::cerr << "[campaign] FAIL: mutation '" << mutate << "' active but "
+              << ex.monitor << " stayed silent across " << runs.size()
+              << " schedule(s)\n";
+    return 2;
   }
-
-  // A clean-run violation: shrink the schedule to its causal slice and ship
-  // it as a replayable artifact.
-  std::cerr << "[campaign] FAIL: fuzz schedule " << first_bad << " (seed "
-            << first_bad_schedule.seed << ") violated invariants\n";
-  const std::string full_path =
-      out_dir + "/failing_" + std::to_string(first_bad_schedule.seed) +
-      ".schedule.json";
-  std::ofstream(full_path) << ToJson(first_bad_schedule);
-  if (minimize) {
-    const std::string probe_dir = out_dir + "/minimize_probes";
-    int probe_no = 0;
-    auto oracle = [&](const Schedule& candidate) {
-      const RunResult r = RunSchedule(candidate, mode, mut, probe_dir,
-                                      "probe_" + std::to_string(probe_no++));
-      return !r.Clean();
-    };
-    const MinimizeResult min = MinimizeSchedule(first_bad_schedule, oracle);
-    const std::string min_path =
-        out_dir + "/minimized_" + std::to_string(first_bad_schedule.seed) +
-        ".schedule.json";
-    std::ofstream(min_path) << ToJson(min.schedule);
-    std::cerr << "[campaign] minimized " << first_bad_schedule.NumEvents()
-              << " -> " << min.schedule.NumEvents() << " events in "
-              << min.probes << " probes"
-              << (min.one_minimal ? " (1-minimal)" : " (probe budget hit)")
-              << "; repro: " << min_path << "\n";
-  } else {
-    std::cerr << "[campaign] repro: " << full_path << "\n";
-  }
-  return 1;
-}
-
-int RunReplay(const std::string& schedule_path, core::ConsistencyMode mode,
-              const MutationSpec& mut, const std::string& out_dir,
-              const std::string& expect_hash) {
-  const std::string text = ReadFile(schedule_path);
-  if (text.empty()) {
-    std::cerr << "cannot read schedule: " << schedule_path << "\n";
-    return 64;
-  }
-  const std::optional<Schedule> sched = ScheduleFromJson(text);
-  if (!sched.has_value()) {
-    std::cerr << "malformed schedule JSON: " << schedule_path << "\n";
-    return 64;
-  }
-  const std::string label =
-      "replay_" + std::filesystem::path(schedule_path).stem().string();
-  const RunResult r = RunSchedule(*sched, mode, mut, out_dir, label);
-  std::cout << "[campaign] replay " << schedule_path << " seed=" << sched->seed
-            << " sent=" << r.sent << " delivered=" << r.delivered
-            << " violations=" << TotalViolations(r)
-            << " trace_hash=" << r.trace_hash << "\n";
-  if (!expect_hash.empty() &&
-      expect_hash != std::to_string(r.trace_hash)) {
-    std::cerr << "[campaign] FAIL: replay hash " << r.trace_hash
-              << " != expected " << expect_hash << " (nondeterminism)\n";
-    return 1;
-  }
-  if (!r.Clean()) {
-    std::cerr << "[campaign] FAIL: replayed schedule still violates ("
-              << TotalViolations(r) << " violation(s))\n";
-    return 1;
-  }
+  std::cout << "[campaign] OK: mutation detected (" << violations
+            << " violation(s), " << expected_fired << " from " << ex.monitor
+            << ")\n";
   return 0;
 }
 
+/// Shrinks a failing fuzz schedule to its causal slice and ships it as a
+/// replayable artifact.
+void WriteRepro(const Schedule& failing, core::ConsistencyMode mode,
+                SimDuration coalesce_delay, const std::string& out_dir,
+                bool minimize) {
+  const std::string full_path =
+      out_dir + "/failing_" + std::to_string(failing.seed) + ".schedule.json";
+  std::ofstream(full_path) << ToJson(failing);
+  if (!minimize) {
+    std::cerr << "[campaign] repro: " << full_path << "\n";
+    return;
+  }
+  const std::string probe_dir = out_dir + "/minimize_probes";
+  int probe_no = 0;
+  auto oracle = [&](const Schedule& candidate) {
+    return !RunSchedule(candidate, mode, {}, probe_dir,
+                        "probe_" + std::to_string(probe_no++), coalesce_delay)
+                .Clean();
+  };
+  const MinimizeResult min = MinimizeSchedule(failing, oracle);
+  const std::string min_path = out_dir + "/minimized_" +
+                               std::to_string(failing.seed) + ".schedule.json";
+  std::ofstream(min_path) << ToJson(min.schedule);
+  std::cerr << "[campaign] minimized " << failing.NumEvents() << " -> "
+            << min.schedule.NumEvents() << " events in " << min.probes
+            << " probes"
+            << (min.one_minimal ? " (1-minimal)" : " (probe budget hit)")
+            << "; repro: " << min_path << "\n";
+}
+
 int Main(int argc, char** argv) {
-  int seeds = 5;
   int packets = 120;
   int batching_us = 0;
   int fuzz_runs = 0;
   std::uint64_t fuzz_seed = 1000;
   bool minimize = true;
   std::string out_dir = "campaign_out";
-  std::string scenario_filter = "all";
   std::string mutate = "none";
   std::string consistency = "single";
   std::string fuzz_class_name = "mixed";
-  std::string schedule_path;
+  std::vector<std::string> schedule_paths;
   std::string expect_hash;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -265,14 +231,10 @@ int Main(int argc, char** argv) {
       const std::size_t n = std::strlen(prefix);
       return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
     };
-    if (const char* v = value("--seeds=")) {
-      seeds = std::max(1, std::atoi(v));
-    } else if (const char* v = value("--packets=")) {
+    if (const char* v = value("--packets=")) {
       packets = std::max(10, std::atoi(v));
     } else if (const char* v = value("--out-dir=")) {
       out_dir = v;
-    } else if (const char* v = value("--scenario=")) {
-      scenario_filter = v;
     } else if (const char* v = value("--mutate=")) {
       mutate = v;
     } else if (const char* v = value("--consistency=")) {
@@ -288,7 +250,7 @@ int Main(int argc, char** argv) {
     } else if (arg == "--no-minimize") {
       minimize = false;
     } else if (const char* v = value("--schedule=")) {
-      schedule_path = v;
+      schedule_paths.emplace_back(v);
     } else if (const char* v = value("--expect-hash=")) {
       expect_hash = v;
     } else {
@@ -322,44 +284,65 @@ int Main(int argc, char** argv) {
     std::cerr << "unknown --consistency mode: " << consistency << "\n";
     return 64;
   }
-  const bool mergeable = mode == core::ConsistencyMode::kMergeable;
-
-  if (!schedule_path.empty()) {
-    return RunReplay(schedule_path, mode, mut, out_dir, expect_hash);
+  if (!expect_hash.empty() && schedule_paths.size() != 1) {
+    std::cerr << "--expect-hash needs exactly one --schedule\n";
+    return 64;
   }
-  if (fuzz_runs > 0) {
+
+  // Assemble the batch: replayed files, or schedules drawn by the fuzzer.
+  std::vector<Schedule> schedules;
+  std::vector<std::string> labels;
+  const bool replay = !schedule_paths.empty();
+  if (replay) {
+    for (const std::string& path : schedule_paths) {
+      const std::string text = ReadFile(path);
+      if (text.empty()) {
+        std::cerr << "cannot read schedule: " << path << "\n";
+        return 64;
+      }
+      std::optional<Schedule> sched = ScheduleFromJson(text);
+      if (!sched.has_value()) {
+        std::cerr << "malformed schedule JSON: " << path << "\n";
+        return 64;
+      }
+      schedules.push_back(std::move(*sched));
+      labels.push_back("replay_" + std::filesystem::path(path).stem().string());
+    }
+  } else if (fuzz_runs > 0) {
     const std::optional<FuzzClass> fc = FuzzClassFromName(fuzz_class_name);
     if (!fc.has_value()) {
       std::cerr << "unknown --fuzz-class: " << fuzz_class_name << "\n";
       return 64;
     }
-    // Fuzz schedules use a lighter default traffic shape than the legacy
-    // sweep unless --packets was set explicitly.
-    return RunFuzz(fuzz_runs, *fc, fuzz_seed, packets, mode, mut, consistency,
-                   mutate, out_dir, minimize);
+    GeneratorConfig gen_cfg;
+    gen_cfg.focus = *fc;
+    gen_cfg.packets_per_flow = packets;
+    for (int i = 0; i < fuzz_runs; ++i) {
+      schedules.push_back(GenerateSchedule(
+          fuzz_seed + static_cast<std::uint64_t>(i), gen_cfg));
+      labels.push_back(std::string("fuzz_") + FuzzClassName(*fc) + "_" +
+                       std::to_string(i));
+    }
+  } else {
+    std::cerr << "nothing to run: give --schedule=FILE or --fuzz=N\n";
+    return 64;
   }
 
-  const Expectation ex = ExpectationFor(mut, mode);
+  const SimDuration coalesce_delay = Microseconds(batching_us);
   std::vector<RunResult> runs;
-  for (const Scenario& sc : Scenarios()) {
-    if (scenario_filter != "all" && scenario_filter != sc.name) continue;
-    for (int s = 0; s < seeds; ++s) {
-      const std::uint64_t seed = 42 + 1000ull * static_cast<std::uint64_t>(s);
-      std::cout << "[campaign] " << sc.name << " seed=" << seed
-                << " consistency=" << consistency
-                << (batching_us > 0 ? " batching=on" : "") << " ..."
-                << std::flush;
-      RunResult r = RunOne(sc, seed, mode, mut, out_dir, packets,
-                           Microseconds(batching_us));
-      std::cout << " sent=" << r.sent << " delivered=" << r.delivered
-                << " violations=" << r.violations.size()
-                << " lin_failures=" << r.lin_failures << "\n";
-      runs.push_back(std::move(r));
-    }
-  }
-  if (runs.empty()) {
-    std::cerr << "no scenario matched --scenario=" << scenario_filter << "\n";
-    return 64;
+  for (std::size_t i = 0; i < schedules.size(); ++i) {
+    std::cout << "[campaign] " << i + 1 << "/" << schedules.size() << " "
+              << labels[i] << " seed=" << schedules[i].seed
+              << " events=" << schedules[i].NumEvents()
+              << " consistency=" << consistency
+              << (batching_us > 0 ? " batching=on" : "") << " ..."
+              << std::flush;
+    RunResult r =
+        RunSchedule(schedules[i], mode, mut, out_dir, labels[i], coalesce_delay);
+    std::cout << " sent=" << r.sent << " delivered=" << r.delivered
+              << " violations=" << TotalViolations(r)
+              << " trace_hash=" << r.trace_hash << "\n";
+    runs.push_back(std::move(r));
   }
 
   std::filesystem::create_directories(out_dir);
@@ -369,86 +352,24 @@ int Main(int argc, char** argv) {
     std::ofstream md(out_dir + "/report.md");
     WriteMarkdownReport(md, runs);
   }
-  std::cout << "[campaign] wrote " << out_dir << "/report.json and report.md\n";
 
-  std::size_t violations = 0;
-  std::size_t expected_fired = 0;
-  int delivered = 0;
-  for (const RunResult& r : runs) {
-    violations += TotalViolations(r);
-    for (const ViolationOut& v : r.violations) {
-      if (v.monitor == ex.monitor) ++expected_fired;
-    }
-    delivered += r.delivered;
-  }
-  if (delivered == 0) {
-    std::cerr << "[campaign] FAIL: no traffic delivered in any run\n";
+  if (!expect_hash.empty() &&
+      expect_hash != std::to_string(runs.front().trace_hash)) {
+    std::cerr << "[campaign] FAIL: replay hash " << runs.front().trace_hash
+              << " != expected " << expect_hash << " (nondeterminism)\n";
     return 1;
   }
-  if (mut.any()) {
-    if (ex.silence) {
-      if (violations > 0) {
-        std::cerr << "[campaign] FAIL: mutation '" << mutate
-                  << "' is legal under --consistency=" << consistency
-                  << " but the auditor reported " << violations
-                  << " violation(s)\n";
-        return 1;
-      }
-      std::cout << "[campaign] OK: mutation '" << mutate
-                << "' is legal under --consistency=" << consistency
-                << "; auditor correctly stayed silent\n";
-      return 0;
-    }
-    // The mode-specific mutations must be caught by their own monitor; the
-    // legacy three keep the looser contract (any violation, e.g. a seq
-    // mutation surfacing first as a linearizability failure, still counts).
-    const bool legacy = mut.lease || mut.seq || mut.chain;
-    if (expected_fired == 0 && !(legacy && violations > 0)) {
-      std::cerr << "[campaign] FAIL: protocol mutation active but "
-                << ex.monitor << " stayed silent\n";
-      return 2;
-    }
-    std::cout << "[campaign] OK: mutation detected (" << violations
-              << " violation(s), " << expected_fired << " from " << ex.monitor
-              << ")\n";
-    return 0;
-  }
-  if (violations > 0) {
-    std::cerr << "[campaign] FAIL: " << violations
-              << " invariant violation(s) on clean runs (see " << out_dir
-              << ")\n";
-    return 1;
-  }
-  // Recovery-forensics gate: every injected fault must yield exactly one
-  // detected episode, complete (service resumed), whose phase durations sum
-  // to the measured downtime (DESIGN.md §13 invariant).  Mergeable mode is
-  // exempt: flows never pause on failover (local admission, zero-RTT
-  // writes), so the lease-centric episode phases don't apply.
-  for (const RunResult& r : runs) {
-    if (mergeable) break;
-    if (r.episodes.size() != 1) {
-      std::cerr << "[campaign] FAIL: " << r.scenario << " seed " << r.seed
-                << ": expected exactly one recovery episode, got "
-                << r.episodes.size() << "\n";
-      return 1;
-    }
-    const EpisodeOut& eo = r.episodes.front();
-    if (!eo.complete) {
-      std::cerr << "[campaign] FAIL: " << r.scenario << " seed " << r.seed
-                << ": recovery episode incomplete (service never resumed)\n";
-      return 1;
-    }
-    if (!eo.phase_sum_ok) {
-      std::cerr << "[campaign] FAIL: " << r.scenario << " seed " << r.seed
-                << ": phase durations do not sum to measured downtime (see "
-                << r.recovery_json_path << ")\n";
-      return 1;
+  // Drawn schedules skip the recovery gate: a fault drawn after base
+  // traffic stops leaves its episode open without any protocol fault.
+  const int rc = Judge(runs, mut, mode, mutate, /*require_recovery=*/replay);
+  if (rc == 1 && !replay && !mut.any()) {
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      if (runs[i].Clean()) continue;
+      WriteRepro(schedules[i], mode, coalesce_delay, out_dir, minimize);
+      break;
     }
   }
-  std::cout << "[campaign] OK: all scenarios clean across " << runs.size()
-            << " runs; every fault produced one phase-consistent recovery "
-               "episode\n";
-  return 0;
+  return rc;
 }
 
 }  // namespace

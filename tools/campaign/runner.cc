@@ -92,40 +92,28 @@ void HashMix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-/// Internal harness options: either a legacy named scenario or a fuzz
-/// schedule drives the fault/load plan; everything else is shared.
-struct HarnessOptions {
-  std::string label;  // artifact stem and RunResult::scenario
-  std::uint64_t seed = 42;
-  core::ConsistencyMode mode = core::ConsistencyMode::kSingleOwner;
-  MutationSpec mut;
-  std::string out_dir;
-  int packets_per_flow = 120;
-  SimDuration coalesce_delay = 0;
-  const Scenario* scenario = nullptr;   // legacy path
-  const Schedule* schedule = nullptr;   // fuzz path
-};
+}  // namespace
 
-RunResult RunHarness(const HarnessOptions& opt) {
+RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
+                      const MutationSpec& mut, const std::string& out_dir,
+                      const std::string& label, SimDuration coalesce_delay) {
   RunResult out;
-  out.scenario = opt.label;
-  out.seed = opt.seed;
+  out.label = label;
+  out.seed = schedule.seed;
 
-  const bool short_lease =
-      opt.scenario != nullptr && opt.scenario->name == "lease_race";
-  const SimDuration lease =
-      short_lease ? Milliseconds(10) : Milliseconds(50);
-  const bool replicated = opt.mode == core::ConsistencyMode::kReplicatedRead;
-  const bool mergeable = opt.mode == core::ConsistencyMode::kMergeable;
+  const SimDuration lease = schedule.lease;
+  const int packets_per_flow = std::max(10, schedule.packets_per_flow);
+  const bool replicated = mode == core::ConsistencyMode::kReplicatedRead;
+  const bool mergeable = mode == core::ConsistencyMode::kMergeable;
 
   net::ResetPacketIds();
   sim::Simulator sim;
   TestbedConfig cfg;
-  cfg.seed = opt.seed;
+  cfg.seed = schedule.seed;
   cfg.store.lease_period = lease;
-  cfg.store.mutations.disable_seq_filter = opt.mut.seq;
-  cfg.store.mutations.early_chain_ack = opt.mut.chain;
-  cfg.store.mutations.overwrite_instead_of_merge = opt.mut.merge;
+  cfg.store.mutations.disable_seq_filter = mut.seq;
+  cfg.store.mutations.early_chain_ack = mut.chain;
+  cfg.store.mutations.overwrite_instead_of_merge = mut.merge;
   // The store joins merge deltas with the app's declared CRDT join and
   // reports the monotone measure on the kMergeApplied tap.
   cfg.store.merger = core::MergeMaxU64;
@@ -199,11 +187,11 @@ RunResult RunHarness(const HarnessOptions& opt) {
   core::RedPlaneConfig rp_cfg;
   rp_cfg.lease_period = lease;
   rp_cfg.renew_interval = lease / 2;
-  rp_cfg.coalesce_delay = opt.coalesce_delay;
-  rp_cfg.mode_override = opt.mode;
-  rp_cfg.mutation_stale_reads = opt.mut.stale;
+  rp_cfg.coalesce_delay = coalesce_delay;
+  rp_cfg.mode_override = mode;
+  rp_cfg.mutation_stale_reads = mut.stale;
   if (replicated) rp_cfg.staleness_bound = Microseconds(50);
-  if (opt.mut.lease) rp_cfg.mutation_lease_extension = Seconds(10);
+  if (mut.lease) rp_cfg.mutation_lease_extension = Seconds(10);
   auto shard_for = [&mgr](const net::PartitionKey&) { return mgr.HeadIp(); };
   std::array<std::unique_ptr<core::RedPlaneSwitch>, 2> rp;
   for (int i = 0; i < 2; ++i) {
@@ -237,7 +225,7 @@ RunResult RunHarness(const HarnessOptions& opt) {
   fleet.Sample(sim.Now());  // rate baseline
 
   constexpr int kFlows = 4;
-  const std::uint64_t seed = opt.seed;
+  const std::uint64_t seed = schedule.seed;
   auto flow_key = [seed](int f) {
     return net::FlowKey{ExternalHostIp(0), RackServerIp(0, 0),
                         static_cast<std::uint16_t>(20000 + 17 * f +
@@ -301,7 +289,7 @@ RunResult RunHarness(const HarnessOptions& opt) {
   auto send_round = [&] { send_marked(0); };
 
   // Warmup: establish leases and find the switch actually carrying traffic.
-  const int warmup_rounds = std::min(5, opt.packets_per_flow);
+  const int warmup_rounds = std::min(5, packets_per_flow);
   for (int i = 0; i < warmup_rounds; ++i) {
     send_round();
     sim.RunUntil(sim.Now() + Microseconds(500));
@@ -314,157 +302,133 @@ RunResult RunHarness(const HarnessOptions& opt) {
 
   // Inject the fault/load plan.
   const SimTime t0 = sim.Now();
-  if (opt.scenario != nullptr) {
-    const std::string& name = opt.scenario->name;
-    if (name == "switch_crash") {
-      injector.ScheduleNodeFailure(active, t0 + Milliseconds(2),
-                                   t0 + Milliseconds(60));
-    } else if (name == "link_flap") {
-      sim::Link* link = tb.network->FindLink(tb.core, active);
-      if (link != nullptr) {
-        injector.ScheduleLinkFailure(link, t0 + Milliseconds(2),
-                                     t0 + Milliseconds(60));
+  for (const FaultEvent& ev : schedule.faults) {
+    const SimTime at = t0 + ev.at;
+    const SimTime clear = ev.clear_at >= 0 ? t0 + ev.clear_at : -1;
+    dp::SwitchNode* agg_target = ev.target % 2 == 0 ? active : standby;
+    switch (ev.kind) {
+      case FaultKind::kSwitchCrash:
+        injector.ScheduleNodeFailure(agg_target, at, clear);
+        break;
+      case FaultKind::kLinkCut: {
+        sim::Link* link = tb.network->FindLink(tb.core, agg_target);
+        if (link != nullptr) injector.ScheduleLinkFailure(link, at, clear);
+        break;
       }
-    } else if (name == "lease_race") {
-      // Die just as the current leases are about to lapse.
-      injector.ScheduleNodeFailure(active, t0 + lease - Microseconds(200),
-                                   t0 + lease + Milliseconds(40));
-    } else if (name == "store_failover") {
-      store::StateStoreServer* victim =
-          tb.store.size() > 1 ? tb.store[1] : tb.store[0];
-      injector.ScheduleNodeFailure(victim, t0 + Milliseconds(2),
-                                   t0 + Milliseconds(40));
+      case FaultKind::kStoreCrash: {
+        store::StateStoreServer* victim =
+            tb.store.size() > 1
+                ? tb.store[1 + static_cast<std::size_t>(ev.target) %
+                                   (tb.store.size() - 1)]
+                : tb.store[0];
+        injector.ScheduleNodeFailure(victim, at, clear);
+        break;
+      }
+      case FaultKind::kSlowShard: {
+        store::StateStoreServer* shard =
+            tb.store[static_cast<std::size_t>(ev.target) % tb.store.size()];
+        const double factor = std::max(1.0, ev.magnitude);
+        sim.ScheduleAt(at,
+                       [shard, factor] { shard->SetServiceTimeFactor(factor); });
+        if (clear >= 0) {
+          sim.ScheduleAt(clear,
+                         [shard] { shard->SetServiceTimeFactor(1.0); });
+        }
+        break;
+      }
+      case FaultKind::kAsymLoss:
+      case FaultKind::kPartition: {
+        sim::Link* link = tb.network->FindLink(tb.core, agg_target);
+        const double rate = ev.kind == FaultKind::kPartition
+                                ? 1.0
+                                : std::clamp(ev.magnitude, 0.0, 1.0);
+        if (link != nullptr) {
+          injector.ScheduleAsymmetricLoss(link, tb.core->id(), rate, at,
+                                          clear);
+        }
+        break;
+      }
+      case FaultKind::kCapacity: {
+        store::StateStoreServer* head = tb.store.front();
+        const std::size_t cap = std::max<std::size_t>(
+            8, static_cast<std::size_t>(ev.magnitude));
+        sim.ScheduleAt(at, [head, cap] { head->SetMaxFlows(cap); });
+        if (clear >= 0) {
+          sim.ScheduleAt(clear, [head] { head->SetMaxFlows(0); });
+        }
+        break;
+      }
+      case FaultKind::kEcmpRehash: {
+        routing::RoutingFabric* fabric = tb.fabric.get();
+        const auto salt = static_cast<std::uint64_t>(ev.magnitude);
+        sim.ScheduleAt(at, [fabric, salt] { fabric->SetEcmpSalt(salt); });
+        if (clear >= 0) {
+          sim.ScheduleAt(clear, [fabric] { fabric->SetEcmpSalt(0); });
+        }
+        break;
+      }
     }
   }
-  if (opt.schedule != nullptr) {
-    for (const FaultEvent& ev : opt.schedule->faults) {
-      const SimTime at = t0 + ev.at;
-      const SimTime clear = ev.clear_at >= 0 ? t0 + ev.clear_at : -1;
-      dp::SwitchNode* agg_target = ev.target % 2 == 0 ? active : standby;
-      switch (ev.kind) {
-        case FaultKind::kSwitchCrash:
-          injector.ScheduleNodeFailure(agg_target, at, clear);
-          break;
-        case FaultKind::kLinkCut: {
-          sim::Link* link = tb.network->FindLink(tb.core, agg_target);
-          if (link != nullptr) injector.ScheduleLinkFailure(link, at, clear);
-          break;
-        }
-        case FaultKind::kStoreCrash: {
-          store::StateStoreServer* victim =
-              tb.store.size() > 1
-                  ? tb.store[1 + static_cast<std::size_t>(ev.target) %
-                                     (tb.store.size() - 1)]
-                  : tb.store[0];
-          injector.ScheduleNodeFailure(victim, at, clear);
-          break;
-        }
-        case FaultKind::kSlowShard: {
-          store::StateStoreServer* shard =
-              tb.store[static_cast<std::size_t>(ev.target) % tb.store.size()];
-          const double factor = std::max(1.0, ev.magnitude);
-          sim.ScheduleAt(at,
-                         [shard, factor] { shard->SetServiceTimeFactor(factor); });
-          if (clear >= 0) {
-            sim.ScheduleAt(clear,
-                           [shard] { shard->SetServiceTimeFactor(1.0); });
-          }
-          break;
-        }
-        case FaultKind::kAsymLoss:
-        case FaultKind::kPartition: {
-          sim::Link* link = tb.network->FindLink(tb.core, agg_target);
-          const double rate = ev.kind == FaultKind::kPartition
-                                  ? 1.0
-                                  : std::clamp(ev.magnitude, 0.0, 1.0);
-          if (link != nullptr) {
-            injector.ScheduleAsymmetricLoss(link, tb.core->id(), rate, at,
-                                            clear);
-          }
-          break;
-        }
-        case FaultKind::kCapacity: {
-          store::StateStoreServer* head = tb.store.front();
-          const std::size_t cap = std::max<std::size_t>(
-              8, static_cast<std::size_t>(ev.magnitude));
-          sim.ScheduleAt(at, [head, cap] { head->SetMaxFlows(cap); });
-          if (clear >= 0) {
-            sim.ScheduleAt(clear, [head] { head->SetMaxFlows(0); });
-          }
-          break;
-        }
-        case FaultKind::kEcmpRehash: {
-          routing::RoutingFabric* fabric = tb.fabric.get();
-          const auto salt = static_cast<std::uint64_t>(ev.magnitude);
-          sim.ScheduleAt(at, [fabric, salt] { fabric->SetEcmpSalt(salt); });
-          if (clear >= 0) {
-            sim.ScheduleAt(clear, [fabric] { fabric->SetEcmpSalt(0); });
-          }
-          break;
-        }
-      }
-    }
 
-    // Load phases: pre-generate each phase's packets from a forked stream
-    // (draw counts never disturb the testbed RNG) and schedule the sends.
-    Rng base_rng(opt.schedule->seed);
-    Rng load_rng = base_rng.Fork(0x10adull);
-    std::vector<trace::TracePacket> load_pkts;
-    for (const LoadPhase& ph : opt.schedule->loads) {
-      switch (ph.kind) {
-        case LoadKind::kFlashCrowd: {
-          trace::FlashCrowdConfig c;
-          c.start = t0 + ph.at;
-          c.duration = ph.duration;
-          c.num_flows = ph.intensity;
-          c.src = ExternalHostIp(1);
-          c.dst = RackServerIp(0, 0);
-          const auto pkts = trace::GenerateFlashCrowd(load_rng, c);
-          load_pkts.insert(load_pkts.end(), pkts.begin(), pkts.end());
-          break;
+  // Load phases: pre-generate each phase's packets from a forked stream
+  // (draw counts never disturb the testbed RNG) and schedule the sends.
+  Rng base_rng(schedule.seed);
+  Rng load_rng = base_rng.Fork(0x10adull);
+  std::vector<trace::TracePacket> load_pkts;
+  for (const LoadPhase& ph : schedule.loads) {
+    switch (ph.kind) {
+      case LoadKind::kFlashCrowd: {
+        trace::FlashCrowdConfig c;
+        c.start = t0 + ph.at;
+        c.duration = ph.duration;
+        c.num_flows = ph.intensity;
+        c.src = ExternalHostIp(1);
+        c.dst = RackServerIp(0, 0);
+        const auto pkts = trace::GenerateFlashCrowd(load_rng, c);
+        load_pkts.insert(load_pkts.end(), pkts.begin(), pkts.end());
+        break;
+      }
+      case LoadKind::kLeaseChurn: {
+        trace::LeaseChurnConfig c;
+        c.start = t0 + ph.at;
+        c.duration = ph.duration;
+        c.num_flows = std::min<std::size_t>(ph.intensity, 8);
+        c.src = ExternalHostIp(1);
+        c.dst = RackServerIp(0, 0);
+        const auto pkts = trace::GenerateLeaseChurn(load_rng, c);
+        load_pkts.insert(load_pkts.end(), pkts.begin(), pkts.end());
+        // The churn itself: re-salt ECMP at each burst boundary so the
+        // next burst (and the base flows) can land on the other switch
+        // and must re-acquire leases — ownership ping-pong.
+        routing::RoutingFabric* fabric = tb.fabric.get();
+        const std::uint64_t churn_salt = schedule.seed | 1;
+        int k = 0;
+        for (SimTime flip_at = c.start; flip_at < c.start + c.duration;
+             flip_at += c.burst_gap, ++k) {
+          const std::uint64_t salt = k % 2 == 1 ? churn_salt : 0;
+          sim.ScheduleAt(flip_at, [fabric, salt] { fabric->SetEcmpSalt(salt); });
         }
-        case LoadKind::kLeaseChurn: {
-          trace::LeaseChurnConfig c;
-          c.start = t0 + ph.at;
-          c.duration = ph.duration;
-          c.num_flows = std::min<std::size_t>(ph.intensity, 8);
-          c.src = ExternalHostIp(1);
-          c.dst = RackServerIp(0, 0);
-          const auto pkts = trace::GenerateLeaseChurn(load_rng, c);
-          load_pkts.insert(load_pkts.end(), pkts.begin(), pkts.end());
-          // The churn itself: re-salt ECMP at each burst boundary so the
-          // next burst (and the base flows) can land on the other switch
-          // and must re-acquire leases — ownership ping-pong.
-          routing::RoutingFabric* fabric = tb.fabric.get();
-          const std::uint64_t churn_salt = opt.schedule->seed | 1;
-          int k = 0;
-          for (SimTime flip_at = c.start; flip_at < c.start + c.duration;
-               flip_at += c.burst_gap, ++k) {
-            const std::uint64_t salt = k % 2 == 1 ? churn_salt : 0;
-            sim.ScheduleAt(flip_at, [fabric, salt] { fabric->SetEcmpSalt(salt); });
-          }
-          sim.ScheduleAt(c.start + c.duration,
-                         [fabric] { fabric->SetEcmpSalt(0); });
-          break;
-        }
-        case LoadKind::kSynFlood: {
-          trace::SynFloodConfig c;
-          c.start = t0 + ph.at;
-          c.duration = ph.duration;
-          c.num_packets = ph.intensity;
-          c.dst = RackServerIp(0, 0);
-          const auto pkts = trace::GenerateSynFlood(load_rng, c);
-          load_pkts.insert(load_pkts.end(), pkts.begin(), pkts.end());
-          break;
-        }
+        sim.ScheduleAt(c.start + c.duration,
+                       [fabric] { fabric->SetEcmpSalt(0); });
+        break;
+      }
+      case LoadKind::kSynFlood: {
+        trace::SynFloodConfig c;
+        c.start = t0 + ph.at;
+        c.duration = ph.duration;
+        c.num_packets = ph.intensity;
+        c.dst = RackServerIp(0, 0);
+        const auto pkts = trace::GenerateSynFlood(load_rng, c);
+        load_pkts.insert(load_pkts.end(), pkts.begin(), pkts.end());
+        break;
       }
     }
-    for (const trace::TracePacket& tp : load_pkts) {
-      sim.ScheduleAt(tp.time, [&out, &tb, tp] {
-        ++out.sent;
-        tb.external[1]->Send(trace::MaterializePacket(tp));
-      });
-    }
+  }
+  for (const trace::TracePacket& tp : load_pkts) {
+    sim.ScheduleAt(tp.time, [&out, &tb, tp] {
+      ++out.sent;
+      tb.external[1]->Send(trace::MaterializePacket(tp));
+    });
   }
 
   // Keep traffic flowing across the fault window and the recovery.  Under
@@ -472,7 +436,7 @@ RunResult RunHarness(const HarnessOptions& opt) {
   // write's ~300 µs replication ack is still in flight: within the 50 µs
   // bound the switch must wait (read-buffer loop), and with --mutate=stale
   // it illegally serves them — exactly what the staleness oracles check.
-  for (int i = warmup_rounds; i < opt.packets_per_flow; ++i) {
+  for (int i = warmup_rounds; i < packets_per_flow; ++i) {
     send_round();
     if (replicated) {
       // First read round lands ~20 µs after the write — inside the bound,
@@ -515,7 +479,7 @@ RunResult RunHarness(const HarnessOptions& opt) {
 
   // Harvest results.
   out.audit_events = auditor.events_seen();
-  std::filesystem::create_directories(opt.out_dir);
+  std::filesystem::create_directories(out_dir);
   int vi = 0;
   for (const auto& v : auditor.violations()) {
     ViolationOut vo;
@@ -524,8 +488,8 @@ RunResult RunHarness(const HarnessOptions& opt) {
     vo.at = v.at.t;
     vo.slice_events = v.slice.events.size();
     vo.slice_closed = audit::IsHappensBeforeClosed(v.slice);
-    const std::string stem = opt.out_dir + "/" + opt.label + "_s" +
-                             std::to_string(opt.seed) + "_v" +
+    const std::string stem = out_dir + "/" + label + "_s" +
+                             std::to_string(schedule.seed) + "_v" +
                              std::to_string(vi);
     vo.slice_json_path = stem + ".slice.json";
     vo.slice_text_path = stem + ".slice.txt";
@@ -554,7 +518,7 @@ RunResult RunHarness(const HarnessOptions& opt) {
   // Recovery-forensics artifacts: one episode-timeline JSON and one fleet
   // time-series CSV per injected fault.
   const std::string run_stem =
-      opt.out_dir + "/" + opt.label + "_s" + std::to_string(opt.seed);
+      out_dir + "/" + label + "_s" + std::to_string(schedule.seed);
   out.recovery_json_path = run_stem + ".recovery.json";
   std::ofstream(out.recovery_json_path) << recovery.Json();
   out.fleet_csv_path = run_stem + ".fleet.csv";
@@ -589,54 +553,6 @@ RunResult RunHarness(const HarnessOptions& opt) {
   return out;
 }
 
-}  // namespace
-
-const std::vector<Scenario>& Scenarios() {
-  static const std::vector<Scenario> kScenarios = {
-      {"switch_crash",
-       "fail the aggregation switch carrying the flows; recover it later"},
-      {"link_flap",
-       "cut the fabric link to the active switch; traffic reroutes, then the "
-       "link returns"},
-      {"lease_race",
-       "short leases; the active switch dies right at a lease boundary"},
-      {"store_failover",
-       "kill a mid-chain store replica; the chain manager splices and later "
-       "readmits it"},
-  };
-  return kScenarios;
-}
-
-RunResult RunOne(const Scenario& sc, std::uint64_t seed,
-                 core::ConsistencyMode mode, const MutationSpec& mut,
-                 const std::string& out_dir, int packets_per_flow,
-                 SimDuration coalesce_delay) {
-  HarnessOptions opt;
-  opt.label = sc.name;
-  opt.seed = seed;
-  opt.mode = mode;
-  opt.mut = mut;
-  opt.out_dir = out_dir;
-  opt.packets_per_flow = packets_per_flow;
-  opt.coalesce_delay = coalesce_delay;
-  opt.scenario = &sc;
-  return RunHarness(opt);
-}
-
-RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
-                      const MutationSpec& mut, const std::string& out_dir,
-                      const std::string& label) {
-  HarnessOptions opt;
-  opt.label = label;
-  opt.seed = schedule.seed;
-  opt.mode = mode;
-  opt.mut = mut;
-  opt.out_dir = out_dir;
-  opt.packets_per_flow = std::max(10, schedule.packets_per_flow);
-  opt.schedule = &schedule;
-  return RunHarness(opt);
-}
-
 void WriteJsonReport(std::ostream& os, const std::vector<RunResult>& runs,
                      core::ConsistencyMode mode, const MutationSpec& mut) {
   os << "{\"consistency\": \"" << core::ConsistencyModeName(mode) << "\",\n";
@@ -648,7 +564,7 @@ void WriteJsonReport(std::ostream& os, const std::vector<RunResult>& runs,
   os << " \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunResult& r = runs[i];
-    os << "  {\"scenario\": \"" << obs::JsonEscape(r.scenario)
+    os << "  {\"label\": \"" << obs::JsonEscape(r.label)
        << "\", \"seed\": " << r.seed << ", \"sent\": " << r.sent
        << ", \"delivered\": " << r.delivered
        << ", \"audit_events\": " << r.audit_events
@@ -704,7 +620,7 @@ void WriteJsonReport(std::ostream& os, const std::vector<RunResult>& runs,
 
 void WriteMarkdownReport(std::ostream& os, const std::vector<RunResult>& runs) {
   os << "# Fault campaign report\n\n";
-  os << "| scenario | seed | sent | delivered | audit events | violations | "
+  os << "| schedule | seed | sent | delivered | audit events | violations | "
         "lin failures | write RTT p99 (µs) | episodes | downtime (ms) | "
         "phase sum |\n";
   os << "|---|---|---|---|---|---|---|---|---|---|---|\n";
@@ -718,7 +634,7 @@ void WriteMarkdownReport(std::ostream& os, const std::vector<RunResult>& runs) {
       downtime_ms += static_cast<double>(eo.downtime) / 1e6;
       sum_ok = sum_ok && eo.phase_sum_ok;
     }
-    os << "| " << r.scenario << " | " << r.seed << " | " << r.sent << " | "
+    os << "| " << r.label << " | " << r.seed << " | " << r.sent << " | "
        << r.delivered << " | " << r.audit_events << " | "
        << r.violations.size() << " | " << r.lin_failures << " | "
        << obs::JsonNumber(r.write_rtt_p99_us) << " | " << r.episodes.size()
@@ -730,12 +646,12 @@ void WriteMarkdownReport(std::ostream& os, const std::vector<RunResult>& runs) {
      << total_violations << "\n";
   for (const RunResult& r : runs) {
     if (r.oracle_failures > 0) {
-      os << "\n- oracle failure (" << r.scenario << " seed " << r.seed
+      os << "\n- oracle failure (" << r.label << " seed " << r.seed
          << "): " << r.oracle_why << "\n";
     }
   }
   os << "\n## Recovery episodes\n\n";
-  os << "| scenario | seed | trigger | " ;
+  os << "| schedule | seed | trigger | ";
   for (int p = 0; p < obs::kNumRecoveryPhases; ++p) {
     os << obs::RecoveryPhaseName(static_cast<obs::RecoveryPhase>(p))
        << " (ms) | ";
@@ -744,7 +660,7 @@ void WriteMarkdownReport(std::ostream& os, const std::vector<RunResult>& runs) {
   os << "|---|---|---|---|---|---|---|---|---|---|---|\n";
   for (const RunResult& r : runs) {
     for (const EpisodeOut& eo : r.episodes) {
-      os << "| " << r.scenario << " | " << r.seed << " | " << eo.trigger
+      os << "| " << r.label << " | " << r.seed << " | " << eo.trigger
          << (eo.complete ? "" : " (incomplete)") << " | ";
       for (int p = 0; p < obs::kNumRecoveryPhases; ++p) {
         os << obs::JsonNumber(
@@ -758,7 +674,7 @@ void WriteMarkdownReport(std::ostream& os, const std::vector<RunResult>& runs) {
   }
   for (const RunResult& r : runs) {
     for (const auto& v : r.violations) {
-      os << "\n## " << r.scenario << " seed " << r.seed << ": " << v.monitor
+      os << "\n## " << r.label << " seed " << r.seed << ": " << v.monitor
          << "\n\n"
          << v.detail << "\n\nslice: `" << v.slice_json_path << "` ("
          << v.slice_events << " events, happens-before "

@@ -1,18 +1,13 @@
 // Campaign run harness: builds the paper's testbed with the auditor armed,
-// drives traffic, injects faults, and harvests violations + forensics.
+// drives audited base traffic, executes a Schedule (tools/campaign/
+// schedule.h) on top of it, and harvests violations + forensics.
 //
-// Two entry points share the harness:
-//   RunOne      — the four legacy named scenarios (switch_crash, link_flap,
-//                 lease_race, store_failover), unchanged semantics.
-//   RunSchedule — executes a fuzz Schedule (tools/campaign/schedule.h):
-//                 each FaultEvent maps onto the failure injector or the
-//                 gray-failure hooks, each LoadPhase onto a src/trace
-//                 adversarial generator injected on top of the audited base
-//                 traffic.  The result carries a trace hash (FNV-1a over
-//                 every delivered (time, marker, value) tuple) so the same
-//                 (seed, schedule) pair is checkably bit-identical across
-//                 replays — the deterministic-replay contract the minimizer
-//                 and the committed regression schedules rely on.
+// Each FaultEvent maps onto the failure injector or the gray-failure hooks,
+// each LoadPhase onto a src/trace adversarial generator injected on top of
+// the base traffic.  The result carries a trace hash (FNV-1a over every
+// delivered (time, marker, value) tuple) so the same schedule is checkably
+// bit-identical across replays — the deterministic-replay contract the
+// minimizer and the committed schedules under tests/schedules/ rely on.
 #pragma once
 
 #include <array>
@@ -70,7 +65,7 @@ struct EpisodeOut {
 };
 
 struct RunResult {
-  std::string scenario;
+  std::string label;
   std::uint64_t seed = 0;
   int sent = 0;
   int delivered = 0;
@@ -92,7 +87,7 @@ struct RunResult {
   std::string fleet_csv_path;
   std::size_t fleet_samples = 0;
   /// FNV-1a over every delivered (time, marker, value); the deterministic-
-  /// replay fingerprint.  Only RunSchedule fills it.
+  /// replay fingerprint.
   std::uint64_t trace_hash = 0;
 
   /// The fuzz oracle: no monitor violations, no linearizability failures,
@@ -103,23 +98,12 @@ struct RunResult {
   }
 };
 
-struct Scenario {
-  std::string name;
-  const char* description;
-};
-
-const std::vector<Scenario>& Scenarios();
-
-/// Runs one legacy named scenario.
-RunResult RunOne(const Scenario& sc, std::uint64_t seed,
-                 core::ConsistencyMode mode, const MutationSpec& mut,
-                 const std::string& out_dir, int packets_per_flow,
-                 SimDuration coalesce_delay);
-
-/// Executes a fuzz schedule.  `label` stems the artifact filenames.
+/// Executes a schedule.  `label` stems the artifact filenames;
+/// `coalesce_delay` > 0 turns on replication batching (0 = per packet).
 RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
                       const MutationSpec& mut, const std::string& out_dir,
-                      const std::string& label);
+                      const std::string& label,
+                      SimDuration coalesce_delay = 0);
 
 void WriteJsonReport(std::ostream& os, const std::vector<RunResult>& runs,
                      core::ConsistencyMode mode, const MutationSpec& mut);

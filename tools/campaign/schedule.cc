@@ -69,7 +69,11 @@ std::optional<FuzzClass> FuzzClassFromName(std::string_view name) {
 std::string ToJson(const Schedule& schedule) {
   std::ostringstream os;
   os << "{\"seed\": " << schedule.seed
-     << ", \"packets_per_flow\": " << schedule.packets_per_flow << ",\n";
+     << ", \"packets_per_flow\": " << schedule.packets_per_flow;
+  if (schedule.lease != Schedule{}.lease) {
+    os << ", \"lease_ns\": " << schedule.lease;
+  }
+  os << ",\n";
   os << " \"faults\": [";
   for (std::size_t i = 0; i < schedule.faults.size(); ++i) {
     const FaultEvent& ev = schedule.faults[i];
@@ -97,7 +101,9 @@ std::optional<Schedule> ScheduleFromJson(std::string_view text) {
   sched.seed = static_cast<std::uint64_t>(doc->NumberOr("seed", 42));
   sched.packets_per_flow =
       static_cast<int>(doc->NumberOr("packets_per_flow", 40));
-  if (sched.packets_per_flow < 1) return std::nullopt;
+  sched.lease = static_cast<SimDuration>(
+      doc->NumberOr("lease_ns", static_cast<double>(sched.lease)));
+  if (sched.packets_per_flow < 1 || sched.lease <= 0) return std::nullopt;
 
   const obs::JsonValue* faults = doc->Find("faults");
   if (faults != nullptr) {

@@ -75,8 +75,12 @@ struct Schedule {
   /// Drives both the testbed RNG and the load-phase generators; the
   /// (seed, schedule) pair replays bit-identically (trace_hash equal).
   std::uint64_t seed = 42;
-  /// Base-traffic rounds (same meaning as the legacy --packets flag).
+  /// Base-traffic rounds per flow (the --packets flag for drawn schedules).
   int packets_per_flow = 40;
+  /// Lease period of the store and both switches (renewal at half of it).
+  /// Optional in the JSON ("lease_ns"); a short lease puts a fault near a
+  /// lease boundary.
+  SimDuration lease = Milliseconds(50);
   std::vector<FaultEvent> faults;
   std::vector<LoadPhase> loads;
 
