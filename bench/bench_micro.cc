@@ -28,20 +28,27 @@
 // dispatch path allocates nothing (BM_EventDispatchSteadyState).
 static std::atomic<std::uint64_t> g_heap_allocs{0};
 
-void* operator new(std::size_t n) {
+// The replacements stay out of line: inlined into this file's
+// new/delete-expressions, GCC would see malloc'd memory released through a
+// matching operator delete as a bare free() and report a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) {
+[[gnu::noinline]] void* operator new[](std::size_t n) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 using namespace redplane;
 

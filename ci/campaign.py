@@ -55,7 +55,9 @@ are still caught.
  6. Committed schedules — every schedule under tests/schedules/ (the
     failover scenarios and one minimized repro per fuzz-found-and-fixed
     bug class) replays clean in all three modes, and again with
-    --batching=16 in single-owner mode.
+    --batching=16 in single-owner mode.  Each (schedule, mode, batching)
+    case runs once: the scenarios' cases belong to gates 1 and 4, so gate 6
+    replays them only where --skip-modes skipped gate 4.
 
 Usage:
   ci/campaign.py --campaign build/tools/campaign --out-dir campaign-out
@@ -242,16 +244,26 @@ def main():
     # schedule file does not pin a consistency mode, and some fuzz-found
     # bugs only manifest under a weaker mode (e.g. the tail-crash commit
     # evidence gap needs replicated-mode buffered reads), so each batch is
-    # replayed under all three, plus batched single-owner.
-    committed = schedule_args(sorted(schedules_dir.glob("*.json")))
-    passes = [("single", []), ("replicated", []), ("mergeable", [])]
+    # replayed under all three, plus batched single-owner.  Gates 1 and 4
+    # already replayed the scenario schedules in single-owner (per-packet
+    # and batched), replicated and mergeable mode, so a pass here adds them
+    # only when --skip-modes skipped the matching gate-4 run.
+    repros = sorted(p for p in schedules_dir.glob("*.json")
+                    if p not in scenarios)
+    passes = [("single", [], False),
+              ("replicated", [], args.skip_modes),
+              ("mergeable", [], args.skip_modes)]
     if not args.skip_batching:
-        passes.append(("single", ["--batching=16"]))
-    for mode, batch_args in passes:
+        passes.append(("single", ["--batching=16"], False))
+    for mode, batch_args, with_scenarios in passes:
         tag = mode + ("-batched" if batch_args else "")
+        committed = repros + (scenarios if with_scenarios else [])
+        if not committed:
+            continue
         rc = run(args.campaign, out / f"committed-{tag}",
-                 committed + [f"--consistency={mode}"] + batch_args,
-                 f"committed schedules ({tag})")
+                 schedule_args(committed) + [f"--consistency={mode}"]
+                 + batch_args,
+                 f"committed schedules ({len(committed)} schedules, {tag})")
         if rc != EXIT_CLEAN_OR_DETECTED:
             failures.append(
                 f"committed schedules ({tag}) exited {rc}: a failover "

@@ -34,7 +34,6 @@ int main() {
   core::RedPlaneConfig rp_config;
   rp_config.linearizable = false;  // bounded-inconsistency mode
   rp_config.snapshot_period = Milliseconds(1);
-  rp_config.epsilon_bound = Milliseconds(10);
   auto shard_for = [&](const net::PartitionKey&) { return tb.StoreHeadIp(); };
   core::RedPlaneSwitch rp0(*tb.agg[0], hh, shard_for, rp_config);
   tb.agg[0]->SetPipeline(&rp0);
@@ -95,7 +94,7 @@ int main() {
         "(%.2f%% lost — bounded by the last snapshot interval, eps=%lld ms)\n",
         vlan, static_cast<unsigned long long>(recovered),
         static_cast<unsigned long long>(injected[vlan]), loss_pct,
-        static_cast<long long>(rp_config.epsilon_bound / kMillisecond));
+        static_cast<long long>(core::kEpsilonBound / kMillisecond));
   }
   std::printf("epsilon violations during the run: %g\n",
               rp0.stats().Get("epsilon_violations"));

@@ -16,6 +16,10 @@
 
 namespace redplane::core {
 
+/// ε, the staleness bound bounded-inconsistency mode guarantees: recovery
+/// restores a state no older than this.
+constexpr SimDuration kEpsilonBound = Milliseconds(10);
+
 class EpsilonTracker {
  public:
   /// `bound` is ε; `on_exceeded` fires (once per violation episode) when a

@@ -83,7 +83,6 @@ RedPlaneSwitch::RedPlaneSwitch(
   StateTraits traits = app_.Traits();
   if (config_.mode_override.has_value()) traits.mode = *config_.mode_override;
   if (config_.staleness_bound > 0) traits.staleness_bound = config_.staleness_bound;
-  if (config_.merge_interval > 0) traits.merge_interval = config_.merge_interval;
   policy_ = ConsistencyPolicy::Make(traits);
   mode_ = policy_->mode();
   stats_.AddCallbackGauge(
@@ -947,7 +946,7 @@ void RedPlaneSwitch::StartSnapshotReplication(Snapshottable& snap) {
   snapshottable_ = &snap;
   if (epsilon_ == nullptr) {
     epsilon_ = std::make_unique<EpsilonTracker>(
-        config_.epsilon_bound, [this](const net::PartitionKey&) {
+        kEpsilonBound, [this](const net::PartitionKey&) {
           m_.epsilon_violations.Add();
         });
   }
@@ -955,14 +954,14 @@ void RedPlaneSwitch::StartSnapshotReplication(Snapshottable& snap) {
   // one audit sample per key per ε-audit tick.  Re-registering on the
   // OnRecovery re-entry fetches the same cells, so this is idempotent.
   m_.epsilon_bound_us = stats_.RegisterGauge("epsilon_bound_us");
-  m_.epsilon_bound_us.Set(ToMicroseconds(config_.epsilon_bound));
+  m_.epsilon_bound_us.Set(ToMicroseconds(kEpsilonBound));
   m_.epsilon_staleness_us = stats_.RegisterHistogram("epsilon_staleness_us");
   epsilon_->SetObserver([this](const net::PartitionKey& key,
                                SimDuration staleness, SimTime /*now*/) {
     m_.epsilon_staleness_us.Record(ToMicroseconds(staleness));
     if (atap_.armed()) {
       atap_.Emit(audit::Tap::kEpsilonSample, net::HashPartitionKey(key), 0,
-                 static_cast<std::uint64_t>(config_.epsilon_bound),
+                 static_cast<std::uint64_t>(kEpsilonBound),
                  static_cast<double>(staleness));
     }
   });
@@ -974,14 +973,14 @@ void RedPlaneSwitch::StartSnapshotReplication(Snapshottable& snap) {
       [this](std::uint32_t index) { SnapshotBurstSlot(index); });
   // Periodic ε audit.
   const std::uint64_t epoch = epoch_;
-  node_.sim().Schedule(config_.epsilon_bound,
+  node_.sim().Schedule(kEpsilonBound,
                        [this, epoch]() { EpsilonAuditTick(epoch); });
 }
 
 void RedPlaneSwitch::EpsilonAuditTick(std::uint64_t epoch) {
   if (epoch != epoch_ || epsilon_ == nullptr) return;
   epsilon_->Check(node_.sim().Now());
-  node_.sim().Schedule(config_.epsilon_bound,
+  node_.sim().Schedule(kEpsilonBound,
                        [this, epoch]() { EpsilonAuditTick(epoch); });
 }
 

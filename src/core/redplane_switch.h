@@ -64,8 +64,6 @@ struct RedPlaneConfig {
   bool linearizable = true;
   /// Snapshot period T_snap for bounded-inconsistency mode.
   SimDuration snapshot_period = Milliseconds(1);
-  /// ε bound for the inconsistency tracker.
-  SimDuration epsilon_bound = Milliseconds(10);
   /// Max loops through the network buffer while awaiting a lease grant
   /// before a packet is dropped (loss is permitted by the model).
   std::uint32_t max_init_loops = 64;
@@ -90,11 +88,9 @@ struct RedPlaneConfig {
   /// declared StateTraits.  nullopt (the default) uses the app's
   /// declaration; pinning kSingleOwner explicitly is bit-identical to the
   /// default for single-owner apps (A/B-tested in tests/consistency_test).
-  std::optional<ConsistencyMode> mode_override;
+  std::optional<ConsistencyMode> mode_override = std::nullopt;
   /// Replicated-read: staleness-bound override (0 = app traits/default).
   SimDuration staleness_bound = 0;
-  /// Mergeable: merge-delta push period override (0 = app traits/default).
-  SimDuration merge_interval = 0;
   /// TEST-ONLY protocol mutation: replicated-read serves local reads
   /// without checking the staleness bound (the served staleness is still
   /// honestly tapped), so stale reads beyond the bound escape.  Proves the

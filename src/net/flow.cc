@@ -16,8 +16,12 @@ std::uint64_t HashFlowKey(const FlowKey& key) {
 
 std::string ToString(const FlowKey& key) {
   std::string s = ToString(key.src_ip);
-  s += ":" + std::to_string(key.src_port) + "->" + ToString(key.dst_ip) + ":" +
-       std::to_string(key.dst_port);
+  s += ':';
+  s += std::to_string(key.src_port);
+  s += "->";
+  s += ToString(key.dst_ip);
+  s += ':';
+  s += std::to_string(key.dst_port);
   s += key.proto == IpProto::kTcp ? "/tcp"
        : key.proto == IpProto::kUdp ? "/udp"
                                     : "/other";

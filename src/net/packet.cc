@@ -88,11 +88,15 @@ Packet MakeTcpPacket(const FlowKey& flow, std::uint8_t flags,
 }
 
 std::string Describe(const Packet& p) {
-  std::string s = "pkt#" + std::to_string(p.id);
+  std::string s = "pkt#";
+  s += std::to_string(p.id);
   if (auto flow = p.Flow()) {
-    s += " " + ToString(*flow);
+    s += ' ';
+    s += ToString(*flow);
   }
-  s += " (" + std::to_string(p.WireSize()) + "B)";
+  s += " (";
+  s += std::to_string(p.WireSize());
+  s += "B)";
   return s;
 }
 

@@ -166,9 +166,9 @@ void TimerWheel::PopNextSlot(std::vector<Due>& out) {
         (overflow_min_tick_ >> kTopShift) == (cur_tick_ >> kTopShift)) {
       RefillFromOverflow();
     }
-    int level;
-    std::uint32_t slot;
-    std::uint64_t start_tick;
+    int level = 0;
+    std::uint32_t slot = 0;
+    std::uint64_t start_tick = UINT64_MAX;
     if (!EarliestSlot(&level, &slot, &start_tick)) {
       // Only overflow timers remain: jump the cursor to the earliest one's
       // top-level window and file what came into range.

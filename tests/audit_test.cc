@@ -20,11 +20,9 @@
 #include "net/codec.h"
 #include "obs/json.h"
 #include "obs/tracer.h"
-#include "sim/host.h"
 #include "sim/link.h"
-#include "sim/network.h"
-#include "statestore/server.h"
 #include "tests/audit_diag.h"
+#include "tests/rig.h"
 
 namespace redplane {
 namespace {
@@ -460,171 +458,38 @@ TEST(LinFeedTest, FlowsAreIndependent) {
 // the test-only config hooks.  Clean twins of every mutated scenario run
 // the same traffic and must stay silent.
 
-constexpr net::Ipv4Addr kSrcIp(10, 0, 0, 1);
-constexpr net::Ipv4Addr kDstIp(192, 168, 10, 1);
-constexpr net::Ipv4Addr kSw1Ip(172, 16, 0, 1);
-constexpr net::Ipv4Addr kSw2Ip(172, 16, 0, 2);
+using testing::Rig;
+using testing::RigOptions;
 
-class CounterApp : public core::SwitchApp {
- public:
-  std::string_view name() const override { return "counter"; }
-  core::ProcessResult Process(core::AppContext&, net::Packet pkt,
-                              std::vector<std::byte>& state) override {
-    core::ProcessResult result;
-    core::SetState(state,
-                   core::StateAs<std::uint64_t>(state).value_or(0) + 1);
-    result.state_modified = true;
-    result.outputs.push_back(std::move(pkt));
-    return result;
+/// The two-switch rig (seed 77) with leases of 10 ms that renew only near
+/// expiry, so scenario traffic produces exactly the protocol messages each
+/// scenario scripts (no interleaved renews), and the auditor armed.
+RigOptions Audited(RigOptions opt = {}) {
+  opt.seed = 77;
+  opt.rp.lease_period = Milliseconds(10);
+  opt.rp.renew_interval = Milliseconds(1);
+  opt.audit = true;
+  return opt;
+}
+
+net::FlowKey TheFlow() {
+  return {testing::kSrcIp, testing::kDstIp, 4242, 80, net::IpProto::kUdp};
+}
+
+/// Asserts exactly `monitor` fired, with a non-empty HB-closed slice
+/// within budget on every stored violation.
+void ExpectOnly(const Auditor& auditor, std::string_view monitor) {
+  EXPECT_GE(auditor.ViolationCount(monitor), 1u) << monitor;
+  EXPECT_EQ(auditor.ViolationCount(monitor), auditor.violations().size())
+      << "a monitor other than " << monitor << " fired";
+  for (const auto& v : auditor.violations()) {
+    EXPECT_EQ(v.monitor, monitor);
+    EXPECT_FALSE(v.slice.empty()) << "violation has no causal slice";
+    EXPECT_LE(v.slice.events.size(), audit::kMaxSliceEvents);
+    EXPECT_TRUE(audit::IsHappensBeforeClosed(v.slice));
+    EXPECT_TRUE(obs::ValidateJson(v.slice.PerfettoJson()));
   }
-};
-
-struct AuditHarness {
-  struct Options {
-    int chain_len = 1;
-    store::StoreConfig::ProtocolMutations head_mutations{};
-    SimDuration lease_extension = 0;
-  };
-
-  explicit AuditHarness(Options opt) {
-    net = std::make_unique<sim::Network>(sim, 77);
-    src = net->AddNode<sim::HostNode>("src", kSrcIp);
-    dst = net->AddNode<sim::HostNode>("dst", kDstIp);
-    dp::SwitchConfig c1, c2;
-    c1.switch_ip = kSw1Ip;
-    c2.switch_ip = kSw2Ip;
-    sw1 = net->AddNode<dp::SwitchNode>("sw1", c1);
-    sw2 = net->AddNode<dp::SwitchNode>("sw2", c2);
-    hub = net->AddNode<sim::HostNode>("hub", net::Ipv4Addr(9, 9, 9, 9));
-    net->Connect(src, 0, sw1, 0);
-    net->Connect(src, 1, sw2, 0);
-    net->Connect(dst, 0, sw1, 1);
-    net->Connect(dst, 1, sw2, 1);
-    net->Connect(sw1, 2, hub, 0);
-    net->Connect(sw2, 2, hub, 1);
-
-    for (int i = 0; i < opt.chain_len; ++i) {
-      store::StoreConfig store_cfg;
-      store_cfg.lease_period = Milliseconds(10);
-      if (i == 0) store_cfg.mutations = opt.head_mutations;
-      auto* server = net->AddNode<store::StateStoreServer>(
-          "store" + std::to_string(i), net::Ipv4Addr(172, 16, 1, 1 + i),
-          store_cfg);
-      net->Connect(server, 0, hub, static_cast<PortId>(2 + i));
-      stores.push_back(server);
-    }
-    for (std::size_t i = 0; i < stores.size(); ++i) {
-      stores[i]->SetIsHead(i == 0);
-      if (i + 1 < stores.size()) {
-        stores[i]->SetChainSuccessor(stores[i + 1]->ip());
-      } else {
-        stores[i]->ClearChainSuccessor();
-      }
-    }
-
-    hub->SetHandler([this](sim::HostNode& self, net::Packet pkt) {
-      if (!pkt.ip.has_value()) return;
-      if (drop_next_to_sw1 && pkt.ip->dst == kSw1Ip) {
-        drop_next_to_sw1 = false;
-        ++dropped;
-        return;
-      }
-      if (pkt.ip->dst == kSw1Ip) {
-        self.SendTo(0, std::move(pkt));
-        return;
-      }
-      if (pkt.ip->dst == kSw2Ip) {
-        self.SendTo(1, std::move(pkt));
-        return;
-      }
-      for (std::size_t i = 0; i < stores.size(); ++i) {
-        if (pkt.ip->dst == stores[i]->ip()) {
-          self.SendTo(static_cast<PortId>(2 + i), std::move(pkt));
-          return;
-        }
-      }
-    });
-    auto forwarder = [](const net::Packet& pkt,
-                        PortId) -> std::optional<PortId> {
-      if (!pkt.ip.has_value()) return std::nullopt;
-      if (pkt.ip->dst == kSrcIp) return PortId{0};
-      if (pkt.ip->dst == kDstIp) return PortId{1};
-      return PortId{2};
-    };
-    sw1->SetForwarder(forwarder);
-    sw2->SetForwarder(forwarder);
-
-    core::RedPlaneConfig rp_cfg;
-    rp_cfg.lease_period = Milliseconds(10);
-    // Renew only near expiry, so scenario traffic produces exactly the
-    // protocol messages each scenario scripts (no interleaved renews).
-    rp_cfg.renew_interval = Milliseconds(1);
-    rp_cfg.mutation_lease_extension = opt.lease_extension;
-    auto shard_for = [this](const net::PartitionKey&) {
-      return stores.front()->ip();
-    };
-    rp1 = std::make_unique<core::RedPlaneSwitch>(*sw1, app, shard_for, rp_cfg);
-    rp2 = std::make_unique<core::RedPlaneSwitch>(*sw2, app, shard_for, rp_cfg);
-    sw1->SetPipeline(rp1.get());
-    sw2->SetPipeline(rp2.get());
-    dst->SetHandler([this](sim::HostNode&, net::Packet) { ++delivered; });
-
-    tracer.SetClock([this] { return sim.Now(); });
-    tracer.SetEnabled(true);
-    prev_tracer = obs::SetGlobalTracer(&tracer);
-    auditor.SetClock([this] { return sim.Now(); });
-    auditor.ArmStandardMonitors();
-    auditor.SetTracer(&tracer);
-    audit::SetGlobalAuditor(&auditor);
-    auditor.SetEnabled(true);
-  }
-
-  ~AuditHarness() {
-    obs::SetGlobalTracer(prev_tracer);
-    // The auditor uninstalls itself from the global slot on destruction.
-  }
-
-  net::FlowKey Flow() const {
-    return {kSrcIp, kDstIp, 4242, 80, net::IpProto::kUdp};
-  }
-  void Run(SimDuration d) { sim.RunUntil(sim.Now() + d); }
-
-  std::size_t TotalViolations() const { return auditor.violations().size(); }
-
-  /// Asserts exactly `monitor` fired, with a non-empty HB-closed slice
-  /// within budget on every stored violation.
-  void ExpectOnly(std::string_view monitor) const {
-    EXPECT_GE(auditor.ViolationCount(monitor), 1u) << monitor;
-    EXPECT_EQ(auditor.ViolationCount(monitor), TotalViolations())
-        << "a monitor other than " << monitor << " fired";
-    for (const auto& v : auditor.violations()) {
-      EXPECT_EQ(v.monitor, monitor);
-      EXPECT_FALSE(v.slice.empty()) << "violation has no causal slice";
-      EXPECT_LE(v.slice.events.size(), audit::kMaxSliceEvents);
-      EXPECT_TRUE(audit::IsHappensBeforeClosed(v.slice));
-      EXPECT_TRUE(obs::ValidateJson(v.slice.PerfettoJson()));
-    }
-  }
-
-  sim::Simulator sim;
-  std::unique_ptr<sim::Network> net;
-  sim::HostNode* src = nullptr;
-  sim::HostNode* dst = nullptr;
-  sim::HostNode* hub = nullptr;
-  dp::SwitchNode* sw1 = nullptr;
-  dp::SwitchNode* sw2 = nullptr;
-  std::vector<store::StateStoreServer*> stores;
-  CounterApp app;
-  std::unique_ptr<core::RedPlaneSwitch> rp1;
-  std::unique_ptr<core::RedPlaneSwitch> rp2;
-  int delivered = 0;
-  int dropped = 0;
-  bool drop_next_to_sw1 = false;
-
-  obs::Tracer tracer;
-  obs::Tracer* prev_tracer = nullptr;
-  Auditor auditor;
-};
+}
 
 // --- lease mutation: the switch believes its lease outlives the store's ---
 //
@@ -635,28 +500,29 @@ struct AuditHarness {
 // stale claim is pruned.  Mutated: sw1's belief was inflated past the
 // store's grant, so two live claims coexist — single_owner must fire.
 
-void DriveLeaseScenario(AuditHarness& h) {
-  h.src->SendTo(0, net::MakeUdpPacket(h.Flow(), 20));
+void DriveLeaseScenario(Rig& h) {
+  h.src->SendTo(0, net::MakeUdpPacket(TheFlow(), 20));
   h.Run(Milliseconds(5));  // write acked; sw1 holds the lease
-  sim::Link* link = h.net->FindLink(h.sw1, h.hub);
+  sim::Link* link = h.net.FindLink(h.sw[0], h.hub);
   ASSERT_NE(link, nullptr);
   link->SetUp(false);  // sw1 is isolated from the store but still alive
   h.Run(Milliseconds(30));  // store-side lease lapses
-  h.src->SendTo(1, net::MakeUdpPacket(h.Flow(), 20));  // arrive via sw2
+  h.src->SendTo(1, net::MakeUdpPacket(TheFlow(), 20));  // arrive via sw2
   h.Run(Milliseconds(40));
   EXPECT_EQ(h.delivered, 2);
 }
 
 TEST(MutationDetectionTest, InflatedLeaseBeliefTripsSingleOwner) {
-  AuditHarness h({.lease_extension = Seconds(10)});
+  Rig h(Audited({.rp = {.mutation_lease_extension = Seconds(10)}}));
   DriveLeaseScenario(h);
-  h.ExpectOnly("single_owner");
+  ExpectOnly(h.auditor, "single_owner");
 }
 
 TEST(MutationDetectionTest, LeaseScenarioCleanTwinIsSilent) {
-  AuditHarness h({});
+  Rig h(Audited());
   DriveLeaseScenario(h);
-  EXPECT_EQ(h.TotalViolations(), 0u) << h.auditor.violations()[0].detail;
+  EXPECT_EQ(h.auditor.violations().size(), 0u)
+      << h.auditor.violations()[0].detail;
 }
 
 // --- seq mutation: the store's duplicate filter is disabled ---
@@ -666,13 +532,16 @@ TEST(MutationDetectionTest, LeaseScenarioCleanTwinIsSilent) {
 // duplicate and answers from durable state.  Mutated: the store re-applies
 // the duplicate write — seq_monotonic must fire.
 
-void DriveSeqScenario(AuditHarness& h) {
-  h.src->SendTo(0, net::MakeUdpPacket(h.Flow(), 20));
+void DriveSeqScenario(Rig& h) {
+  h.src->SendTo(0, net::MakeUdpPacket(TheFlow(), 20));
   h.Run(Milliseconds(3));  // lease + first write settled
-  h.drop_next_to_sw1 = true;  // swallow the next store→sw1 ack
-  h.src->SendTo(0, net::MakeUdpPacket(h.Flow(), 20));
+  // Swallow the next store→sw1 ack.
+  h.hub_drop = [&h](const net::Packet& pkt) {
+    return h.hub_dropped == 0 && pkt.ip->dst == h.sw[0]->ip();
+  };
+  h.src->SendTo(0, net::MakeUdpPacket(TheFlow(), 20));
   h.Run(Milliseconds(5));  // retransmit fires and is answered
-  EXPECT_EQ(h.dropped, 1);
+  EXPECT_EQ(h.hub_dropped, 1);
   // The dropped ack carried the write's piggybacked output with it; the
   // retransmitted ack restores durability, not delivery — so only the
   // first write's output reaches the receiver.
@@ -680,15 +549,16 @@ void DriveSeqScenario(AuditHarness& h) {
 }
 
 TEST(MutationDetectionTest, DisabledSeqFilterTripsSeqMonotonic) {
-  AuditHarness h({.head_mutations = {.disable_seq_filter = true}});
+  Rig h(Audited({.head_mutations = {.disable_seq_filter = true}}));
   DriveSeqScenario(h);
-  h.ExpectOnly("seq_monotonic");
+  ExpectOnly(h.auditor, "seq_monotonic");
 }
 
 TEST(MutationDetectionTest, SeqScenarioCleanTwinIsSilent) {
-  AuditHarness h({});
+  Rig h(Audited());
   DriveSeqScenario(h);
-  EXPECT_EQ(h.TotalViolations(), 0u) << h.auditor.violations()[0].detail;
+  EXPECT_EQ(h.auditor.violations().size(), 0u)
+      << h.auditor.violations()[0].detail;
 }
 
 // --- chain mutation: the head acks before chain-wide commit ---
@@ -697,33 +567,35 @@ TEST(MutationDetectionTest, SeqScenarioCleanTwinIsSilent) {
 // instead of forwarding down the chain, so the ack escapes before the tail
 // committed.  chain_commit must fire on the very first released output.
 
-void DriveChainScenario(AuditHarness& h) {
-  h.src->SendTo(0, net::MakeUdpPacket(h.Flow(), 20));
+void DriveChainScenario(Rig& h) {
+  h.src->SendTo(0, net::MakeUdpPacket(TheFlow(), 20));
   h.Run(Milliseconds(5));
-  h.src->SendTo(0, net::MakeUdpPacket(h.Flow(), 20));
+  h.src->SendTo(0, net::MakeUdpPacket(TheFlow(), 20));
   h.Run(Milliseconds(5));
   EXPECT_EQ(h.delivered, 2);
 }
 
 TEST(MutationDetectionTest, EarlyChainAckTripsChainCommit) {
-  AuditHarness h({.chain_len = 3,
-                  .head_mutations = {.early_chain_ack = true}});
+  Rig h(Audited({.stores = 3,
+                   .chain = true,
+                   .head_mutations = {.early_chain_ack = true}}));
   DriveChainScenario(h);
-  h.ExpectOnly("chain_commit");
+  ExpectOnly(h.auditor, "chain_commit");
 }
 
 TEST(MutationDetectionTest, ChainScenarioCleanTwinIsSilent) {
-  AuditHarness h({.chain_len = 3});
+  Rig h(Audited({.stores = 3, .chain = true}));
   DriveChainScenario(h);
-  EXPECT_EQ(h.TotalViolations(), 0u) << h.auditor.violations()[0].detail;
+  EXPECT_EQ(h.auditor.violations().size(), 0u)
+      << h.auditor.violations()[0].detail;
 }
 
 // ---------------------------------------------------------------------------
 // Failure diagnostics dump (what the gtest listener prints on failure).
 
 TEST(DiagnosticsTest, DumpIncludesTracerTailLeaseTableAndViolations) {
-  AuditHarness h({});
-  h.src->SendTo(0, net::MakeUdpPacket(h.Flow(), 20));
+  Rig h(Audited());
+  h.src->SendTo(0, net::MakeUdpPacket(TheFlow(), 20));
   h.Run(Milliseconds(5));
   // Seed one synthetic violation so the dump has findings to show.
   h.auditor.Publish(h.auditor.Intern("synthetic"), Tap::kAckReleased, 0x99,

@@ -28,10 +28,7 @@
 #include "core/redplane_switch.h"
 #include "modelcheck/linearizability.h"
 #include "net/codec.h"
-#include "obs/tracer.h"
-#include "sim/host.h"
-#include "sim/network.h"
-#include "statestore/server.h"
+#include "tests/rig.h"
 
 namespace redplane {
 namespace {
@@ -40,11 +37,10 @@ using core::ConsistencyMode;
 using core::ConsistencyPolicy;
 using core::StateTraits;
 
-constexpr net::Ipv4Addr kSrcIp(10, 0, 0, 1);
-constexpr net::Ipv4Addr kDstIp(192, 168, 10, 1);
-constexpr net::Ipv4Addr kSw1Ip(172, 16, 0, 1);
-constexpr net::Ipv4Addr kSw2Ip(172, 16, 0, 2);
-constexpr net::Ipv4Addr kStoreIp(172, 16, 1, 1);
+using testing::kDstIp;
+using testing::kSrcIp;
+using testing::kSw2Ip;
+using testing::Rig;
 
 // ------------------------------------------------ policy resolution ------
 
@@ -130,73 +126,6 @@ TEST(ConsistencyOracleTest, MergeConvergenceRejectsLatticeDescent) {
   EXPECT_NE(why.find("lattice"), std::string::npos);
 }
 
-// ------------------------------------------------ shared harness ---------
-
-/// Two switches, one store, src/dst hosts, star-wired through a hub (the
-/// audit_test topology, without loss).
-struct Harness {
-  Harness(core::SwitchApp& app, core::RedPlaneConfig rp_cfg,
-          store::StoreConfig store_cfg, std::uint64_t seed = 7) {
-    net::ResetPacketIds();
-    net = std::make_unique<sim::Network>(sim, seed);
-    src = net->AddNode<sim::HostNode>("src", kSrcIp);
-    dst = net->AddNode<sim::HostNode>("dst", kDstIp);
-    dp::SwitchConfig c1, c2;
-    c1.switch_ip = kSw1Ip;
-    c2.switch_ip = kSw2Ip;
-    sw1 = net->AddNode<dp::SwitchNode>("sw1", c1);
-    sw2 = net->AddNode<dp::SwitchNode>("sw2", c2);
-    hub = net->AddNode<sim::HostNode>("hub", net::Ipv4Addr(9, 9, 9, 9));
-    store = net->AddNode<store::StateStoreServer>("store0", kStoreIp,
-                                                  store_cfg);
-    net->Connect(src, 0, sw1, 0);
-    net->Connect(src, 1, sw2, 0);
-    net->Connect(dst, 0, sw1, 1);
-    net->Connect(dst, 1, sw2, 1);
-    net->Connect(sw1, 2, hub, 0);
-    net->Connect(sw2, 2, hub, 1);
-    net->Connect(store, 0, hub, 2);
-    hub->SetHandler([this](sim::HostNode& self, net::Packet pkt) {
-      if (!pkt.ip.has_value()) return;
-      if (pkt.ip->dst == kStoreIp) self.SendTo(2, std::move(pkt));
-      else if (pkt.ip->dst == kSw1Ip) self.SendTo(0, std::move(pkt));
-      else if (pkt.ip->dst == kSw2Ip) self.SendTo(1, std::move(pkt));
-    });
-    auto forwarder = [](const net::Packet& pkt,
-                        PortId) -> std::optional<PortId> {
-      if (!pkt.ip.has_value()) return std::nullopt;
-      if (pkt.ip->dst == kSrcIp) return PortId{0};
-      if (pkt.ip->dst == kDstIp) return PortId{1};
-      return PortId{2};
-    };
-    sw1->SetForwarder(forwarder);
-    sw2->SetForwarder(forwarder);
-    auto shard = [](const net::PartitionKey&) { return kStoreIp; };
-    rp1 = std::make_unique<core::RedPlaneSwitch>(*sw1, app, shard, rp_cfg);
-    rp2 = std::make_unique<core::RedPlaneSwitch>(*sw2, app, shard, rp_cfg);
-    sw1->SetPipeline(rp1.get());
-    sw2->SetPipeline(rp2.get());
-    dst->SetHandler([this](sim::HostNode&, net::Packet pkt) {
-      ++delivered;
-      last_payload = pkt.payload.ToVector();
-    });
-  }
-
-  void Run(SimDuration d) { sim.RunUntil(sim.Now() + d); }
-
-  sim::Simulator sim;
-  std::unique_ptr<sim::Network> net;
-  sim::HostNode* src = nullptr;
-  sim::HostNode* dst = nullptr;
-  sim::HostNode* hub = nullptr;
-  dp::SwitchNode* sw1 = nullptr;
-  dp::SwitchNode* sw2 = nullptr;
-  store::StateStoreServer* store = nullptr;
-  std::unique_ptr<core::RedPlaneSwitch> rp1, rp2;
-  int delivered = 0;
-  std::vector<std::byte> last_payload;
-};
-
 net::FlowKey TheFlow() {
   return {kSrcIp, kDstIp, 1000, 80, net::IpProto::kUdp};
 }
@@ -214,14 +143,7 @@ std::string RunSingleOwnerScenario(bool explicit_override) {
   if (explicit_override) {
     rp_cfg.mode_override = ConsistencyMode::kSingleOwner;
   }
-  store::StoreConfig store_cfg;
-  store_cfg.lease_period = Milliseconds(5);
-
-  obs::Tracer tracer;
-  Harness h(app, rp_cfg, store_cfg);
-  tracer.SetClock([&h] { return h.sim.Now(); });
-  tracer.SetEnabled(true);
-  obs::Tracer* prev = obs::SetGlobalTracer(&tracer);
+  Rig h(app, {.seed = 7, .rp = rp_cfg, .audit = true});
 
   for (int i = 0; i < 20; ++i) {
     // Alternate switches so grants, migrations, and buffering all appear
@@ -230,8 +152,7 @@ std::string RunSingleOwnerScenario(bool explicit_override) {
     h.Run(Microseconds(300));
   }
   h.sim.Run();
-  obs::SetGlobalTracer(prev);
-  return tracer.ChromeTraceJson();
+  return h.tracer.ChromeTraceJson();
 }
 
 TEST(ConsistencyAbTest, SingleOwnerTracesBitIdenticalUnderExplicitSelection) {
@@ -255,9 +176,7 @@ TEST(ReplicatedReadTest, ReadsServedLocallyWhileWritesInFlight) {
   apps::KvStoreApp app;  // declares replicated-read with the default bound
   core::RedPlaneConfig rp_cfg;
   rp_cfg.lease_period = Milliseconds(5);
-  store::StoreConfig store_cfg;
-  store_cfg.lease_period = Milliseconds(5);
-  Harness h(app, rp_cfg, store_cfg);
+  Rig h(app, {.seed = 7, .rp = rp_cfg});
   // KV replies flow back toward the client, so count them at src.
   int replies = 0;
   std::vector<std::byte> last_reply;
@@ -266,7 +185,7 @@ TEST(ReplicatedReadTest, ReadsServedLocallyWhileWritesInFlight) {
     last_reply = pkt.payload.ToVector();
   });
 
-  ASSERT_EQ(h.rp1->consistency_mode(), ConsistencyMode::kReplicatedRead);
+  ASSERT_EQ(h.rp[0]->consistency_mode(), ConsistencyMode::kReplicatedRead);
 
   // Warm up: one write acquires the lease and installs state.
   h.src->SendTo(0, apps::MakeKvPacket(KvFlow(), {apps::KvOp::kUpdate, 7, 1}));
@@ -281,7 +200,7 @@ TEST(ReplicatedReadTest, ReadsServedLocallyWhileWritesInFlight) {
   h.src->SendTo(0, apps::MakeKvPacket(KvFlow(), {apps::KvOp::kRead, 7, 0}));
   h.src->SendTo(0, apps::MakeKvPacket(KvFlow(), {apps::KvOp::kRead, 7, 0}));
   h.Run(Microseconds(50));  // less than one switch->store round trip
-  EXPECT_GE(h.rp1->stats().Get("local_reads_served"), 2.0);
+  EXPECT_GE(h.rp[0]->stats().Get("local_reads_served"), 2.0);
   EXPECT_GE(replies, after_warmup + 2);  // reads did not wait for the ack
 
   h.sim.Run();
@@ -297,14 +216,12 @@ TEST(ReplicatedReadTest, GrantRegistersSubscriberAndPushesOnWrites) {
   core::RedPlaneConfig rp_cfg;
   rp_cfg.lease_period = Milliseconds(2);
   rp_cfg.renew_interval = Milliseconds(1);
-  store::StoreConfig store_cfg;
-  store_cfg.lease_period = Milliseconds(2);
-  Harness h(app, rp_cfg, store_cfg);
+  Rig h(app, {.seed = 7, .rp = rp_cfg});
 
   // sw2 owns the flow first and subscribes at grant install.
   h.src->SendTo(1, apps::MakeKvPacket(KvFlow(), {apps::KvOp::kUpdate, 9, 5}));
   h.Run(Milliseconds(1));
-  const auto* rec = h.store->Find(*app.KeyOf(
+  const auto* rec = h.stores[0]->Find(*app.KeyOf(
       apps::MakeKvPacket(KvFlow(), {apps::KvOp::kRead, 9, 0})));
   ASSERT_NE(rec, nullptr);
   ASSERT_EQ(rec->subscribers.size(), 1u);
@@ -315,8 +232,8 @@ TEST(ReplicatedReadTest, GrantRegistersSubscriberAndPushesOnWrites) {
   h.Run(Milliseconds(3));
   h.src->SendTo(0, apps::MakeKvPacket(KvFlow(), {apps::KvOp::kUpdate, 9, 6}));
   h.sim.Run();
-  EXPECT_GE(h.rp2->stats().Get("replica_pushes_rx"), 1.0);
-  const auto entry = h.rp2->flow_table().Find(*app.KeyOf(
+  EXPECT_GE(h.rp[1]->stats().Get("replica_pushes_rx"), 1.0);
+  const auto entry = h.rp[1]->flow_table().Find(*app.KeyOf(
       apps::MakeKvPacket(KvFlow(), {apps::KvOp::kRead, 9, 0})));
   ASSERT_TRUE(entry);
   const auto kv = core::StateAs<std::uint64_t>(entry.state());
@@ -330,19 +247,12 @@ TEST(MergeableTest, ZeroRttWritesOnTwoSwitchesConvergeAtStore) {
   apps::SyncCounterApp app;
   core::RedPlaneConfig rp_cfg;
   rp_cfg.mode_override = ConsistencyMode::kMergeable;
-  rp_cfg.merge_interval = Microseconds(100);
   store::StoreConfig store_cfg;
   store_cfg.merger = app.Traits().merge;
   store_cfg.measure = app.Traits().measure;
-  Harness h(app, rp_cfg, store_cfg);
+  Rig h(app, {.seed = 7, .rp = rp_cfg, .store = store_cfg, .audit = true});
 
-  audit::Auditor auditor;
-  auditor.SetClock([&h] { return h.sim.Now(); });
-  auditor.ArmStandardMonitors();
-  audit::SetGlobalAuditor(&auditor);
-  auditor.SetEnabled(true);
-
-  ASSERT_EQ(h.rp1->consistency_mode(), ConsistencyMode::kMergeable);
+  ASSERT_EQ(h.rp[0]->consistency_mode(), ConsistencyMode::kMergeable);
 
   // Both switches carry the same flow concurrently — illegal under a lease,
   // the design point here.  Every packet must release without any store
@@ -360,9 +270,9 @@ TEST(MergeableTest, ZeroRttWritesOnTwoSwitchesConvergeAtStore) {
   // switch counted its own 5 packets, so the max-join holds 5 — the
   // documented accuracy trade of mergeable counters under concurrent
   // writers (a per-switch-keyed counter would keep both).
-  EXPECT_GE(h.rp1->stats().Get("merge_deltas_sent"), 1.0);
-  EXPECT_GE(h.rp2->stats().Get("merge_deltas_sent"), 1.0);
-  const auto* rec = h.store->Find(net::PartitionKey::OfFlow(TheFlow()));
+  EXPECT_GE(h.rp[0]->stats().Get("merge_deltas_sent"), 1.0);
+  EXPECT_GE(h.rp[1]->stats().Get("merge_deltas_sent"), 1.0);
+  const auto* rec = h.stores[0]->Find(net::PartitionKey::OfFlow(TheFlow()));
   ASSERT_NE(rec, nullptr);
   std::uint64_t stored = 0;
   std::memcpy(&stored, rec->state.data(),
@@ -371,25 +281,21 @@ TEST(MergeableTest, ZeroRttWritesOnTwoSwitchesConvergeAtStore) {
 
   // Clean mergeable traffic trips no monitor: the admission taps exempted
   // the key from single-owner, and the merge measures only went up.
-  EXPECT_EQ(auditor.violations().size(), 0u);
+  EXPECT_EQ(h.auditor.violations().size(), 0u);
 }
 
 TEST(MergeableTest, OverwriteMutationTripsMergeConvergenceMonitor) {
   apps::SyncCounterApp app;
   core::RedPlaneConfig rp_cfg;
   rp_cfg.mode_override = ConsistencyMode::kMergeable;
-  rp_cfg.merge_interval = Microseconds(100);
   store::StoreConfig store_cfg;
   store_cfg.merger = app.Traits().merge;
   store_cfg.measure = app.Traits().measure;
-  store_cfg.mutations.overwrite_instead_of_merge = true;
-  Harness h(app, rp_cfg, store_cfg);
-
-  audit::Auditor auditor;
-  auditor.SetClock([&h] { return h.sim.Now(); });
-  auditor.ArmStandardMonitors();
-  audit::SetGlobalAuditor(&auditor);
-  auditor.SetEnabled(true);
+  Rig h(app, {.seed = 7,
+              .rp = rp_cfg,
+              .store = store_cfg,
+              .head_mutations = {.overwrite_instead_of_merge = true},
+              .audit = true});
 
   // Imbalanced concurrent writers: sw1 counts fast, sw2 slowly.  Under the
   // mutation, sw2's smaller delta overwrites sw1's larger contribution at
@@ -399,7 +305,7 @@ TEST(MergeableTest, OverwriteMutationTripsMergeConvergenceMonitor) {
     h.Run(Microseconds(40));
   }
   h.sim.Run();
-  EXPECT_GE(auditor.ViolationCount("merge_convergence"), 1u);
+  EXPECT_GE(h.auditor.ViolationCount("merge_convergence"), 1u);
 }
 
 // ------------------------------------------------ staleness mutation -----
@@ -412,16 +318,9 @@ TEST(ReplicatedReadTest, StaleReadMutationTripsBoundedStalenessMonitor) {
   rp_cfg.mutation_stale_reads = true;         // ...which the switch ignores
   rp_cfg.request_timeout = Milliseconds(2);
   store::StoreConfig store_cfg;
-  store_cfg.lease_period = Milliseconds(5);
   // Slow the store so write acks lag and local reads grow stale.
   store_cfg.service_time = Microseconds(400);
-  Harness h(app, rp_cfg, store_cfg);
-
-  audit::Auditor auditor;
-  auditor.SetClock([&h] { return h.sim.Now(); });
-  auditor.ArmStandardMonitors();
-  audit::SetGlobalAuditor(&auditor);
-  auditor.SetEnabled(true);
+  Rig h(app, {.seed = 7, .rp = rp_cfg, .store = store_cfg, .audit = true});
 
   h.src->SendTo(0, apps::MakeKvPacket(KvFlow(), {apps::KvOp::kUpdate, 1, 1}));
   h.Run(Milliseconds(1));
@@ -436,10 +335,10 @@ TEST(ReplicatedReadTest, StaleReadMutationTripsBoundedStalenessMonitor) {
     h.src->SendTo(0, apps::MakeKvPacket(KvFlow(), {apps::KvOp::kRead, 1, 0}));
   }
   h.sim.Run();
-  EXPECT_GE(auditor.ViolationCount("bounded_staleness"), 1u);
+  EXPECT_GE(h.auditor.ViolationCount("bounded_staleness"), 1u);
   // The violation is mode-specific: nothing else fired.
-  EXPECT_EQ(auditor.ViolationCount("bounded_staleness"),
-            auditor.violations().size());
+  EXPECT_EQ(h.auditor.ViolationCount("bounded_staleness"),
+            h.auditor.violations().size());
 }
 
 }  // namespace

@@ -9,12 +9,14 @@
 #include "apps/heavy_hitter.h"
 #include "apps/nat.h"
 #include "baselines/plain_pipeline.h"
+#include "bench/harness.h"
 #include "core/redplane_switch.h"
 #include "obs/tracer.h"
 #include "routing/failure.h"
 #include "routing/topology.h"
 #include "statestore/partition.h"
 #include "tcp/tcp.h"
+#include "tests/rig.h"
 #include "trace/workload.h"
 
 namespace redplane {
@@ -30,55 +32,33 @@ constexpr net::Ipv4Addr kInternalPrefix(192, 168, 0, 0);
 constexpr std::uint32_t kInternalMask = 0xffff0000;
 constexpr net::Ipv4Addr kNatExternalIp(100, 100, 0, 1);
 
-/// Installs a RedPlane-enabled app on both aggregation switches.
-struct RedPlaneDeployment {
-  RedPlaneDeployment(Testbed& tb, core::SwitchApp& app,
-                     core::RedPlaneConfig config = {}) {
-    auto shard_for = [&tb](const net::PartitionKey&) {
-      return tb.StoreHeadIp();
-    };
-    rp[0] = std::make_unique<core::RedPlaneSwitch>(*tb.agg[0], app, shard_for,
-                                                   config);
-    rp[1] = std::make_unique<core::RedPlaneSwitch>(*tb.agg[1], app, shard_for,
-                                                   config);
-    tb.agg[0]->SetPipeline(rp[0].get());
-    tb.agg[1]->SetPipeline(rp[1].get());
-  }
-  std::array<std::unique_ptr<core::RedPlaneSwitch>, 2> rp;
-};
-
 TEST(IntegrationTest, NatCarriesTrafficBothWaysThroughFabric) {
-  sim::Simulator sim;
-  TestbedConfig cfg;
-  cfg.store.lease_period = Seconds(1);
-  Testbed tb = BuildTestbed(sim, cfg);
   // The NAT external IP must be routable to nothing (it is the NAT itself);
   // outbound packets leave toward the external host after translation.
   apps::NatGlobalState nat_global(kNatExternalIp, 5000, 1024, kInternalPrefix,
                                   kInternalMask);
+  apps::NatApp nat(nat_global);
   // Store initializer consults the NAT's shared state.
-  // (Rebuild the testbed store config is fixed; instead set the handler via
-  // the store's config at build time — so rebuild with initializer.)
-  TestbedConfig cfg2;
-  cfg2.store.initializer = [&nat_global](const net::PartitionKey& key) {
+  TestbedConfig cfg;
+  cfg.store.initializer = [&nat_global](const net::PartitionKey& key) {
     return nat_global.InitializeFlow(key);
   };
-  sim::Simulator sim2;
-  Testbed tb2 = BuildTestbed(sim2, cfg2);
-  apps::NatApp nat(nat_global);
-  RedPlaneDeployment deploy(tb2, nat);
+  bench::Deployment d;
+  d.Build(cfg);
+  sim::Simulator& sim = d.sim();
+  Testbed& tb = d.testbed();
+  d.DeployRedPlane(nat);
   // External hosts must be able to route to the NAT external IP: traffic to
   // it terminates at the aggregation layer, which rewrites and re-routes.
   // Here the reply path targets the NAT IP; assign it to both agg switches'
   // pipelines by registering the address on agg0 (ECMP affinity keeps each
   // flow on one switch anyway).
-  tb2.fabric->AssignAddress(tb2.agg[0], kNatExternalIp);
-  tb2.fabric->RecomputeNow();
+  d.AnycastToAgg(kNatExternalIp, 0);
 
   int server_got = 0;
   int client_got = 0;
   // Internal client: rack server 0/0 talks to external host 0 through NAT.
-  tb2.external[0]->SetHandler([&](sim::HostNode& self, net::Packet pkt) {
+  tb.external[0]->SetHandler([&](sim::HostNode& self, net::Packet pkt) {
     ++server_got;
     // Echo back toward the NAT'd source.
     auto flow = pkt.Flow();
@@ -86,31 +66,33 @@ TEST(IntegrationTest, NatCarriesTrafficBothWaysThroughFabric) {
     net::Packet reply = net::MakeUdpPacket(flow->Reversed(), 10);
     self.Send(std::move(reply));
   });
-  tb2.rack_servers[0][0]->SetHandler(
+  tb.rack_servers[0][0]->SetHandler(
       [&](sim::HostNode&, net::Packet) { ++client_got; });
 
   net::FlowKey flow{RackServerIp(0, 0), ExternalHostIp(0), 7777, 80,
                     net::IpProto::kUdp};
   for (int i = 0; i < 3; ++i) {
-    tb2.rack_servers[0][0]->Send(net::MakeUdpPacket(flow, 100));
-    sim2.RunUntil(sim2.Now() + Milliseconds(1));
+    tb.rack_servers[0][0]->Send(net::MakeUdpPacket(flow, 100));
+    sim.RunUntil(sim.Now() + Milliseconds(1));
   }
-  sim2.Run();
+  sim.Run();
   EXPECT_EQ(server_got, 3);
   EXPECT_EQ(client_got, 3);
 }
 
 TEST(IntegrationTest, EpcSgwFailoverKeepsSessions) {
-  sim::Simulator sim;
+  apps::EpcSgwApp sgw;
   TestbedConfig cfg;
   cfg.store.lease_period = Milliseconds(50);
   cfg.fabric.failure_detection_delay = Milliseconds(5);
-  Testbed tb = BuildTestbed(sim, cfg);
-  apps::EpcSgwApp sgw;
+  bench::Deployment d;
+  d.Build(cfg);
+  sim::Simulator& sim = d.sim();
+  Testbed& tb = d.testbed();
   core::RedPlaneConfig rp_cfg;
   rp_cfg.lease_period = Milliseconds(50);
   rp_cfg.renew_interval = Milliseconds(25);
-  RedPlaneDeployment deploy(tb, sgw, rp_cfg);
+  d.DeployRedPlane(sgw, rp_cfg);
   routing::FailureInjector injector(sim, *tb.fabric);
 
   const net::Ipv4Addr user = RackServerIp(0, 1);
@@ -136,7 +118,7 @@ TEST(IntegrationTest, EpcSgwFailoverKeepsSessions) {
   EXPECT_EQ(data_delivered, 6);  // 5 data + the signaling ack
 
   // Kill whichever aggregation switch carries the flow.
-  const double agg0_pkts = deploy.rp[0]->stats().Get("app_pkts");
+  const double agg0_pkts = d.redplane(0)->stats().Get("app_pkts");
   dp::SwitchNode* active = agg0_pkts > 0 ? tb.agg[0] : tb.agg[1];
   injector.FailNode(active);
   sim.RunUntil(sim.Now() + Milliseconds(100));  // detection + lease lapse
@@ -192,17 +174,18 @@ TEST(IntegrationTest, EpcSgwWithoutRedPlaneBreaksSessionsOnFailure) {
 }
 
 TEST(IntegrationTest, HeavyHitterSnapshotsReachStoreWithinEpsilon) {
-  sim::Simulator sim;
-  Testbed tb = BuildTestbed(sim);
   apps::HeavyHitterConfig hh_cfg;
   hh_cfg.vlans = {1};
   apps::HeavyHitterApp hh(hh_cfg);
+  bench::Deployment d;
+  d.Build();
+  sim::Simulator& sim = d.sim();
+  Testbed& tb = d.testbed();
   core::RedPlaneConfig rp_cfg;
   rp_cfg.linearizable = false;  // bounded-inconsistency mode
   rp_cfg.snapshot_period = Milliseconds(1);
-  rp_cfg.epsilon_bound = Milliseconds(10);
-  RedPlaneDeployment deploy(tb, hh, rp_cfg);
-  deploy.rp[0]->StartSnapshotReplication(hh);
+  d.DeployRedPlane(hh, rp_cfg);
+  d.redplane(0)->StartSnapshotReplication(hh);
 
   // Tagged tenant traffic through agg0 (inject directly at the switch so
   // the sketch on agg0 sees it regardless of ECMP).
@@ -230,19 +213,18 @@ TEST(IntegrationTest, HeavyHitterSnapshotsReachStoreWithinEpsilon) {
   EXPECT_GE(total, 250u);
   EXPECT_LE(total, 300u);
   // ε accounting saw completed rounds.
-  ASSERT_NE(deploy.rp[0]->epsilon_tracker(), nullptr);
-  const auto staleness = deploy.rp[0]->epsilon_tracker()->Staleness(
+  ASSERT_NE(d.redplane(0)->epsilon_tracker(), nullptr);
+  const auto staleness = d.redplane(0)->epsilon_tracker()->Staleness(
       net::PartitionKey::OfVlan(1), sim.Now());
   EXPECT_GE(staleness, 0);
   EXPECT_LE(staleness, Milliseconds(10));
-  EXPECT_DOUBLE_EQ(deploy.rp[0]->stats().Get("epsilon_violations"), 0.0);
+  EXPECT_DOUBLE_EQ(d.redplane(0)->stats().Get("epsilon_violations"), 0.0);
 }
 
 TEST(IntegrationTest, TcpThroughNatSurvivesSwitchFailure) {
   // Miniature of the paper's Fig. 14: an iperf-like TCP flow through a
   // RedPlane NAT; the carrying aggregation switch fails mid-flow; goodput
   // collapses and then recovers once rerouting + state migration complete.
-  sim::Simulator sim;
   TestbedConfig cfg;
   cfg.store.lease_period = Milliseconds(100);
   cfg.fabric.failure_detection_delay = Milliseconds(50);
@@ -255,12 +237,15 @@ TEST(IntegrationTest, TcpThroughNatSurvivesSwitchFailure) {
   cfg.store.initializer = [&nat_global](const net::PartitionKey& key) {
     return nat_global.InitializeFlow(key);
   };
-  Testbed tb = BuildTestbed(sim, cfg);
   apps::NatApp nat(nat_global);
+  bench::Deployment d;
+  d.Build(cfg);
+  sim::Simulator& sim = d.sim();
+  Testbed& tb = d.testbed();
   core::RedPlaneConfig rp_cfg;
   rp_cfg.lease_period = Milliseconds(100);
   rp_cfg.renew_interval = Milliseconds(50);
-  RedPlaneDeployment deploy(tb, nat, rp_cfg);
+  d.DeployRedPlane(nat, rp_cfg);
   routing::FailureInjector injector(sim, *tb.fabric);
 
   // TCP endpoints: sender inside the rack, receiver outside.  Replace one
@@ -286,8 +271,8 @@ TEST(IntegrationTest, TcpThroughNatSurvivesSwitchFailure) {
   EXPECT_GT(before_failure, 100'000u);
 
   // Fail the switch that carries the flow.
-  dp::SwitchNode* active = deploy.rp[0]->stats().Get("app_pkts") >
-                                   deploy.rp[1]->stats().Get("app_pkts")
+  dp::SwitchNode* active = d.redplane(0)->stats().Get("app_pkts") >
+                                   d.redplane(1)->stats().Get("app_pkts")
                                ? tb.agg[0]
                                : tb.agg[1];
   dp::SwitchNode* standby = active == tb.agg[0] ? tb.agg[1] : tb.agg[0];
@@ -312,12 +297,14 @@ TEST(IntegrationTest, ChainStoreServerFailureMidRunStillAnswersFromHead) {
   // The store head keeps serving if a downstream replica fails after
   // commits (we do not reconfigure the chain mid-run; this bounds the
   // blast radius the chain protects against).
-  sim::Simulator sim;
+  apps::EpcSgwApp sgw;
   TestbedConfig cfg;
   cfg.store_chain_size = 3;
-  Testbed tb = BuildTestbed(sim, cfg);
-  apps::EpcSgwApp sgw;
-  RedPlaneDeployment deploy(tb, sgw);
+  bench::Deployment d;
+  d.Build(cfg);
+  sim::Simulator& sim = d.sim();
+  Testbed& tb = d.testbed();
+  d.DeployRedPlane(sgw);
 
   const net::Ipv4Addr user = RackServerIp(0, 1);
   int delivered = 0;
@@ -340,30 +327,31 @@ TEST(IntegrationTest, ChainStoreServerFailureMidRunStillAnswersFromHead) {
 }
 
 TEST(IntegrationTest, TracedNatFailoverEmitsRehomeSequence) {
-  sim::Simulator sim;
-  TestbedConfig cfg;
-  cfg.store.lease_period = Milliseconds(50);
-  cfg.fabric.failure_detection_delay = Milliseconds(5);
   constexpr net::Ipv4Addr kNatIp(100, 100, 0, 1);
   apps::NatGlobalState nat_global(kNatIp, 5000, 256, kInternalPrefix,
                                   kInternalMask);
+  apps::NatApp nat(nat_global);
+  TestbedConfig cfg;
+  cfg.store.lease_period = Milliseconds(50);
+  cfg.fabric.failure_detection_delay = Milliseconds(5);
   cfg.store.initializer = [&nat_global](const net::PartitionKey& key) {
     return nat_global.InitializeFlow(key);
   };
-  Testbed tb = BuildTestbed(sim, cfg);
+  bench::Deployment d;
+  d.Build(cfg);
+  sim::Simulator& sim = d.sim();
+  Testbed& tb = d.testbed();
 
   obs::Tracer tracer;
   tracer.SetClock([&sim]() { return sim.Now(); });
   tracer.SetEnabled(true);
-  obs::Tracer* prev = obs::SetGlobalTracer(&tracer);
+  testing::GlobalTracerGuard guard(&tracer);
 
-  apps::NatApp nat(nat_global);
   core::RedPlaneConfig rp_cfg;
   rp_cfg.lease_period = Milliseconds(50);
   rp_cfg.renew_interval = Milliseconds(25);
-  RedPlaneDeployment deploy(tb, nat, rp_cfg);
-  tb.fabric->AssignAddress(tb.agg[0], kNatIp);
-  tb.fabric->RecomputeNow();
+  d.DeployRedPlane(nat, rp_cfg);
+  d.AnycastToAgg(kNatIp, 0);
   routing::FailureInjector injector(sim, *tb.fabric);
 
   tb.external[0]->SetHandler([](sim::HostNode& self, net::Packet pkt) {
@@ -378,8 +366,8 @@ TEST(IntegrationTest, TracedNatFailoverEmitsRehomeSequence) {
   // gives the other switch app packets too, so consult the flow table),
   // then keep traffic flowing so the standby rehomes the mapping.
   const auto key = net::PartitionKey::OfFlow(flow);
-  const int active = deploy.rp[0]->flow_table().Find(key) ? 0 : 1;
-  ASSERT_TRUE(deploy.rp[active]->flow_table().Find(key));
+  const int active = d.redplane(0)->flow_table().Find(key) ? 0 : 1;
+  ASSERT_TRUE(d.redplane(active)->flow_table().Find(key));
   injector.FailNode(tb.agg[active]);
   tb.fabric->AssignAddress(tb.agg[1 - active], kNatIp);
   for (int i = 0; i < 30; ++i) {
@@ -387,9 +375,8 @@ TEST(IntegrationTest, TracedNatFailoverEmitsRehomeSequence) {
     sim.RunUntil(sim.Now() + Milliseconds(5));
   }
   sim.Run();
-  obs::SetGlobalTracer(prev);
 
-  EXPECT_GT(deploy.rp[1 - active]->stats().Get("grants_migrate"), 0.0);
+  EXPECT_GT(d.redplane(1 - active)->stats().Get("grants_migrate"), 0.0);
 
   // The flow's lifecycle, filtered by its partition-key hash, must show the
   // failover sequence: lease acquired on the active switch, node failure,

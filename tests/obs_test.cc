@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "apps/nat.h"
+#include "bench/harness.h"
 #include "common/logging.h"
 #include "common/stats.h"
-#include "core/redplane_switch.h"
 #include "net/flow.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -19,6 +19,7 @@
 #include "obs/tracer.h"
 #include "routing/topology.h"
 #include "sim/simulator.h"
+#include "tests/rig.h"
 
 namespace redplane {
 namespace {
@@ -28,12 +29,7 @@ using obs::TraceFilter;
 using obs::TraceRecord;
 using obs::Tracer;
 
-/// RAII guard that installs a tracer as the process-global one.
-struct GlobalTracerGuard {
-  explicit GlobalTracerGuard(Tracer* t) : prev(obs::SetGlobalTracer(t)) {}
-  ~GlobalTracerGuard() { obs::SetGlobalTracer(prev); }
-  Tracer* prev;
-};
+using testing::GlobalTracerGuard;
 
 TEST(TracerTest, RingBufferEvictsOldest) {
   Tracer tracer(4);
@@ -556,25 +552,22 @@ std::string RunTracedNat(Tracer& tracer) {
 
   apps::NatGlobalState nat_global(kNatIp, 5000, 256, kInternalPrefix,
                                   kInternalMask);
+  apps::NatApp nat(nat_global);
   routing::TestbedConfig cfg;
   cfg.store.initializer = [&nat_global](const net::PartitionKey& key) {
     return nat_global.InitializeFlow(key);
   };
-  sim::Simulator sim;
-  routing::Testbed tb = routing::BuildTestbed(sim, cfg);
+  bench::Deployment d;
+  d.Build(cfg);
+  sim::Simulator& sim = d.sim();
+  routing::Testbed& tb = d.testbed();
 
   tracer.SetClock([&sim]() { return sim.Now(); });
   tracer.SetEnabled(true);
   GlobalTracerGuard guard(&tracer);
 
-  apps::NatApp nat(nat_global);
-  auto shard_for = [&tb](const net::PartitionKey&) { return tb.StoreHeadIp(); };
-  core::RedPlaneSwitch rp0(*tb.agg[0], nat, shard_for);
-  core::RedPlaneSwitch rp1(*tb.agg[1], nat, shard_for);
-  tb.agg[0]->SetPipeline(&rp0);
-  tb.agg[1]->SetPipeline(&rp1);
-  tb.fabric->AssignAddress(tb.agg[0], kNatIp);
-  tb.fabric->RecomputeNow();
+  d.DeployRedPlane(nat);
+  d.AnycastToAgg(kNatIp, 0);
 
   tb.external[0]->SetHandler([](sim::HostNode& self, net::Packet pkt) {
     if (auto flow = pkt.Flow()) {

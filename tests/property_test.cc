@@ -22,51 +22,16 @@
 #include "apps/spreader.h"
 #include "common/rng.h"
 #include "core/consistency.h"
-#include "core/redplane_switch.h"
 #include "modelcheck/linearizability.h"
 #include "net/codec.h"
-#include "sim/host.h"
-#include "sim/network.h"
-#include "statestore/server.h"
+#include "tests/rig.h"
 
 namespace redplane {
 namespace {
 
-constexpr net::Ipv4Addr kSrcIp(10, 0, 0, 1);
-constexpr net::Ipv4Addr kDstIp(192, 168, 10, 1);
-constexpr net::Ipv4Addr kSw1Ip(172, 16, 0, 1);
-constexpr net::Ipv4Addr kSw2Ip(172, 16, 0, 2);
-constexpr net::Ipv4Addr kStoreIp(172, 16, 1, 1);
-
 net::FlowKey TheFlow() {
-  return {kSrcIp, kDstIp, 1000, 80, net::IpProto::kUdp};
+  return {testing::kSrcIp, testing::kDstIp, 1000, 80, net::IpProto::kUdp};
 }
-
-/// Counter app emitting (original id, count) in the output payload.
-class CountingEchoApp : public core::SwitchApp {
- public:
-  std::string_view name() const override { return "counting_echo"; }
-  core::ProcessResult Process(core::AppContext&, net::Packet pkt,
-                              std::vector<std::byte>& state) override {
-    core::ProcessResult result;
-    const std::uint64_t count =
-        core::StateAs<std::uint64_t>(state).value_or(0) + 1;
-    core::SetState(state, count);
-    result.state_modified = true;
-    std::uint64_t original_id = pkt.id;
-    if (pkt.payload.size() >= 8) {
-      net::ByteReader r(pkt.payload);
-      original_id = r.U64();
-    }
-    std::vector<std::byte> buf;
-    net::ByteWriter w(buf);
-    w.U64(original_id);
-    w.U64(count);
-    pkt.payload = std::move(buf);
-    result.outputs.push_back(std::move(pkt));
-    return result;
-  }
-};
 
 struct FuzzParams {
   std::uint64_t seed;
@@ -81,83 +46,37 @@ TEST_P(ProtocolFuzz, AdversarialScheduleStaysLinearizable) {
   const FuzzParams& params = GetParam();
   Rng rng(params.seed);
 
-  sim::Simulator sim;
-  sim::Network net(sim, params.seed);
-  auto* src = net.AddNode<sim::HostNode>("src", kSrcIp);
-  auto* dst = net.AddNode<sim::HostNode>("dst", kDstIp);
-  dp::SwitchConfig c1, c2;
-  c1.switch_ip = kSw1Ip;
-  c2.switch_ip = kSw2Ip;
-  auto* sw1 = net.AddNode<dp::SwitchNode>("sw1", c1);
-  auto* sw2 = net.AddNode<dp::SwitchNode>("sw2", c2);
-  store::StoreConfig store_cfg;
-  store_cfg.lease_period = Milliseconds(2);
-  auto* store = net.AddNode<store::StateStoreServer>("store", kStoreIp,
-                                                     store_cfg);
-  auto* hub = net.AddNode<sim::HostNode>("hub", net::Ipv4Addr(9, 9, 9, 9));
-
-  net.Connect(src, 0, sw1, 0);
-  net.Connect(src, 1, sw2, 0);
-  net.Connect(dst, 0, sw1, 1);
-  net.Connect(dst, 1, sw2, 1);
   sim::LinkConfig lossy;
   lossy.loss_rate = params.store_loss;
   lossy.reorder_jitter = params.reorder_jitter;
-  net.Connect(sw1, 2, hub, 0, lossy);
-  net.Connect(sw2, 2, hub, 1, lossy);
-  net.Connect(store, 0, hub, 2);
-  hub->SetHandler([&](sim::HostNode& self, net::Packet pkt) {
-    if (!pkt.ip.has_value()) return;
-    if (pkt.ip->dst == kStoreIp) self.SendTo(2, std::move(pkt));
-    else if (pkt.ip->dst == kSw1Ip) self.SendTo(0, std::move(pkt));
-    else if (pkt.ip->dst == kSw2Ip) self.SendTo(1, std::move(pkt));
-  });
-
-  auto forwarder = [](const net::Packet& pkt,
-                      PortId) -> std::optional<PortId> {
-    if (!pkt.ip.has_value()) return std::nullopt;
-    if (pkt.ip->dst == kSrcIp) return PortId{0};
-    if (pkt.ip->dst == kDstIp) return PortId{1};
-    return PortId{2};
-  };
-  sw1->SetForwarder(forwarder);
-  sw2->SetForwarder(forwarder);
-
-  CountingEchoApp app;
-  core::RedPlaneConfig rp_cfg;
-  rp_cfg.lease_period = Milliseconds(2);
-  rp_cfg.renew_interval = Milliseconds(1);
-  rp_cfg.request_timeout = Microseconds(300);
-  auto shard = [](const net::PartitionKey&) { return kStoreIp; };
-  core::RedPlaneSwitch rp1(*sw1, app, shard, rp_cfg);
-  core::RedPlaneSwitch rp2(*sw2, app, shard, rp_cfg);
-  sw1->SetPipeline(&rp1);
-  sw2->SetPipeline(&rp2);
+  testing::CountingEchoApp app;
+  testing::Rig h(app, {.seed = params.seed,
+                       .rp = {.lease_period = Milliseconds(2),
+                              .renew_interval = Milliseconds(1),
+                              .request_timeout = Microseconds(300)},
+                       .switch_link = lossy});
 
   modelcheck::HistoryRecorder history;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> outputs;  // id, count
-  dst->SetHandler([&](sim::HostNode&, net::Packet pkt) {
-    if (pkt.payload.size() < 16) return;
-    net::ByteReader r(pkt.payload);
-    const std::uint64_t id = r.U64();
-    const std::uint64_t count = r.U64();
-    history.Output(id, sim.Now(), count);
-    outputs.emplace_back(id, count);
-  });
+  h.on_deliver = [&](const net::Packet& pkt) {
+    const auto echo = testing::ParseEcho(pkt);
+    if (!echo.has_value()) return;
+    history.Output(echo->id, h.sim.Now(), echo->count);
+    outputs.emplace_back(echo->id, echo->count);
+  };
 
   // The adversarial schedule: 150 packets with random pacing and switch
   // choice; random failure/recovery events interleaved.
   int current_switch = 0;
   bool sw_down[2] = {false, false};
   for (int i = 0; i < 150; ++i) {
-    sim.RunUntil(sim.Now() +
-                 static_cast<SimDuration>(rng.Exponential(200'000)));
+    h.Run(static_cast<SimDuration>(rng.Exponential(200'000)));
     // Occasionally flip which switch carries the flow (reroute).
     if (rng.Bernoulli(0.1)) current_switch ^= 1;
     // Occasionally fail/recover a switch.
     if (params.failures && rng.Bernoulli(0.05)) {
       const int victim = static_cast<int>(rng.NextBounded(2));
-      dp::SwitchNode* node = victim == 0 ? sw1 : sw2;
+      dp::SwitchNode* node = h.sw[victim];
       if (sw_down[victim]) {
         node->SetUp(true);
         sw_down[victim] = false;
@@ -169,27 +88,23 @@ TEST_P(ProtocolFuzz, AdversarialScheduleStaysLinearizable) {
     const int use = sw_down[current_switch] ? current_switch ^ 1
                                             : current_switch;
     if (sw_down[use]) continue;  // both down is excluded above
-    net::Packet pkt = net::MakeUdpPacket(TheFlow(), 20);
-    std::vector<std::byte> buf;
-    net::ByteWriter w(buf);
-    w.U64(pkt.id);
-    pkt.payload = std::move(buf);
-    history.Input(pkt.id, sim.Now());
-    src->SendTo(use == 0 ? 0 : 1, std::move(pkt));
+    net::Packet pkt = testing::StampedPacket(TheFlow());
+    history.Input(pkt.id, h.sim.Now());
+    h.src->SendTo(use == 0 ? 0 : 1, std::move(pkt));
   }
 
   // Recover everything and let the system quiesce (retransmissions drain).
-  if (sw_down[0]) sw1->SetUp(true);
-  if (sw_down[1]) sw2->SetUp(true);
-  sim.RunUntil(sim.Now() + Milliseconds(200));
-  sim.Run();
+  if (sw_down[0]) h.sw[0]->SetUp(true);
+  if (sw_down[1]) h.sw[1]->SetUp(true);
+  h.Run(Milliseconds(200));
+  h.sim.Run();
 
   // --- Invariants ---
   std::string why;
   EXPECT_TRUE(modelcheck::CheckCounterLinearizable(history.Sorted(), &why))
       << "seed " << params.seed << ": " << why;
 
-  const auto* rec = store->Find(net::PartitionKey::OfFlow(TheFlow()));
+  const auto* rec = h.stores[0]->Find(net::PartitionKey::OfFlow(TheFlow()));
   ASSERT_NE(rec, nullptr);
   std::set<std::uint64_t> counts;
   for (const auto& [id, count] : outputs) {
@@ -200,11 +115,11 @@ TEST_P(ProtocolFuzz, AdversarialScheduleStaysLinearizable) {
 
   // Mirror buffers drained (every surviving request eventually acked or
   // abandoned with its flow).
-  EXPECT_EQ(sw1->mirror().NumEntries(), 0u) << "seed " << params.seed;
-  EXPECT_EQ(sw2->mirror().NumEntries(), 0u) << "seed " << params.seed;
+  EXPECT_EQ(h.sw[0]->mirror().NumEntries(), 0u) << "seed " << params.seed;
+  EXPECT_EQ(h.sw[1]->mirror().NumEntries(), 0u) << "seed " << params.seed;
 
   // The durable count equals each live switch's view of the flow.
-  for (auto* rp : {&rp1, &rp2}) {
+  for (const auto& rp : h.rp) {
     const auto entry =
         rp->flow_table().Find(net::PartitionKey::OfFlow(TheFlow()));
     if (entry && entry.has_state()) {
@@ -253,6 +168,11 @@ struct MergeLawCase {
   core::MeasureFn measure;
   std::vector<std::byte> (*gen)(Rng& rng);
 };
+
+// gtest's default printer dumps the struct's raw bytes, which include the
+// (ASLR-randomised) address of `name`; test IDs listed by
+// --gtest_list_tests would then change on every run.
+void PrintTo(const MergeLawCase& c, std::ostream* os) { *os << c.name; }
 
 std::vector<std::byte> GenCounterState(Rng& rng) {
   // SyncCounter/AsyncCounter: one LE u64 (occasionally absent = brand new).

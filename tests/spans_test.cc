@@ -10,140 +10,46 @@
 #include <string>
 #include <vector>
 
-#include "core/redplane_switch.h"
 #include "net/codec.h"
 #include "obs/json.h"
 #include "obs/spans.h"
 #include "obs/tracer.h"
-#include "sim/host.h"
-#include "sim/network.h"
-#include "statestore/server.h"
+#include "tests/rig.h"
 
 namespace redplane {
 namespace {
 
 using obs::Ev;
 using obs::SpanTree;
-using obs::Tracer;
 
-constexpr net::Ipv4Addr kSrcIp(10, 0, 0, 1);
-constexpr net::Ipv4Addr kDstIp(192, 168, 10, 1);
-constexpr net::Ipv4Addr kSwIp(172, 16, 0, 1);
+using testing::Rig;
 
-/// RAII guard that installs a tracer as the process-global one.
-struct GlobalTracerGuard {
-  explicit GlobalTracerGuard(Tracer* t) : prev(obs::SetGlobalTracer(t)) {}
-  ~GlobalTracerGuard() { obs::SetGlobalTracer(prev); }
-  Tracer* prev;
-};
+/// One RedPlane switch (seed 11) in front of a 3-replica store chain,
+/// traced: every data packet is a write, so each one produces a replication
+/// request that traverses head → mid → tail and acks back to the switch.
+testing::RigOptions TracedChain(SimDuration coalesce_delay = 0) {
+  return {.seed = 11,
+          .switches = 1,
+          .stores = 3,
+          .chain = true,
+          .rp = {.lease_period = Milliseconds(10),
+                 .coalesce_delay = coalesce_delay},
+          .audit = true};
+}
 
-class CounterApp : public core::SwitchApp {
- public:
-  std::string_view name() const override { return "counter"; }
-  core::ProcessResult Process(core::AppContext&, net::Packet pkt,
-                              std::vector<std::byte>& state) override {
-    core::ProcessResult result;
-    core::SetState(state,
-                   core::StateAs<std::uint64_t>(state).value_or(0) + 1);
-    result.state_modified = true;
-    result.outputs.push_back(std::move(pkt));
-    return result;
-  }
-};
-
-/// One RedPlane switch in front of a 3-replica store chain, traced: every
-/// data packet is a write, so each one produces a replication request that
-/// traverses head → mid → tail and acks back to the switch.
-struct TracedChainHarness {
-  explicit TracedChainHarness(SimDuration coalesce_delay = 0) {
-    tracer.SetClock([this]() { return sim.Now(); });
-    tracer.SetEnabled(true);
-
-    net = std::make_unique<sim::Network>(sim, 11);
-    src = net->AddNode<sim::HostNode>("src", kSrcIp);
-    dst = net->AddNode<sim::HostNode>("dst", kDstIp);
-    dp::SwitchConfig sc;
-    sc.switch_ip = kSwIp;
-    sw = net->AddNode<dp::SwitchNode>("sw", sc);
-    hub = net->AddNode<sim::HostNode>("hub", net::Ipv4Addr(9, 9, 9, 9));
-    net->Connect(src, 0, sw, 0);
-    net->Connect(dst, 0, sw, 1);
-    net->Connect(sw, 2, hub, 0);
-
-    store::StoreConfig store_cfg;
-    store_cfg.lease_period = Milliseconds(10);
-    for (int i = 0; i < 3; ++i) {
-      auto* server = net->AddNode<store::StateStoreServer>(
-          "store" + std::to_string(i), net::Ipv4Addr(172, 16, 1, 1 + i),
-          store_cfg);
-      net->Connect(server, 0, hub, static_cast<PortId>(1 + i));
-      stores.push_back(server);
+/// Sends `packets` paced packets per flow and runs to quiescence.
+void RunWrites(Rig& h, int flows, int packets) {
+  for (int p = 0; p < packets; ++p) {
+    for (int i = 0; i < flows; ++i) {
+      const net::FlowKey flow{testing::kSrcIp, testing::kDstIp,
+                              static_cast<std::uint16_t>(2000 + i), 80,
+                              net::IpProto::kUdp};
+      h.src->SendTo(0, net::MakeUdpPacket(flow, 64));
+      h.Run(Microseconds(150));
     }
-    for (int i = 0; i < 3; ++i) {
-      stores[i]->SetIsHead(i == 0);
-      if (i + 1 < 3) stores[i]->SetChainSuccessor(stores[i + 1]->ip());
-    }
-
-    hub->SetHandler([this](sim::HostNode& self, net::Packet pkt) {
-      if (!pkt.ip.has_value()) return;
-      if (pkt.ip->dst == kSwIp) {
-        self.SendTo(0, std::move(pkt));
-        return;
-      }
-      for (std::size_t i = 0; i < stores.size(); ++i) {
-        if (pkt.ip->dst == stores[i]->ip()) {
-          self.SendTo(static_cast<PortId>(1 + i), std::move(pkt));
-          return;
-        }
-      }
-    });
-    sw->SetForwarder([](const net::Packet& pkt,
-                        PortId) -> std::optional<PortId> {
-      if (!pkt.ip.has_value()) return std::nullopt;
-      if (pkt.ip->dst == kSrcIp) return PortId{0};
-      if (pkt.ip->dst == kDstIp) return PortId{1};
-      return PortId{2};
-    });
-
-    core::RedPlaneConfig rp_cfg;
-    rp_cfg.lease_period = Milliseconds(10);
-    rp_cfg.coalesce_delay = coalesce_delay;
-    rp = std::make_unique<core::RedPlaneSwitch>(
-        *sw, app, [this](const net::PartitionKey&) { return stores[0]->ip(); },
-        rp_cfg);
-    sw->SetPipeline(rp.get());
-    dst->SetHandler([this](sim::HostNode&, net::Packet) { ++delivered; });
   }
-
-  net::FlowKey FlowI(int i) {
-    return {kSrcIp, kDstIp, static_cast<std::uint16_t>(2000 + i), 80,
-            net::IpProto::kUdp};
-  }
-
-  /// Sends `packets` paced packets per flow and runs to quiescence.
-  void RunWrites(int flows, int packets) {
-    GlobalTracerGuard guard(&tracer);
-    for (int p = 0; p < packets; ++p) {
-      for (int i = 0; i < flows; ++i) {
-        src->SendTo(0, net::MakeUdpPacket(FlowI(i), 64));
-        sim.RunUntil(sim.Now() + Microseconds(150));
-      }
-    }
-    sim.Run();
-  }
-
-  Tracer tracer;
-  sim::Simulator sim;
-  std::unique_ptr<sim::Network> net;
-  sim::HostNode* src;
-  sim::HostNode* dst;
-  sim::HostNode* hub;
-  dp::SwitchNode* sw;
-  std::vector<store::StateStoreServer*> stores;
-  CounterApp app;
-  std::unique_ptr<core::RedPlaneSwitch> rp;
-  int delivered = 0;
-};
+  h.sim.Run();
+}
 
 /// Write spans: those that begin at the switch's replication send and close
 /// with the ack returning (complete request lifecycles).
@@ -154,8 +60,8 @@ bool IsCompleteWriteSpan(const SpanTree& span) {
 }
 
 TEST(SpansTest, SegmentsTileEachSpanExactly) {
-  TracedChainHarness h;
-  h.RunWrites(/*flows=*/4, /*packets=*/3);
+  Rig h(TracedChain());
+  RunWrites(h, /*flows=*/4, /*packets=*/3);
   ASSERT_GT(h.delivered, 0);
   const auto spans = obs::BuildSpanTrees(h.tracer);
   ASSERT_FALSE(spans.empty());
@@ -178,8 +84,8 @@ TEST(SpansTest, SegmentsTileEachSpanExactly) {
 }
 
 TEST(SpansTest, WriteSpanDecomposesIntoProtocolSegments) {
-  TracedChainHarness h;
-  h.RunWrites(/*flows=*/4, /*packets=*/3);
+  Rig h(TracedChain());
+  RunWrites(h, /*flows=*/4, /*packets=*/3);
   const auto spans = obs::BuildSpanTrees(h.tracer);
   int write_spans = 0;
   for (const SpanTree& span : spans) {
@@ -205,8 +111,8 @@ TEST(SpansTest, WriteSpanDecomposesIntoProtocolSegments) {
 }
 
 TEST(SpansTest, WriteSpanTotalsMatchMeasuredWriteRtt) {
-  TracedChainHarness h;
-  h.RunWrites(/*flows=*/4, /*packets=*/3);
+  Rig h(TracedChain());
+  RunWrites(h, /*flows=*/4, /*packets=*/3);
   // The tracer's own breakdown measures write RTT from the same records
   // (kReplicationSent → kAckReleased pairs); the span totals must reproduce
   // that sample set exactly — same count, same extremes.
@@ -236,11 +142,11 @@ TEST(SpansTest, SpanIdsSurviveBatchEnvelopes) {
   // envelopes (PR 4); each sub-message's span id must survive the envelope
   // and echo back on the (piggybacked) acks so the span trees reconstruct
   // exactly as in the unbatched case.
-  TracedChainHarness h(/*coalesce_delay=*/Microseconds(500));
-  h.RunWrites(/*flows=*/4, /*packets=*/3);
+  Rig h(TracedChain(/*coalesce_delay=*/Microseconds(500)));
+  RunWrites(h, /*flows=*/4, /*packets=*/3);
   ASSERT_GT(h.delivered, 0);
   // Batching actually engaged.
-  EXPECT_GT(h.rp->stats().Get("batch_envelopes"), 0);
+  EXPECT_GT(h.rp[0]->stats().Get("batch_envelopes"), 0);
 
   const auto spans = obs::BuildSpanTrees(h.tracer);
   int write_spans = 0;
@@ -268,8 +174,8 @@ TEST(SpansTest, SpanIdsSurviveBatchEnvelopes) {
 }
 
 TEST(SpansTest, SummaryGroupsStoreSegmentsByShardAndExportsValidJson) {
-  TracedChainHarness h;
-  h.RunWrites(/*flows=*/2, /*packets=*/2);
+  Rig h(TracedChain());
+  RunWrites(h, /*flows=*/2, /*packets=*/2);
   const auto spans = obs::BuildSpanTrees(h.tracer);
   ASSERT_FALSE(spans.empty());
 

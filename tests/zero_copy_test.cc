@@ -9,11 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "core/protocol.h"
-#include "core/redplane_switch.h"
 #include "net/buffer.h"
-#include "sim/host.h"
-#include "sim/network.h"
-#include "statestore/server.h"
+#include "net/codec.h"
+#include "tests/rig.h"
 
 namespace redplane {
 namespace {
@@ -61,110 +59,20 @@ TEST(BufferTest, PacketCopySharesPayload) {
 
 // --- End-to-end: multi-hop write replication -------------------------------
 
-constexpr net::Ipv4Addr kSrcIp(10, 0, 0, 1);
-constexpr net::Ipv4Addr kDstIp(192, 168, 10, 1);
-constexpr net::Ipv4Addr kSwIp(172, 16, 0, 1);
-
 net::FlowKey TheFlow() {
-  return {kSrcIp, kDstIp, 1000, 80, net::IpProto::kUdp};
+  return {testing::kSrcIp, testing::kDstIp, 1000, 80, net::IpProto::kUdp};
 }
 
-/// NAT-style write-per-packet app: every packet mutates the flow's state, so
-/// every packet leaves the switch as a replication request with the output
-/// piggybacked (the paper's linearizable write path).
-class WriteApp : public core::SwitchApp {
- public:
-  std::string_view name() const override { return "write_app"; }
-  core::ProcessResult Process(core::AppContext&, net::Packet pkt,
-                              std::vector<std::byte>& state) override {
-    core::ProcessResult result;
-    core::SetState(state,
-                   core::StateAs<std::uint64_t>(state).value_or(0) + 1);
-    result.state_modified = true;
-    result.outputs.push_back(std::move(pkt));
-    return result;
+/// Sends `n` packets paced 1 ms apart.  Every packet of the rig's counter
+/// app mutates the flow's state, so each leaves the switch as a replication
+/// request with the output piggybacked (the paper's linearizable write
+/// path).
+void SendPaced(testing::Rig& h, int n) {
+  for (int i = 0; i < n; ++i) {
+    h.src->Send(net::MakeUdpPacket(TheFlow(), 20));
+    h.Run(Milliseconds(1));
   }
-};
-
-/// One RedPlane switch against a fixed store chain of `chain_size` replicas.
-struct WriteChainHarness {
-  explicit WriteChainHarness(int chain_size) {
-    net = std::make_unique<sim::Network>(sim, 7);
-    src = net->AddNode<sim::HostNode>("src", kSrcIp);
-    dst = net->AddNode<sim::HostNode>("dst", kDstIp);
-    dp::SwitchConfig cfg;
-    cfg.switch_ip = kSwIp;
-    sw = net->AddNode<dp::SwitchNode>("sw", cfg);
-    hub = net->AddNode<sim::HostNode>("hub", net::Ipv4Addr(9, 9, 9, 9));
-    net->Connect(src, 0, sw, 0);
-    net->Connect(dst, 0, sw, 1);
-    net->Connect(sw, 2, hub, 0);
-    store::StoreConfig store_cfg;
-    store_cfg.lease_period = Seconds(2);
-    for (int i = 0; i < chain_size; ++i) {
-      auto* server = net->AddNode<store::StateStoreServer>(
-          "store" + std::to_string(i), net::Ipv4Addr(172, 16, 1, 1 + i),
-          store_cfg);
-      net->Connect(server, 0, hub, static_cast<PortId>(1 + i));
-      replicas.push_back(server);
-    }
-    for (int i = 0; i < chain_size; ++i) {
-      replicas[i]->SetIsHead(i == 0);
-      if (i + 1 < chain_size) {
-        replicas[i]->SetChainSuccessor(replicas[i + 1]->ip());
-      }
-    }
-    hub->SetHandler([this](sim::HostNode& self, net::Packet pkt) {
-      if (!pkt.ip.has_value()) return;
-      if (pkt.ip->dst == kSwIp) {
-        self.SendTo(0, std::move(pkt));
-        return;
-      }
-      for (std::size_t i = 0; i < replicas.size(); ++i) {
-        if (pkt.ip->dst == replicas[i]->ip()) {
-          self.SendTo(static_cast<PortId>(1 + i), std::move(pkt));
-          return;
-        }
-      }
-    });
-    sw->SetForwarder(
-        [](const net::Packet& pkt, PortId) -> std::optional<PortId> {
-          if (!pkt.ip.has_value()) return std::nullopt;
-          if (pkt.ip->dst == kSrcIp) return PortId{0};
-          if (pkt.ip->dst == kDstIp) return PortId{1};
-          return PortId{2};
-        });
-
-    core::RedPlaneConfig rp_cfg;
-    rp_cfg.lease_period = Seconds(2);
-    rp_cfg.renew_interval = Seconds(1);
-    rp_cfg.request_timeout = Milliseconds(5);  // no spurious retransmits
-    rp = std::make_unique<core::RedPlaneSwitch>(
-        *sw, app,
-        [this](const net::PartitionKey&) { return replicas[0]->ip(); },
-        rp_cfg);
-    sw->SetPipeline(rp.get());
-    dst->SetHandler([this](sim::HostNode&, net::Packet) { ++delivered; });
-  }
-
-  void SendPaced(int n) {
-    for (int i = 0; i < n; ++i) {
-      src->Send(net::MakeUdpPacket(TheFlow(), 20));
-      sim.RunUntil(sim.Now() + Milliseconds(1));
-    }
-  }
-
-  sim::Simulator sim;
-  std::unique_ptr<sim::Network> net;
-  sim::HostNode* src;
-  sim::HostNode* dst;
-  sim::HostNode* hub;
-  dp::SwitchNode* sw;
-  std::vector<store::StateStoreServer*> replicas;
-  WriteApp app;
-  std::unique_ptr<core::RedPlaneSwitch> rp;
-  int delivered = 0;
-};
+}
 
 struct WriteCosts {
   std::uint64_t encodes = 0;
@@ -174,20 +82,28 @@ struct WriteCosts {
 /// Runs `writes` steady-state writes through a chain of `chain_size` and
 /// returns the protocol-encode and byte-copy counts they incurred.
 WriteCosts MeasureWrites(int chain_size, int writes) {
-  WriteChainHarness h(chain_size);
+  // One RedPlane switch (seed 7) against a fixed store chain; a 5 ms
+  // request timeout leaves no room for spurious retransmits.
+  testing::Rig h({.seed = 7,
+                  .switches = 1,
+                  .stores = chain_size,
+                  .chain = true,
+                  .rp = {.lease_period = Seconds(2),
+                         .renew_interval = Seconds(1),
+                         .request_timeout = Milliseconds(5)}});
   // Warm up: lease acquisition plus the first write settle out of band.
-  h.SendPaced(2);
+  SendPaced(h, 2);
   h.sim.RunUntil(h.sim.Now() + Milliseconds(20));
   EXPECT_EQ(h.delivered, 2);
 
   core::ResetEncodeCount();
   net::Buffer::ResetCounters();
-  h.SendPaced(writes);
+  SendPaced(h, writes);
   h.sim.RunUntil(h.sim.Now() + Milliseconds(50));
   EXPECT_EQ(h.delivered, 2 + writes);
   // Every write is durable at every replica before its output released.
   const auto key = net::PartitionKey::OfFlow(TheFlow());
-  for (auto* replica : h.replicas) {
+  for (auto* replica : h.stores) {
     const auto* rec = replica->Find(key);
     EXPECT_NE(rec, nullptr);
     if (rec != nullptr) {
