@@ -10,9 +10,11 @@ is the verdict.
     link flap, lease-boundary crash, store failover), each committed for
     five seeds as tests/schedules/<scenario>_s<seed>.json, replay with the
     auditor armed and must finish with zero invariant violations and zero
-    linearizability failures.  Per-run causal slices, recovery timelines
-    (<label>_s<seed>.recovery.json) and fleet time-series (.fleet.csv)
-    land in --out-dir for upload.
+    linearizability failures.  Each batch's report.json/report.md lands
+    in --out-dir for upload; a run that fails also leaves its causal
+    slices, recovery timeline (<label>_s<seed>.recovery.json) and fleet
+    time-series (.fleet.csv) there.  A passing run writes no per-run
+    file: it replays bit-identically from its schedule.
 
  2. Oracle self-test — the four <scenario>_s42 schedules re-run once per
     protocol mutation (--mutate=lease/seq/chain).  Each mutation must be

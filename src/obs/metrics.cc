@@ -151,8 +151,10 @@ void MetricRegistry::Add(const std::string& name, double delta) {
 
 double MetricRegistry::Get(const std::string& name) const {
   auto it = index_.find(name);
-  if (it == index_.end()) return 0.0;
-  const Entry& e = entries_[it->second];
+  return it == index_.end() ? 0.0 : ScalarOf(entries_[it->second]);
+}
+
+double MetricRegistry::ScalarOf(const Entry& e) {
   switch (e.kind) {
     case MetricKind::kCounter:
     case MetricKind::kGauge:
@@ -168,12 +170,7 @@ double MetricRegistry::Get(const std::string& name) const {
 std::vector<std::pair<std::string, double>> MetricRegistry::Sorted() const {
   std::vector<std::pair<std::string, double>> out;
   out.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    double v = e.scalar;
-    if (e.kind == MetricKind::kCallbackGauge) v = e.callback ? e.callback() : 0.0;
-    if (e.kind == MetricKind::kHistogram) v = static_cast<double>(e.hist.count);
-    out.emplace_back(e.name, v);
-  }
+  for (const Entry& e : entries_) out.emplace_back(e.name, ScalarOf(e));
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;

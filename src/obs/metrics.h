@@ -166,6 +166,17 @@ class MetricRegistry {
 
   MetricsSnapshot Snapshot(SimTime at = 0) const;
 
+  // --- indexed access, in registration order ---
+  // Metrics are never unregistered, so an index stays valid for the
+  // registry's lifetime: a consumer can resolve names and kinds once and
+  // then read values by index (FleetSampler).
+  std::size_t NumMetrics() const { return entries_.size(); }
+  const std::string& NameAt(std::size_t i) const { return entries_[i].name; }
+  MetricKind KindAt(std::size_t i) const { return entries_[i].kind; }
+  /// The scalar Get() returns: counter/gauge value, callback result, or
+  /// histogram count.
+  double ValueAt(std::size_t i) const { return ScalarOf(entries_[i]); }
+
  private:
   struct Entry {
     std::string name;
@@ -176,6 +187,7 @@ class MetricRegistry {
   };
 
   Entry* FindOrCreate(const std::string& name, MetricKind kind);
+  static double ScalarOf(const Entry& e);
 
   std::string component_;
   std::deque<Entry> entries_;  // stable addresses
@@ -190,6 +202,9 @@ class MetricsHub {
   void Unregister(const MetricRegistry* registry);
   void Clear() { registries_.clear(); }
   std::size_t NumRegistries() const { return registries_.size(); }
+  const std::vector<const MetricRegistry*>& registries() const {
+    return registries_;
+  }
 
   /// Merged snapshot; metric names are prefixed "component.metric" and the
   /// result is sorted by name for deterministic export.

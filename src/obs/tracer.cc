@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <iomanip>
-#include <map>
 #include <ostream>
-#include <set>
 #include <sstream>
+#include <unordered_map>
 
+#include "common/hash.h"
 #include "obs/json.h"
 
 namespace redplane::obs {
@@ -131,7 +131,7 @@ std::vector<TraceRecord> Tracer::Records(const TraceFilter& filter) const {
   std::vector<TraceRecord> out;
   out.reserve(count_);
   for (std::size_t i = 0; i < count_; ++i) {
-    const TraceRecord& r = ring_[(head_ + i) % ring_.size()];
+    const TraceRecord& r = At(i);
     if (filter.Matches(r, *this)) out.push_back(r);
   }
   return out;
@@ -238,49 +238,89 @@ constexpr PhaseDef kPhases[] = {
 
 constexpr std::size_t kNumPhases = sizeof(kPhases) / sizeof(kPhases[0]);
 
-/// Replays begin/end pairing over `recs` (ascending emission order).  For
-/// every completed pair, calls `on_pair(phase, t_begin, t_end)`.  For every
-/// end-kind record whose begin key was *never seen* in the set (evicted or
-/// never recorded — as opposed to consumed by an earlier end, which chain
-/// fan-out does legitimately), calls `on_orphan(record_index)`.
-template <typename PairFn, typename OrphanFn>
-void ReplayPhases(const std::vector<TraceRecord>& recs, PairFn&& on_pair,
+/// The phases each event kind begins or ends, in kPhases order, so a record
+/// visits only the phases it can affect.
+struct KindPhases {
+  std::array<std::uint8_t, kNumPhases> phase{};
+  std::size_t n = 0;
+};
+
+const std::array<KindPhases, kNumEvents>& PhasesByKind() {
+  static const auto table = [] {
+    std::array<KindPhases, kNumEvents> out{};
+    for (std::size_t p = 0; p < kNumPhases; ++p) {
+      for (const Ev ev : {kPhases[p].begin, kPhases[p].end}) {
+        KindPhases& k = out[static_cast<std::size_t>(ev)];
+        k.phase[k.n++] = static_cast<std::uint8_t>(p);
+      }
+    }
+    return out;
+  }();
+  return table;
+}
+
+using PairKey = std::pair<std::uint64_t, std::uint64_t>;  // (flow, seq)
+
+struct PairKeyHash {
+  std::size_t operator()(const PairKey& k) const {
+    return static_cast<std::size_t>(HashCombine(k.first, k.second));
+  }
+};
+
+/// One phase's pairing state for a key: the key's begin has been seen, and
+/// `open` says whether it still waits for its end (from `t`).
+struct BeginState {
+  SimTime t = 0;
+  bool open = false;
+};
+
+/// Replays begin/end pairing over `n` records, `rec(i)` being the i-th in
+/// ascending emission order.  For every completed pair, calls
+/// `on_pair(phase, t_begin, t_end)`.  For every end-kind record whose begin
+/// key was *never seen* in the set (evicted or never recorded — as opposed
+/// to consumed by an earlier end, which chain fan-out does legitimately),
+/// calls `on_orphan(i)`.  Pairing order is fixed by the records alone, so
+/// hashing the per-phase state leaves the results deterministic.
+template <typename RecFn, typename PairFn, typename OrphanFn>
+void ReplayPhases(std::size_t n, RecFn&& rec, PairFn&& on_pair,
                   OrphanFn&& on_orphan) {
-  // Open begin events per phase, keyed by (flow, seq) — std::map/set for
-  // deterministic behaviour independent of hash seeding.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, SimTime> open[kNumPhases];
-  std::set<std::pair<std::uint64_t, std::uint64_t>> seen[kNumPhases];
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    const TraceRecord& r = recs[i];
+  std::array<std::unordered_map<PairKey, BeginState, PairKeyHash>, kNumPhases>
+      state;
+  const auto& by_kind = PhasesByKind();
+  for (std::size_t i = 0; i < n; ++i) {
+    const TraceRecord& r = rec(i);
+    const KindPhases& kind = by_kind[static_cast<std::size_t>(r.ev)];
     bool is_end = false;
     bool matched = false;
     bool begin_seen = false;
-    for (std::size_t p = 0; p < kNumPhases; ++p) {
+    for (std::size_t k = 0; k < kind.n; ++k) {
+      const std::size_t p = kind.phase[k];
       const PhaseDef& def = kPhases[p];
-      const std::uint64_t seq_key = def.seq_matched ? r.seq : 0;
-      const auto key = std::make_pair(r.flow, seq_key);
+      const PairKey key(r.flow, def.seq_matched ? r.seq : 0);
       if (r.ev == def.begin) {
         // Keep the earliest unmatched begin for this key.
-        open[p].emplace(key, r.t);
-        seen[p].insert(key);
+        auto [it, added] = state[p].try_emplace(key, BeginState{r.t, true});
+        if (!added && !it->second.open) it->second = BeginState{r.t, true};
+        continue;
       }
-      if (r.ev == def.end) {
-        // A seq-0 record of an end-event kind is a control message (lease
-        // acquire / renew) — those have no begin partner by design and are
-        // never orphans.
-        if (!def.seq_matched || r.seq != 0) is_end = true;
-        auto it = open[p].find(key);
-        if (it != open[p].end()) {
-          matched = true;
-          on_pair(p, it->second, r.t);
-          open[p].erase(it);
-          // A mutually-exclusive alternative phase consumed the same begin:
-          // close it too so a later begin can't pair against a stale one.
-          if (def.alt >= 0) {
-            open[static_cast<std::size_t>(def.alt)].erase(key);
-          }
+      // A seq-0 record of an end-event kind is a control message (lease
+      // acquire / renew) — those have no begin partner by design and are
+      // never orphans.
+      if (!def.seq_matched || r.seq != 0) is_end = true;
+      const auto it = state[p].find(key);
+      if (it == state[p].end()) continue;
+      begin_seen = true;
+      if (!it->second.open) continue;
+      matched = true;
+      on_pair(p, it->second.t, r.t);
+      it->second.open = false;
+      // A mutually-exclusive alternative phase consumed the same begin:
+      // close it too so a later begin can't pair against a stale one.
+      if (def.alt >= 0) {
+        const auto alt = state[static_cast<std::size_t>(def.alt)].find(key);
+        if (alt != state[static_cast<std::size_t>(def.alt)].end()) {
+          alt->second.open = false;
         }
-        if (seen[p].count(key) != 0) begin_seen = true;
       }
     }
     if (is_end && !matched && !begin_seen) on_orphan(i);
@@ -304,7 +344,9 @@ std::span<const ProtocolPair> ProtocolPairs() {
 std::size_t MarkOrphanedEnds(std::vector<TraceRecord>& records) {
   std::size_t marked = 0;
   ReplayPhases(
-      records, [](std::size_t, SimTime, SimTime) {},
+      records.size(),
+      [&records](std::size_t i) -> const TraceRecord& { return records[i]; },
+      [](std::size_t, SimTime, SimTime) {},
       [&](std::size_t i) {
         records[i].orphan = true;
         ++marked;
@@ -313,15 +355,18 @@ std::size_t MarkOrphanedEnds(std::vector<TraceRecord>& records) {
 }
 
 std::size_t Tracer::CountOrphanedEnds() const {
-  std::vector<TraceRecord> records = Records();
-  return MarkOrphanedEnds(records);
+  std::size_t orphans = 0;
+  ReplayPhases(
+      count_, [this](std::size_t i) -> const TraceRecord& { return At(i); },
+      [](std::size_t, SimTime, SimTime) {}, [&](std::size_t) { ++orphans; });
+  return orphans;
 }
 
 std::vector<PhaseStats> Tracer::LatencyBreakdown() const {
   std::vector<PhaseStats> stats(kNumPhases);
   for (std::size_t p = 0; p < kNumPhases; ++p) stats[p].name = kPhases[p].name;
   ReplayPhases(
-      Records(),
+      count_, [this](std::size_t i) -> const TraceRecord& { return At(i); },
       [&](std::size_t p, SimTime begin_t, SimTime end_t) {
         stats[p].samples_us.Add(static_cast<double>(end_t - begin_t) / 1e3);
       },

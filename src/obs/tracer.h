@@ -155,6 +155,10 @@ class Tracer {
 
  private:
   SimTime NowOrZero() const { return clock_ ? clock_() : 0; }
+  /// The i-th live record, oldest first (i < count_).
+  const TraceRecord& At(std::size_t i) const {
+    return ring_[(head_ + i) % ring_.size()];
+  }
 
   std::vector<TraceRecord> ring_;
   std::size_t head_ = 0;   // index of oldest record

@@ -32,6 +32,7 @@ void TimerWheel::Unlink(std::uint32_t idx) {
     heads_[n.bucket] = n.next;
   }
   if (n.next != kNil) nodes_[n.next].prev = n.prev;
+  --level_counts_[static_cast<std::size_t>(LevelOf(n.bucket))];
   if (n.bucket != kOverflowBucket && heads_[n.bucket] == kNil) {
     occupancy_[n.bucket >> kSlotBits] &=
         ~(1ull << (n.bucket & (kSlotsPerLevel - 1)));
@@ -62,6 +63,7 @@ void TimerWheel::Place(std::uint32_t idx) {
   n.next = heads_[bucket];
   if (n.next != kNil) nodes_[n.next].prev = idx;
   heads_[bucket] = idx;
+  ++level_counts_[static_cast<std::size_t>(LevelOf(bucket))];
 }
 
 std::uint32_t TimerWheel::Schedule(SimTime time, std::uint64_t seq,
@@ -139,6 +141,7 @@ SimTime TimerWheel::NextSlotTime() const {
 void TimerWheel::RefillFromOverflow() {
   std::uint32_t idx = heads_[kOverflowBucket];
   heads_[kOverflowBucket] = kNil;
+  level_counts_[kLevels] = 0;
   overflow_min_tick_ = UINT64_MAX;
   while (idx != kNil) {
     const std::uint32_t next = nodes_[idx].next;
@@ -153,6 +156,7 @@ void TimerWheel::RefillFromOverflow() {
       n.next = heads_[kOverflowBucket];
       if (n.next != kNil) nodes_[n.next].prev = idx;
       heads_[kOverflowBucket] = idx;
+      ++level_counts_[kLevels];
       overflow_min_tick_ = std::min(overflow_min_tick_, TickOf(n.time));
     }
     idx = next;
@@ -183,6 +187,7 @@ void TimerWheel::PopNextSlot(std::vector<Due>& out) {
     std::uint32_t idx = heads_[bucket];
     heads_[bucket] = kNil;
     occupancy_[level] &= ~(1ull << slot);
+    std::size_t& level_count = level_counts_[static_cast<std::size_t>(level)];
     if (level == 0) {
       while (idx != kNil) {
         const std::uint32_t next = nodes_[idx].next;
@@ -190,6 +195,7 @@ void TimerWheel::PopNextSlot(std::vector<Due>& out) {
         out.push_back(Due{n.time, n.seq, n.payload, idx});
         FreeNode(idx);
         --size_;
+        --level_count;
         idx = next;
       }
       ++cur_tick_;  // the slot's tick is fully expired
@@ -199,6 +205,7 @@ void TimerWheel::PopNextSlot(std::vector<Due>& out) {
     // one level lower now that the cursor is inside their old window).
     while (idx != kNil) {
       const std::uint32_t next = nodes_[idx].next;
+      --level_count;
       Place(idx);
       idx = next;
     }
@@ -218,21 +225,9 @@ void TimerWheel::DrainAll(std::vector<Due>& out) {
     }
   }
   for (auto& occ : occupancy_) occ = 0;
+  level_counts_.fill(0);
   overflow_min_tick_ = UINT64_MAX;
   size_ = 0;
-}
-
-std::array<std::size_t, TimerWheel::kLevels + 1> TimerWheel::CountPerLevel()
-    const {
-  std::array<std::size_t, kLevels + 1> counts{};
-  for (std::uint16_t b = 0; b <= kOverflowBucket; ++b) {
-    std::size_t n = 0;
-    for (std::uint32_t idx = heads_[b]; idx != kNil; idx = nodes_[idx].next) {
-      ++n;
-    }
-    counts[b == kOverflowBucket ? kLevels : b >> kSlotBits] += n;
-  }
-  return counts;
 }
 
 }  // namespace redplane::sim

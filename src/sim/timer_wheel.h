@@ -90,10 +90,12 @@ class TimerWheel {
   void DrainAll(std::vector<Due>& out);
 
   /// Pending timers per level ([0..kLevels-1]) plus the overflow-list
-  /// length in the final element.  O(pending): walks bucket lists, for the
-  /// occupancy gauges the fleet time-series exporter samples per second —
-  /// never called on a hot path.
-  std::array<std::size_t, kLevels + 1> CountPerLevel() const;
+  /// length in the final element.  O(1): the counts are kept as nodes are
+  /// filed, cascaded, popped and drained, so the occupancy gauges the fleet
+  /// time-series exporter samples cost no bucket walk.
+  const std::array<std::size_t, kLevels + 1>& CountPerLevel() const {
+    return level_counts_;
+  }
 
  private:
   struct Node {
@@ -109,6 +111,11 @@ class TimerWheel {
   static constexpr std::uint16_t kOverflowBucket = kLevels * kSlotsPerLevel;
   static constexpr std::uint16_t kFreeBucket = 0xffff;
   static constexpr int kTopShift = kSlotBits * kLevels;  // 36: beyond = overflow
+
+  /// Index into level_counts_ of a filed node's bucket.
+  static int LevelOf(std::uint16_t bucket) {
+    return bucket == kOverflowBucket ? kLevels : bucket >> kSlotBits;
+  }
 
   std::uint64_t TickOf(SimTime t) const {
     return static_cast<std::uint64_t>(t) >> kTickShift;
@@ -139,6 +146,10 @@ class TimerWheel {
   std::uint64_t occupancy_[kLevels] = {};
   std::uint32_t heads_[kLevels * kSlotsPerLevel + 1];  // +1: overflow bucket
   std::uint64_t overflow_min_tick_ = UINT64_MAX;
+  /// Filed nodes per level, overflow last (see CountPerLevel).
+  std::array<std::size_t, kLevels + 1> level_counts_{};
+
+  friend struct TimerWheelTestPeer;  // recounts the bucket lists in tests
 
  public:
   TimerWheel() {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "tools/campaign/minimizer.h"
 #include "tools/campaign/runner.h"
 #include "tools/campaign/schedule.h"
@@ -373,6 +374,48 @@ TEST(CommittedSchedules, FailoverScenariosRecoverInOneEpisode) {
       EXPECT_TRUE(r.episodes[0].phase_sum_ok);
     }
   }
+}
+
+TEST(CommittedSchedules, OnlyFailingRunsLeaveArtifacts) {
+  // A passing run replays bit-identically, so it writes nothing; a failing
+  // one leaves its episode timeline, fleet time-series and causal slices.
+  const auto clean_dir =
+      std::filesystem::path(::testing::TempDir()) / "artifacts_clean";
+  std::filesystem::remove_all(clean_dir);
+  const auto clean_schedule =
+      LoadSchedule(SchedulesDir() / "switch_crash_s42.json");
+  ASSERT_TRUE(clean_schedule.has_value());
+  const RunResult clean =
+      RunSchedule(*clean_schedule, core::ConsistencyMode::kSingleOwner, {},
+                  clean_dir.string(), "switch_crash_s42");
+  EXPECT_TRUE(clean.Failure(/*require_recovery=*/true).empty());
+  EXPECT_TRUE(clean.recovery_json_path.empty());
+  EXPECT_TRUE(clean.fleet_csv_path.empty());
+  EXPECT_GT(clean.fleet_samples, 0u);
+  EXPECT_TRUE(!std::filesystem::exists(clean_dir) ||
+              std::filesystem::is_empty(clean_dir));
+
+  // An inflated switch lease trips single_owner on the link flap (the
+  // auditor's per-violation error lines are expected, so muted).
+  const std::string failing_dir = TempOutDir("artifacts_failing");
+  const auto flap = LoadSchedule(SchedulesDir() / "link_flap_s42.json");
+  ASSERT_TRUE(flap.has_value());
+  const LogLevel prev_level = SetLogLevel(LogLevel::kOff);
+  const RunResult failing =
+      RunSchedule(*flap, core::ConsistencyMode::kSingleOwner,
+                  MutationSpec{.lease = true}, failing_dir, "link_flap_s42");
+  SetLogLevel(prev_level);
+  ASSERT_FALSE(failing.violations.empty());
+  EXPECT_EQ(failing.violations[0].monitor, "single_owner");
+  EXPECT_FALSE(failing.Failure(/*require_recovery=*/true).empty());
+  ASSERT_FALSE(failing.recovery_json_path.empty());
+  ASSERT_FALSE(failing.fleet_csv_path.empty());
+  EXPECT_TRUE(std::filesystem::exists(failing.recovery_json_path));
+  EXPECT_TRUE(std::filesystem::exists(failing.violations[0].slice_json_path));
+  std::ifstream csv(failing.fleet_csv_path);
+  std::string header;
+  ASSERT_TRUE(std::getline(csv, header));
+  EXPECT_EQ(header.rfind("t_ns,", 0), 0u);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/timeseries.h"
 #include "obs/tracer.h"
 #include "routing/topology.h"
 #include "sim/simulator.h"
@@ -367,6 +368,64 @@ TEST(MetricsTest, TimeSeriesCsvRoundTrips) {
   EXPECT_DOUBLE_EQ(value_of(parsed->At(0), "shard.lat_us"), 1.0);
   EXPECT_DOUBLE_EQ(value_of(parsed->At(1), "shard.lat_us"), 2.0);
   EXPECT_FALSE(obs::TimeSeriesLog::ParseCsv("not,a\nvalid").has_value());
+}
+
+TEST(MetricsTest, FleetSamplerCsvMatchesGolden) {
+  // Two registries, each with a counter, a gauge, a histogram and a
+  // callback gauge; a counter registered through the string API after the
+  // second sample.  The first sample has levels only (no rate baseline);
+  // the late counter's column is empty until it exists.
+  obs::MetricRegistry sw("sw0");
+  obs::MetricRegistry store("store");
+  auto pkts = sw.RegisterCounter("pkts");
+  auto leases = sw.RegisterGauge("leases");
+  auto rtt = sw.RegisterHistogram("rtt_us");
+  double mirror = 3;
+  sw.AddCallbackGauge("mirror_kb", [&mirror] { return mirror; });
+  auto applied = store.RegisterCounter("applied");
+  auto depth = store.RegisterGauge("queue_depth");
+  auto service = store.RegisterHistogram("service_us");
+  double flows = 10;
+  store.AddCallbackGauge("flows", [&flows] { return flows; });
+  obs::MetricsHub hub;
+  hub.Register(&sw);
+  hub.Register(&store);
+  obs::FleetSampler fleet(&hub);
+
+  pkts.Add(5);
+  leases.Set(2);
+  rtt.Record(12.5);
+  applied.Add(1);
+  depth.Set(4);
+  fleet.Sample(0);
+  pkts.Add(250);
+  rtt.Record(30);
+  rtt.Record(31);
+  applied.Add(3);
+  service.Record(7);
+  mirror = 4.5;
+  fleet.Sample(Milliseconds(250));
+  sw.Add("retransmits", 2);
+  pkts.Add(1);
+  leases.Set(3);
+  depth.Set(0);
+  flows = 12;
+  fleet.Sample(Milliseconds(1250));
+  sw.Add("retransmits", 7);
+  applied.Add(100);
+  service.Record(8);
+  service.Record(9);
+  fleet.Sample(Milliseconds(1600));
+
+  EXPECT_EQ(fleet.NumSamples(), 4u);
+  EXPECT_EQ(fleet.Csv(),
+            "t_ns,store.applied.per_sec,store.flows,store.queue_depth,"
+            "store.service_us.per_sec,sw0.leases,sw0.mirror_kb,"
+            "sw0.pkts.per_sec,sw0.retransmits.per_sec,sw0.rtt_us.per_sec\n"
+            "0,,10,4,,2,3,,,\n"
+            "250000000,12,10,4,4,2,4.5,1000,,8\n"
+            "1250000000,0,12,0,0,3,4.5,1,2,0\n"
+            "1600000000,285.714286,12,0,5.71428571,3,4.5,0,20,0\n");
 }
 
 TEST(MetricsTest, PeriodicHubSamplingUnderSimulatorIsDeterministic) {

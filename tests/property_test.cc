@@ -13,8 +13,10 @@
 //    value equal to the number of processed packets.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <span>
+#include <string>
 #include <string_view>
 
 #include "apps/counter.h"
@@ -39,6 +41,17 @@ struct FuzzParams {
   SimDuration reorder_jitter;
   bool failures;
 };
+
+std::string FuzzName(const FuzzParams& p) {
+  return "seed" + std::to_string(p.seed) + "_loss" +
+         std::to_string(int(p.store_loss * 100)) + "_jit" +
+         std::to_string(p.reorder_jitter / 1000) +
+         (p.failures ? "_fail" : "_nofail");
+}
+
+// gtest's default printer dumps the struct's raw bytes, padding included,
+// so the listed test IDs would carry uninitialised memory.
+void PrintTo(const FuzzParams& p, std::ostream* os) { *os << FuzzName(p); }
 
 class ProtocolFuzz : public ::testing::TestWithParam<FuzzParams> {};
 
@@ -142,14 +155,7 @@ std::vector<FuzzParams> MakeParams() {
 
 INSTANTIATE_TEST_SUITE_P(Schedules, ProtocolFuzz,
                          ::testing::ValuesIn(MakeParams()),
-                         [](const auto& info) {
-                           const FuzzParams& p = info.param;
-                           return "seed" + std::to_string(p.seed) + "_loss" +
-                                  std::to_string(int(p.store_loss * 100)) +
-                                  "_jit" +
-                                  std::to_string(p.reorder_jitter / 1000) +
-                                  (p.failures ? "_fail" : "_nofail");
-                         });
+                         [](const auto& info) { return FuzzName(info.param); });
 
 // ------------------- merge-law property tests (DESIGN.md §14) -------------
 //

@@ -4,13 +4,32 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/simulator.h"
 #include "sim/timer_wheel.h"
 
 namespace redplane::sim {
+
+/// Recounts pending timers per level by walking every bucket list — the
+/// reference the wheel's incrementally kept counts are checked against.
+struct TimerWheelTestPeer {
+  static std::array<std::size_t, TimerWheel::kLevels + 1> Recount(
+      const TimerWheel& wheel) {
+    std::array<std::size_t, TimerWheel::kLevels + 1> counts{};
+    for (std::uint16_t b = 0; b <= TimerWheel::kOverflowBucket; ++b) {
+      for (std::uint32_t idx = wheel.heads_[b]; idx != TimerWheel::kNil;
+           idx = wheel.nodes_[idx].next) {
+        ++counts[static_cast<std::size_t>(TimerWheel::LevelOf(b))];
+      }
+    }
+    return counts;
+  }
+};
+
 namespace {
 
 std::vector<TimerWheel::Due> DrainByPop(TimerWheel& wheel) {
@@ -144,6 +163,69 @@ TEST(TimerWheelTest, DrainAllEmptiesTheWheelAndReturnsPayloads) {
   std::uint64_t payload_sum = 0;
   for (const auto& d : all) payload_sum += d.payload;
   EXPECT_EQ(payload_sum, 100u * 101u / 2);
+}
+
+TEST(TimerWheelTest, PerLevelCountsMatchABucketWalkUnderRandomOps) {
+  // Interleaves schedules (near, level-spanning, and beyond the ~19.5 h
+  // horizon into overflow), cancels (live and stale handles), slot pops
+  // (which cascade higher levels down and refill from overflow) and the
+  // occasional drain; after every operation the kept counts must equal a
+  // recount of the bucket lists and sum to Size().
+  TimerWheel wheel;
+  Rng rng(20261018);
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> handles;
+  std::vector<TimerWheel::Due> due;
+  SimTime now = 0;
+  std::uint64_t seq = 0;
+  constexpr SimTime kHorizon = SimTime(1) << 46;
+  std::size_t overflow_seen = 0;
+  std::size_t high_level_seen = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const std::uint64_t pick = rng.NextBounded(100);
+    if (pick < 50) {
+      // Offsets from sub-tick to three horizons out, log-uniform so every
+      // level (and overflow) gets filled.
+      const SimTime offset =
+          rng.UniformInt(0, (SimTime(1) << rng.UniformInt(0, 47)) - 1) +
+          (rng.NextBounded(10) == 0 ? kHorizon * rng.UniformInt(1, 3) : 0);
+      const std::uint32_t idx = wheel.Schedule(now + offset, ++seq, 0);
+      ASSERT_NE(idx, TimerWheel::kNil);
+      handles.emplace_back(idx, seq);
+    } else if (pick < 75) {
+      if (!handles.empty()) {
+        const std::size_t h = rng.NextBounded(handles.size());
+        std::uint32_t payload = 0;
+        wheel.Cancel(handles[h].first, handles[h].second, &payload);
+        handles[h] = handles.back();
+        handles.pop_back();
+      }
+    } else if (pick < 99) {
+      if (!wheel.Empty()) {
+        due.clear();
+        wheel.PopNextSlot(due);
+        // The cursor now sits just past the popped slot's tick.
+        for (const auto& d : due) {
+          now = std::max(now, ((d.time >> TimerWheel::kTickShift) + 1)
+                                  << TimerWheel::kTickShift);
+        }
+      }
+    } else {
+      due.clear();
+      wheel.DrainAll(due);
+      handles.clear();
+    }
+    const auto counts = wheel.CountPerLevel();
+    ASSERT_EQ(counts, TimerWheelTestPeer::Recount(wheel)) << "op " << op;
+    std::size_t total = 0;
+    for (std::size_t n : counts) total += n;
+    ASSERT_EQ(total, wheel.Size()) << "op " << op;
+    overflow_seen += counts[TimerWheel::kLevels];
+    for (int l = 2; l < TimerWheel::kLevels; ++l) {
+      high_level_seen += counts[static_cast<std::size_t>(l)];
+    }
+  }
+  EXPECT_GT(overflow_seen, 0u);
+  EXPECT_GT(high_level_seen, 0u);
 }
 
 // --- Simulator integration -------------------------------------------------

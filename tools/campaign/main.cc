@@ -96,34 +96,6 @@ Expectation ExpectationFor(const MutationSpec& mut, core::ConsistencyMode mode) 
   return ex;
 }
 
-std::size_t TotalViolations(const RunResult& r) {
-  return r.violations.size() + r.lin_failures + r.oracle_failures;
-}
-
-/// Why an unmutated run fails, or empty if it passes.  With
-/// `require_recovery`, every recovery episode must also complete with phase
-/// durations summing to the measured downtime (DESIGN.md §13 invariant).
-std::string CleanRunFailure(const RunResult& r, bool require_recovery) {
-  if (!r.Clean()) {
-    return r.delivered > 0 ? std::to_string(TotalViolations(r)) +
-                                 " invariant violation(s)"
-                           : "no traffic delivered";
-  }
-  if (!require_recovery) return {};
-  for (const EpisodeOut& eo : r.episodes) {
-    if (!eo.complete) {
-      return "recovery episode " + std::to_string(eo.id) +
-             " incomplete (service never resumed)";
-    }
-    if (!eo.phase_sum_ok) {
-      return "recovery episode " + std::to_string(eo.id) +
-             " phases do not sum to the measured downtime (see " +
-             r.recovery_json_path + ")";
-    }
-  }
-  return {};
-}
-
 /// The one pass/fail rule for a batch, returning the exit code.
 int Judge(const std::vector<RunResult>& runs, const MutationSpec& mut,
           core::ConsistencyMode mode, const std::string& mutate,
@@ -132,7 +104,8 @@ int Judge(const std::vector<RunResult>& runs, const MutationSpec& mut,
   if (!mut.any()) {
     int failed = 0;
     for (const RunResult& r : runs) {
-      const std::string why = CleanRunFailure(r, require_recovery);
+      // The same rule that decides which runs leave artifacts.
+      const std::string why = r.Failure(require_recovery);
       if (why.empty()) continue;
       ++failed;
       std::cerr << "[campaign] FAIL: " << r.label << " seed " << r.seed
@@ -148,7 +121,7 @@ int Judge(const std::vector<RunResult>& runs, const MutationSpec& mut,
   std::size_t violations = 0;
   std::size_t expected_fired = 0;
   for (const RunResult& r : runs) {
-    violations += TotalViolations(r);
+    violations += r.NumViolations();
     for (const ViolationOut& v : r.violations) {
       if (v.monitor == ex.monitor) ++expected_fired;
     }
@@ -340,7 +313,7 @@ int Main(int argc, char** argv) {
     RunResult r =
         RunSchedule(schedules[i], mode, mut, out_dir, labels[i], coalesce_delay);
     std::cout << " sent=" << r.sent << " delivered=" << r.delivered
-              << " violations=" << TotalViolations(r)
+              << " violations=" << r.NumViolations()
               << " trace_hash=" << r.trace_hash << "\n";
     runs.push_back(std::move(r));
   }

@@ -94,6 +94,26 @@ void HashMix(std::uint64_t& h, std::uint64_t v) {
 
 }  // namespace
 
+std::string RunResult::Failure(bool require_recovery) const {
+  if (delivered <= 0) return "no traffic delivered";
+  if (NumViolations() > 0) {
+    return std::to_string(NumViolations()) + " invariant violation(s)";
+  }
+  if (!require_recovery) return {};
+  for (const EpisodeOut& eo : episodes) {
+    if (!eo.complete) {
+      return "recovery episode " + std::to_string(eo.id) +
+             " incomplete (service never resumed)";
+    }
+    if (!eo.phase_sum_ok) {
+      return "recovery episode " + std::to_string(eo.id) +
+             " phases do not sum to the measured downtime (see " +
+             recovery_json_path + ")";
+    }
+  }
+  return {};
+}
+
 RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
                       const MutationSpec& mut, const std::string& out_dir,
                       const std::string& label, SimDuration coalesce_delay) {
@@ -479,8 +499,8 @@ RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
 
   // Harvest results.
   out.audit_events = auditor.events_seen();
-  std::filesystem::create_directories(out_dir);
-  int vi = 0;
+  const std::string run_stem =
+      out_dir + "/" + label + "_s" + std::to_string(schedule.seed);
   for (const auto& v : auditor.violations()) {
     ViolationOut vo;
     vo.monitor = v.monitor;
@@ -488,15 +508,11 @@ RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
     vo.at = v.at.t;
     vo.slice_events = v.slice.events.size();
     vo.slice_closed = audit::IsHappensBeforeClosed(v.slice);
-    const std::string stem = out_dir + "/" + label + "_s" +
-                             std::to_string(schedule.seed) + "_v" +
-                             std::to_string(vi);
+    const std::string stem =
+        run_stem + "_v" + std::to_string(out.violations.size());
     vo.slice_json_path = stem + ".slice.json";
     vo.slice_text_path = stem + ".slice.txt";
-    std::ofstream(vo.slice_json_path) << v.slice.PerfettoJson();
-    std::ofstream(vo.slice_text_path) << v.slice.Text();
     out.violations.push_back(std::move(vo));
-    ++vi;
   }
   for (const auto& phase : tracer.LatencyBreakdown()) {
     PhaseOut po;
@@ -515,17 +531,6 @@ RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
     }
   }
 
-  // Recovery-forensics artifacts: one episode-timeline JSON and one fleet
-  // time-series CSV per injected fault.
-  const std::string run_stem =
-      out_dir + "/" + label + "_s" + std::to_string(schedule.seed);
-  out.recovery_json_path = run_stem + ".recovery.json";
-  std::ofstream(out.recovery_json_path) << recovery.Json();
-  out.fleet_csv_path = run_stem + ".fleet.csv";
-  {
-    std::ofstream fleet_csv(out.fleet_csv_path);
-    fleet.WriteCsv(fleet_csv);
-  }
   out.fleet_samples = fleet.NumSamples();
   for (const obs::RecoveryEpisode& e : recovery.episodes()) {
     EpisodeOut eo;
@@ -546,6 +551,22 @@ RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
     }
     eo.extra_faults = e.extra_faults;
     out.episodes.push_back(std::move(eo));
+  }
+
+  // Artifacts only for a failing run: each violation's causal slice, the
+  // episode-timeline JSON and the fleet time-series CSV.
+  if (!out.Failure(/*require_recovery=*/true).empty()) {
+    std::filesystem::create_directories(out_dir);
+    for (std::size_t i = 0; i < out.violations.size(); ++i) {
+      const audit::CausalSlice& slice = auditor.violations()[i].slice;
+      std::ofstream(out.violations[i].slice_json_path) << slice.PerfettoJson();
+      std::ofstream(out.violations[i].slice_text_path) << slice.Text();
+    }
+    out.recovery_json_path = run_stem + ".recovery.json";
+    std::ofstream(out.recovery_json_path) << recovery.Json();
+    out.fleet_csv_path = run_stem + ".fleet.csv";
+    std::ofstream fleet_csv(out.fleet_csv_path);
+    fleet.WriteCsv(fleet_csv);
   }
 
   obs::SetGlobalTracer(prev_tracer);

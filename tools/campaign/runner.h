@@ -83,6 +83,8 @@ struct RunResult {
   double write_rtt_p50_us = 0;
   double write_rtt_p99_us = 0;
   std::vector<EpisodeOut> episodes;
+  /// Episode-timeline JSON and fleet time-series CSV; written (and set)
+  /// only when the run fails (see Failure), empty otherwise.
   std::string recovery_json_path;
   std::string fleet_csv_path;
   std::size_t fleet_samples = 0;
@@ -90,16 +92,27 @@ struct RunResult {
   /// replay fingerprint.
   std::uint64_t trace_hash = 0;
 
-  /// The fuzz oracle: no monitor violations, no linearizability failures,
-  /// no offline-oracle failures, and traffic actually flowed.
-  bool Clean() const {
-    return violations.empty() && lin_failures == 0 && oracle_failures == 0 &&
-           delivered > 0;
+  /// Monitor violations plus linearizability and offline-oracle failures.
+  std::size_t NumViolations() const {
+    return violations.size() + lin_failures + oracle_failures;
   }
+
+  /// Why the run fails, or empty if it passes: a monitor violation, a
+  /// linearizability or offline-oracle failure, or no traffic delivered;
+  /// with `require_recovery`, also a recovery episode that is incomplete or
+  /// whose phase durations do not sum to its downtime (DESIGN.md §13).
+  /// RunSchedule writes the per-run artifacts exactly when
+  /// Failure(/*require_recovery=*/true) is non-empty.
+  std::string Failure(bool require_recovery) const;
+
+  /// The fuzz oracle: Failure without the recovery gate.
+  bool Clean() const { return Failure(/*require_recovery=*/false).empty(); }
 };
 
-/// Executes a schedule.  `label` stems the artifact filenames;
-/// `coalesce_delay` > 0 turns on replication batching (0 = per packet).
+/// Executes a schedule.  `label` stems the artifact filenames under
+/// `out_dir`; a passing run writes no file (it replays bit-identically, so
+/// nothing is lost).  `coalesce_delay` > 0 turns on replication batching
+/// (0 = per packet).
 RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
                       const MutationSpec& mut, const std::string& out_dir,
                       const std::string& label,
