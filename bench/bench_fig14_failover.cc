@@ -18,7 +18,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "audit/auditor.h"
 #include "harness.h"
 #include "obs/recovery.h"
 #include "obs/timeseries.h"
@@ -95,20 +94,27 @@ std::vector<double> RunTimeline(Mode mode, ObsSession* obs = nullptr,
     obs->StartSampling(sim, obs->metrics_period(), kEnd);
   }
 
-  // Recovery forensics: a bench-local auditor feeds the protocol tap stream
-  // (fault injected, routes rebuilt, lease re-acquired, first output) into
-  // the episode tracker, which replaces the old "first bucket above 50%
-  // goodput" recovery estimate with a causal phase decomposition.
-  audit::Auditor auditor;
+  // Recovery forensics: the episode tracker subscribes to the record
+  // stream (fault injected, routes rebuilt, lease re-acquired, first
+  // output), which replaces the old "first bucket above 50% goodput"
+  // recovery estimate with a causal phase decomposition.  The stream is
+  // the ObsSession's tracer, or a bench-local one whose ring stays
+  // disabled.
+  obs::Tracer local_tracer;
+  obs::Tracer* bus = nullptr;
+  obs::Tracer* prev_tracer = nullptr;
+  std::uint64_t subscription = 0;
   obs::MetricRegistry wheel_reg("wheel");
   obs::MetricsHub fleet_hub;
   std::unique_ptr<obs::FleetSampler> fleet;
   if (tracker != nullptr && mode == Mode::kFailureRedPlane) {
-    auditor.SetClock([&sim] { return sim.Now(); });
-    audit::SetGlobalAuditor(&auditor);
-    auditor.SetEnabled(true);
-    auditor.SetTapObserver(
-        [tracker](const audit::TapEvent& ev) { tracker->OnTapEvent(ev); });
+    bus = obs != nullptr ? &obs->tracer() : &local_tracer;
+    if (obs == nullptr) {
+      local_tracer.SetClock([&sim] { return sim.Now(); });
+      prev_tracer = obs::SetGlobalTracer(&local_tracer);
+    }
+    subscription = bus->Subscribe(
+        [tracker](const obs::TraceRecord& r) { tracker->OnRecord(r); });
     if (!fleet_out.empty()) {
       // Continuous fleet telemetry: per-second goodput / lease churn /
       // replication rates plus wheel and SoA-table occupancy, one CSV row
@@ -169,6 +175,8 @@ std::vector<double> RunTimeline(Mode mode, ObsSession* obs = nullptr,
     obs->DetachTracer();
   }
   if (tracker != nullptr && mode == Mode::kFailureRedPlane) {
+    bus->Unsubscribe(subscription);
+    if (obs == nullptr) obs::SetGlobalTracer(prev_tracer);
     tracker->Finalize(sim.Now());
     if (fleet != nullptr && !fleet_out.empty()) {
       std::ofstream csv(fleet_out);
@@ -209,7 +217,7 @@ int main(int argc, char** argv) {
                FormatDouble(failure[s], 2), FormatDouble(redplane[s], 2)});
   }
 
-  // Recovery decomposition from the audit-tap episode: fault injection to
+  // Recovery decomposition from the recorded episode: fault injection to
   // first packet served, split into causally ordered phases.
   std::printf("\n=== RedPlane recovery decomposition ===\n");
   std::ostringstream timeline;

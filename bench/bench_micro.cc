@@ -8,7 +8,6 @@
 
 #include "apps/sketch.h"
 #include "audit/auditor.h"
-#include "audit/taps.h"
 #include "core/protocol.h"
 #include "core/snapshot.h"
 #include "dataplane/register_array.h"
@@ -543,27 +542,38 @@ BENCHMARK(BM_MirrorDueScan)->Arg(10240)->Arg(1 << 20);
 
 // --- Online auditor overhead -----------------------------------------------
 
-// Hop forwarding with the auditor armed (standard monitors installed, no
-// violations).  Hop paths carry only the armed() guard — taps publish
-// protocol milestones (lease grant, store apply, ack release), never
-// per-hop facts — so the armed cost on a hop is one global load and a
+/// The armed-audit state of a campaign run, minus the ring: the standard
+/// monitors subscribed to a global tracer whose ring stays disabled.
+struct ArmedAuditor {
+  ArmedAuditor() : prev(obs::SetGlobalTracer(&tracer)) {
+    auditor.ArmStandardMonitors();
+    auditor.Attach(&tracer);
+  }
+  ~ArmedAuditor() { obs::SetGlobalTracer(prev); }
+  obs::Tracer tracer{1};  // the ring stays disabled
+  obs::Tracer* prev;
+  audit::Auditor auditor;
+};
+
+// Hop forwarding with the auditor armed (standard monitors subscribed, no
+// violations).  Hop paths carry only the armed(ev) guard — subscriber kinds
+// are protocol milestones (lease grant, store apply, ack release), never
+// per-hop facts — so the armed cost on a hop is two loads and a
 // predictable branch.  ci/perf_smoke.py holds this within 5% of
 // BM_LinkHopForward.
 void BM_LinkHopForwardAuditorArmed(benchmark::State& state) {
-  audit::Auditor auditor;
-  auditor.ArmStandardMonitors();
-  auditor.SetEnabled(true);
-  audit::Auditor* prev = audit::SetGlobalAuditor(&auditor);
-  audit::TapHandle tap("bench-hop");
+  ArmedAuditor armed;
+  obs::TraceHandle handle("bench-hop");
   net::Packet pkt = SamplePacket();
   std::vector<std::byte> body(512, std::byte{0xAB});
   pkt.payload = std::move(body);
   for (auto _ : state) {
     net::Packet hop = pkt;
-    if (tap.armed()) benchmark::DoNotOptimize(&tap);
+    if (handle.armed(obs::Ev::kLeaseAcquired)) {
+      benchmark::DoNotOptimize(&handle);
+    }
     benchmark::DoNotOptimize(hop.payload.data());
   }
-  audit::SetGlobalAuditor(prev);
 }
 BENCHMARK(BM_LinkHopForwardAuditorArmed);
 
@@ -571,20 +581,18 @@ BENCHMARK(BM_LinkHopForwardAuditorArmed);
 // as BM_ChainHopForwardZeroCopy plus the armed guard.  Held within 5% of the
 // unarmed bench by ci/perf_smoke.py.
 void BM_ChainHopForwardAuditorArmed(benchmark::State& state) {
-  audit::Auditor auditor;
-  auditor.ArmStandardMonitors();
-  auditor.SetEnabled(true);
-  audit::Auditor* prev = audit::SetGlobalAuditor(&auditor);
-  audit::TapHandle tap("bench-chain");
+  ArmedAuditor armed;
+  obs::TraceHandle handle("bench-chain");
   net::BufferView payload{core::EncodeMsg(SampleChainMsg())};
   for (auto _ : state) {
     auto v = core::MsgView::Parse(std::move(payload));
     v->SetChainHop(static_cast<std::uint8_t>(v->chain_hop() + 1));
     payload = v->bytes();
-    if (tap.armed()) benchmark::DoNotOptimize(&tap);
+    if (handle.armed(obs::Ev::kLeaseAcquired)) {
+      benchmark::DoNotOptimize(&handle);
+    }
     benchmark::DoNotOptimize(payload.data());
   }
-  audit::SetGlobalAuditor(prev);
 }
 BENCHMARK(BM_ChainHopForwardAuditorArmed);
 
@@ -629,23 +637,20 @@ void BM_ChainHopForwardProfilerArmed(benchmark::State& state) {
 }
 BENCHMARK(BM_ChainHopForwardProfilerArmed);
 
-// A full milestone publish: one Emit dispatched synchronously through all
-// four standard monitors.  Same-component lease renewals never violate, so
-// this is the steady-state (silent) per-milestone cost.
+// A full milestone publish: one Emit dispatched synchronously through the
+// tracer's subscriber list to all standard monitors.  Same-component lease
+// renewals never violate, so this is the steady-state (silent)
+// per-milestone cost.
 void BM_AuditTapDispatch(benchmark::State& state) {
-  audit::Auditor auditor;
-  auditor.ArmStandardMonitors();
-  auditor.SetEnabled(true);
-  audit::Auditor* prev = audit::SetGlobalAuditor(&auditor);
-  audit::TapHandle tap("bench-switch");
+  ArmedAuditor armed;
+  obs::TraceHandle handle("bench-switch");
   for (auto _ : state) {
-    if (tap.armed()) {
-      tap.Emit(audit::Tap::kLeaseAcquired, 0xabcdef0123456789ull, 0,
-               /*aux=believed expiry*/ 1'000'000'000ull);
+    if (handle.armed(obs::Ev::kLeaseAcquired)) {
+      handle.Emit(obs::Ev::kLeaseAcquired, 0xabcdef0123456789ull, 0, 0.0, 0,
+                  0, /*aux=believed expiry*/ 1'000'000'000ull);
     }
   }
-  benchmark::DoNotOptimize(auditor.events_seen());
-  audit::SetGlobalAuditor(prev);
+  benchmark::DoNotOptimize(armed.auditor.events_seen());
 }
 BENCHMARK(BM_AuditTapDispatch);
 
@@ -656,7 +661,7 @@ BENCHMARK(BM_AuditTapDispatch);
 void BM_TraceEmitDisabled(benchmark::State& state) {
   obs::TraceHandle handle("bench");
   for (auto _ : state) {
-    if (handle.armed()) {
+    if (handle.armed(obs::Ev::kIngress)) {
       handle.Emit(obs::Ev::kIngress, 0x1234, 1, 64.0);
     }
     benchmark::DoNotOptimize(&handle);
@@ -671,7 +676,7 @@ void BM_TraceEmitEnabled(benchmark::State& state) {
   obs::TraceHandle handle("bench");
   std::uint64_t seq = 0;
   for (auto _ : state) {
-    if (handle.armed()) {
+    if (handle.armed(obs::Ev::kIngress)) {
       handle.Emit(obs::Ev::kIngress, 0x1234, ++seq, 64.0);
     }
   }

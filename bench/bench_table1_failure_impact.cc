@@ -7,10 +7,10 @@
 #include <cstdio>
 #include <sstream>
 
-#include "audit/auditor.h"
 #include "harness.h"
 #include "net/codec.h"
 #include "obs/recovery.h"
+#include "obs/tracer.h"
 
 using namespace redplane;
 using namespace redplane::bench;
@@ -29,8 +29,15 @@ struct FailureRig {
   Deployment deploy;
   routing::Testbed* tb = nullptr;
   std::unique_ptr<routing::FailureInjector> injector;
-  audit::Auditor auditor;
+  /// Carries the record stream into the tracker; its ring stays disabled.
+  obs::Tracer tracer;
+  obs::Tracer* prev_tracer = nullptr;
+  bool forensics_armed = false;
   obs::RecoveryTracker tracker;
+
+  ~FailureRig() {
+    if (forensics_armed) obs::SetGlobalTracer(prev_tracer);
+  }
 
   void Build(std::function<std::vector<std::byte>(const net::PartitionKey&)>
                  initializer = nullptr) {
@@ -67,16 +74,16 @@ struct FailureRig {
     sim.RunUntil(sim.Now() + Milliseconds(200));
   }
 
-  /// Arms the audit-tap stream into the recovery tracker.  Call right
+  /// Subscribes the recovery tracker to the record stream.  Call right
   /// before FailOver() — PinToAgg0's deliberate agg1 failure would
   /// otherwise open a bogus episode.
   void ArmForensics() {
     auto& sim = deploy.sim();
-    auditor.SetClock([&sim] { return sim.Now(); });
-    audit::SetGlobalAuditor(&auditor);
-    auditor.SetEnabled(true);
-    auditor.SetTapObserver(
-        [this](const audit::TapEvent& ev) { tracker.OnTapEvent(ev); });
+    tracer.SetClock([&sim] { return sim.Now(); });
+    tracer.Subscribe(
+        [this](const obs::TraceRecord& r) { tracker.OnRecord(r); });
+    prev_tracer = obs::SetGlobalTracer(&tracer);
+    forensics_armed = true;
   }
 
   /// Finalizes the tracker and renders the per-phase timeline.

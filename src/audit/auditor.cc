@@ -1,5 +1,6 @@
 #include "audit/auditor.h"
 
+#include <ostream>
 #include <utility>
 
 #include "audit/monitors.h"
@@ -9,23 +10,26 @@
 namespace redplane::audit {
 
 namespace {
-// Stride > 1: Publish fires on every tapped protocol step when armed, and a
+// Stride > 1: OnRecord fires on every subscriber record when armed, and a
 // sampled scope is enough to attribute monitor cost without inflating it.
 obs::ProfSite g_prof_publish("audit.publish", /*stride=*/16);
 }  // namespace
 
-Auditor::Auditor() {
+Auditor::Auditor()
+    : diag_("auditor", [this](std::ostream& os) { DumpViolations(os); }) {
   events_counter_ = stats_.RegisterCounter("events");
   violations_counter_ = stats_.RegisterCounter("violations");
 }
 
-Auditor::~Auditor() {
-  if (internal::g_auditor == this) SetGlobalAuditor(nullptr);
-}
+Auditor::~Auditor() { Attach(nullptr); }
 
-void Auditor::SetEnabled(bool enabled) {
-  enabled_ = enabled;
-  if (internal::g_auditor == this) internal::g_armed = enabled_;
+void Auditor::Attach(obs::Tracer* tracer) {
+  if (tracer_ != nullptr) tracer_->Unsubscribe(subscription_);
+  tracer_ = tracer;
+  if (tracer_ != nullptr) {
+    subscription_ = tracer_->Subscribe(
+        [this](const obs::TraceRecord& r) { OnRecord(r); });
+  }
 }
 
 void Auditor::ArmStandardMonitors() {
@@ -48,59 +52,49 @@ Monitor* Auditor::FindMonitor(std::string_view name) {
   return nullptr;
 }
 
-std::uint16_t Auditor::Intern(std::string_view name) {
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    if (components_[i] == name) return static_cast<std::uint16_t>(i);
-  }
-  components_.emplace_back(name);
-  return static_cast<std::uint16_t>(components_.size() - 1);
-}
-
 const std::string& Auditor::ComponentName(std::uint16_t id) const {
   static const std::string kUnknown = "?";
-  return id < components_.size() ? components_[id] : kUnknown;
+  return tracer_ != nullptr ? tracer_->ComponentName(id) : kUnknown;
 }
 
-void Auditor::Publish(std::uint16_t component, Tap tap, std::uint64_t key,
-                      std::uint64_t seq, std::uint64_t aux, double value) {
-  if (!enabled_) return;
+void Auditor::OnRecord(const obs::TraceRecord& r) {
   obs::ProfScope prof(g_prof_publish);
-  TapEvent ev;
-  ev.t = NowOrZero();
-  ev.tap = tap;
-  ev.component = component;
-  ev.key = key;
-  ev.seq = seq;
-  ev.aux = aux;
-  ev.value = value;
   ++events_seen_;
   events_counter_.Add();
-  if (tap_observer_) tap_observer_(ev);
-  for (auto& m : monitors_) m->OnEvent(*this, ev);
+  for (auto& m : monitors_) m->OnEvent(*this, r);
 }
 
-void Auditor::ReportViolation(std::string_view monitor, const TapEvent& at,
-                              std::string detail) {
+void Auditor::ReportViolation(std::string_view monitor,
+                              const obs::TraceRecord& at, std::string detail) {
   ++violations_total_;
   violations_counter_.Add();
   ++counts_by_monitor_[std::string(monitor)];
   stats_.Add(std::string("violations.") + std::string(monitor));
   RP_LOG(kError) << "AUDIT VIOLATION [" << monitor << "] at t=" << at.t
                  << "ns component=" << ComponentName(at.component)
-                 << " key=0x" << std::hex << at.key << std::dec
+                 << " key=0x" << std::hex << at.flow << std::dec
                  << " seq=" << at.seq << ": " << detail;
   if (violations_.size() >= kMaxStoredViolations) return;
   Violation v;
   v.monitor = std::string(monitor);
   v.detail = std::move(detail);
   v.at = at;
-  if (tracer_ != nullptr) v.slice = ExtractSlice(*tracer_, at.key, at.t);
+  if (tracer_ != nullptr) v.slice = ExtractSlice(*tracer_, at.flow, at.t);
   violations_.push_back(std::move(v));
 }
 
 std::size_t Auditor::ViolationCount(std::string_view monitor) const {
   const auto it = counts_by_monitor_.find(monitor);
   return it == counts_by_monitor_.end() ? 0 : it->second;
+}
+
+void Auditor::DumpViolations(std::ostream& os) const {
+  os << violations_.size() << " stored violation(s), " << events_seen_
+     << " events seen\n";
+  for (const auto& v : violations_) {
+    os << "[" << v.monitor << "] t=" << v.at.t << "ns: " << v.detail << "\n";
+    v.slice.WriteText(os);
+  }
 }
 
 void Auditor::ClearFindings() {

@@ -1,9 +1,10 @@
 // Online protocol auditor: checks RedPlane's safety invariants live.
 //
-// The auditor receives TapEvents from instrumented components (see
-// audit/taps.h), stamps them with the simulation clock, and dispatches them
-// synchronously to a set of invariant monitors — the runtime-verification
-// counterparts of the properties src/modelcheck explores offline:
+// The auditor subscribes to a tracer (obs/tracer.h) and receives every
+// record of a subscriber kind (obs/events.h) that instrumented components
+// emit, dispatching it synchronously to a set of invariant monitors — the
+// runtime-verification counterparts of the properties src/modelcheck
+// explores offline:
 //
 //   single_owner   no two switches hold a live lease on the same key
 //   seq_monotonic  a replica never re-applies a seq its filter passed
@@ -13,37 +14,39 @@
 // plus a LinearizabilityFeed (audit/lin_feed.h) that runs the modelcheck
 // linearizability checker on each flow's live history at flow close.
 //
-// On violation the auditor cuts a causal slice from the global tracer
+// On violation the auditor cuts a causal slice from the tracer's ring
 // (audit/slice.h): the happens-before-closed window of trace events that
 // explains the violation, exportable as Perfetto JSON or text.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "audit/diag.h"
 #include "audit/slice.h"
-#include "audit/taps.h"
 #include "common/types.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 
 namespace redplane::audit {
 
+class Auditor;
+
 /// One confirmed invariant violation.
 struct Violation {
-  std::string monitor;  // monitor name ("single_owner", ...)
-  std::string detail;   // human-readable explanation
-  TapEvent at;          // the event that completed the violation
-  CausalSlice slice;    // flight-recorder window (empty when no tracer)
+  std::string monitor;   // monitor name ("single_owner", ...)
+  std::string detail;    // human-readable explanation
+  obs::TraceRecord at;   // the record that completed the violation
+  CausalSlice slice;     // flight-recorder window (empty when no ring)
 };
 
 /// Base class for invariant monitors.  Monitors are single-threaded state
-/// machines fed every published TapEvent in order; they call
+/// machines fed every subscriber record in order; they call
 /// Auditor::ReportViolation when an invariant breaks.
 class Monitor {
  public:
@@ -51,7 +54,7 @@ class Monitor {
   virtual ~Monitor() = default;
   const std::string& name() const { return name_; }
 
-  virtual void OnEvent(Auditor& auditor, const TapEvent& ev) = 0;
+  virtual void OnEvent(Auditor& auditor, const obs::TraceRecord& ev) = 0;
   /// Drops accumulated state (between campaign runs).
   virtual void Reset() {}
 
@@ -68,18 +71,11 @@ class Auditor {
   Auditor& operator=(const Auditor&) = delete;
 
   // --- configuration ---
-  void SetClock(std::function<SimTime()> clock) { clock_ = std::move(clock); }
-  void SetEnabled(bool enabled);
-  bool enabled() const { return enabled_; }
-  /// Tracer to cut causal slices from on violation (optional).
-  void SetTracer(const obs::Tracer* tracer) { tracer_ = tracer; }
-  /// Raw tap-stream observer, called with every published event before the
-  /// monitors run.  This is how passive consumers that must not depend on
-  /// the audit library's monitors (e.g. obs::RecoveryTracker) subscribe to
-  /// the fact stream; pass an empty function to detach.
-  void SetTapObserver(std::function<void(const TapEvent&)> observer) {
-    tap_observer_ = std::move(observer);
-  }
+  /// Subscribes to `tracer`'s record stream (detaching from any previous
+  /// one); violations cut their causal slices from its ring and name
+  /// components from its intern table.  Null detaches.
+  void Attach(obs::Tracer* tracer);
+  obs::Tracer* tracer() const { return tracer_; }
 
   /// Installs the four standard protocol monitors (see audit/monitors.h).
   void ArmStandardMonitors();
@@ -87,18 +83,14 @@ class Auditor {
   Monitor* FindMonitor(std::string_view name);
   std::size_t NumMonitors() const { return monitors_.size(); }
 
-  // --- component interning (mirrors obs::Tracer) ---
-  std::uint16_t Intern(std::string_view name);
+  /// The attached tracer's name for component `id` ("?" when detached).
   const std::string& ComponentName(std::uint16_t id) const;
-  std::uint64_t generation() const { return generation_; }
 
-  // --- event intake (called by TapHandle::Emit) ---
-  void Publish(std::uint16_t component, Tap tap, std::uint64_t key,
-               std::uint64_t seq = 0, std::uint64_t aux = 0,
-               double value = 0.0);
+  // --- record intake (the tracer subscription) ---
+  void OnRecord(const obs::TraceRecord& r);
 
   // --- violation reporting (called by monitors) ---
-  void ReportViolation(std::string_view monitor, const TapEvent& at,
+  void ReportViolation(std::string_view monitor, const obs::TraceRecord& at,
                        std::string detail);
 
   // --- findings ---
@@ -117,15 +109,11 @@ class Auditor {
   static constexpr std::size_t kMaxStoredViolations = 64;
 
  private:
-  SimTime NowOrZero() const { return clock_ ? clock_() : 0; }
+  void DumpViolations(std::ostream& os) const;
 
-  bool enabled_ = false;
-  std::function<SimTime()> clock_;
-  const obs::Tracer* tracer_ = nullptr;
-  std::function<void(const TapEvent&)> tap_observer_;
+  obs::Tracer* tracer_ = nullptr;
+  std::uint64_t subscription_ = 0;
   std::vector<std::unique_ptr<Monitor>> monitors_;
-  std::vector<std::string> components_;
-  std::uint64_t generation_ = 1;
   std::uint64_t events_seen_ = 0;
   std::vector<Violation> violations_;
   std::uint64_t violations_total_ = 0;
@@ -134,6 +122,7 @@ class Auditor {
   obs::MetricRegistry stats_{"audit"};
   obs::Counter events_counter_;
   obs::Counter violations_counter_;
+  DiagToken diag_;  // violations in the on-failure diagnostics dump
 };
 
 }  // namespace redplane::audit

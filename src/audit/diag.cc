@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <ostream>
 
-#include "audit/auditor.h"
 #include "obs/events.h"
 #include "obs/tracer.h"
 
@@ -57,16 +56,6 @@ void DumpDiagnostics(std::ostream& os, std::size_t last_n) {
   }
 
   DiagRegistry::Instance().DumpAll(os);
-
-  if (const Auditor* auditor = GlobalAuditor(); auditor != nullptr) {
-    const auto& violations = auditor->violations();
-    os << "---- auditor: " << violations.size() << " stored violation(s), "
-       << auditor->events_seen() << " events seen ----\n";
-    for (const auto& v : violations) {
-      os << "[" << v.monitor << "] t=" << v.at.t << "ns: " << v.detail << "\n";
-      v.slice.WriteText(os);
-    }
-  }
   os << "======================================\n";
 }
 

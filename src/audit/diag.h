@@ -3,7 +3,8 @@
 //
 // Components register a dump callback (their lease table, flow records,
 // ...) through a RAII DiagToken; DumpDiagnostics() renders every registered
-// dump plus the tail of the global tracer ring and any auditor violations.
+// dump (each auditor registers its violations) plus the tail of the global
+// tracer ring.
 // The gtest listener in tests/audit_diag.h calls it on test failure.
 #pragma once
 
@@ -72,8 +73,8 @@ class DiagToken {
 };
 
 /// Dumps, to `os`: the last `last_n` events of the global tracer ring (when
-/// one is installed), every DiagRegistry dump (lease tables, flow records),
-/// and any violations held by the global auditor.
+/// one is installed) and every DiagRegistry dump (lease tables, flow
+/// records, auditor violations).
 void DumpDiagnostics(std::ostream& os, std::size_t last_n = 64);
 
 }  // namespace redplane::audit

@@ -30,11 +30,12 @@ bool LinearizabilityFeed::CloseFlow(std::uint64_t flow) {
   const bool ok =
       modelcheck::CheckCounterLinearizable(fh.recorder.Sorted(), &why);
   if (!ok && auditor_ != nullptr) {
-    TapEvent at;
+    obs::TraceRecord at;
     at.t = fh.last_t;
-    at.tap = Tap::kHistoryClosed;
-    at.component = auditor_->Intern("lin_feed");
-    at.key = flow;
+    at.ev = obs::Ev::kHistoryClosed;
+    obs::Tracer* tracer = auditor_->tracer();
+    at.component = tracer != nullptr ? tracer->Intern("lin_feed") : 0;
+    at.flow = flow;
     at.seq = fh.recorder.NumInputs();
     auditor_->ReportViolation("linearizability", at, why);
   }

@@ -9,22 +9,22 @@
 
 namespace redplane::audit {
 
-void SingleOwnerMonitor::OnEvent(Auditor& auditor, const TapEvent& ev) {
-  switch (ev.tap) {
-    case Tap::kFlowAdmitted: {
+void SingleOwnerMonitor::OnEvent(Auditor& auditor, const obs::TraceRecord& ev) {
+  switch (ev.ev) {
+    case obs::Ev::kFlowAdmitted: {
       // Per-mode subscription: a flow admitted under a weaker mode is
       // exempt from the single-owner invariant for good (modes are an app
       // property, so a key never changes mode mid-run).
       if (ev.aux != static_cast<std::uint64_t>(
                         core::ConsistencyMode::kSingleOwner)) {
-        exempt_[ev.key] = true;
-        holders_.erase(ev.key);
+        exempt_[ev.flow] = true;
+        holders_.erase(ev.flow);
       }
       break;
     }
-    case Tap::kLeaseAcquired: {
-      if (exempt_.count(ev.key) != 0) break;
-      auto& holders = holders_[ev.key];
+    case obs::Ev::kLeaseAcquired: {
+      if (exempt_.count(ev.flow) != 0) break;
+      auto& holders = holders_[ev.flow];
       // Prune claims whose believed expiry has certainly passed.  Switch
       // beliefs are conservative (send-time based), so the store never
       // grants a new lease before an old claim's believed expiry.
@@ -42,7 +42,7 @@ void SingleOwnerMonitor::OnEvent(Auditor& auditor, const TapEvent& ev) {
           updated = true;
         } else if (h.expiry > ev.t) {
           std::ostringstream why;
-          why << "two live lease claims on key 0x" << std::hex << ev.key
+          why << "two live lease claims on key 0x" << std::hex << ev.flow
               << std::dec << ": " << auditor.ComponentName(h.component)
               << " (believes expiry t=" << h.expiry << "ns) and "
               << auditor.ComponentName(ev.component)
@@ -54,8 +54,8 @@ void SingleOwnerMonitor::OnEvent(Auditor& auditor, const TapEvent& ev) {
       if (!updated) holders.push_back({ev.component, expiry});
       break;
     }
-    case Tap::kLeaseReleased: {
-      if (ev.key == 0) {
+    case obs::Ev::kLeaseReleased: {
+      if (ev.flow == 0) {
         // Component dropped its whole flow table (reset / fail-stop).
         for (auto& [key, holders] : holders_) {
           holders.erase(std::remove_if(holders.begin(), holders.end(),
@@ -65,7 +65,7 @@ void SingleOwnerMonitor::OnEvent(Auditor& auditor, const TapEvent& ev) {
                         holders.end());
         }
       } else {
-        auto it = holders_.find(ev.key);
+        auto it = holders_.find(ev.flow);
         if (it == holders_.end()) break;
         auto& holders = it->second;
         holders.erase(std::remove_if(holders.begin(), holders.end(),
@@ -81,18 +81,19 @@ void SingleOwnerMonitor::OnEvent(Auditor& auditor, const TapEvent& ev) {
   }
 }
 
-void SeqMonotonicMonitor::OnEvent(Auditor& auditor, const TapEvent& ev) {
-  switch (ev.tap) {
-    case Tap::kStoreApplied: {
+void SeqMonotonicMonitor::OnEvent(Auditor& auditor,
+                                   const obs::TraceRecord& ev) {
+  switch (ev.ev) {
+    case obs::Ev::kStoreApplied: {
       const std::uint64_t slot = HashCombine(
-          HashCombine(ev.key, static_cast<std::uint64_t>(ev.component)),
+          HashCombine(ev.flow, static_cast<std::uint64_t>(ev.component)),
           epoch_[ev.component]);
       auto [it, inserted] = last_applied_.try_emplace(slot, ev.seq);
       if (!inserted) {
         if (ev.seq <= it->second) {
           std::ostringstream why;
           why << auditor.ComponentName(ev.component) << " applied seq "
-              << ev.seq << " for key 0x" << std::hex << ev.key << std::dec
+              << ev.seq << " for key 0x" << std::hex << ev.flow << std::dec
               << " but already applied seq " << it->second
               << " — the sequence filter regressed";
           auditor.ReportViolation(name(), ev, why.str());
@@ -101,7 +102,7 @@ void SeqMonotonicMonitor::OnEvent(Auditor& auditor, const TapEvent& ev) {
       }
       break;
     }
-    case Tap::kStoreReset: {
+    case obs::Ev::kStoreReset: {
       // The replica's DRAM records are gone; it will legitimately
       // re-baseline from chain resync.  Bump its epoch so all its old
       // baselines become unreachable.
@@ -113,23 +114,23 @@ void SeqMonotonicMonitor::OnEvent(Auditor& auditor, const TapEvent& ev) {
   }
 }
 
-void ChainCommitMonitor::OnEvent(Auditor& auditor, const TapEvent& ev) {
-  switch (ev.tap) {
-    case Tap::kTailCommit:
-    case Tap::kDupAckDurable:
-    case Tap::kResyncCommit: {
-      auto& committed = committed_[ev.key];
+void ChainCommitMonitor::OnEvent(Auditor& auditor, const obs::TraceRecord& ev) {
+  switch (ev.ev) {
+    case obs::Ev::kTailCommit:
+    case obs::Ev::kDupAckDurable:
+    case obs::Ev::kResyncCommit: {
+      auto& committed = committed_[ev.flow];
       committed = std::max(committed, ev.seq);
       break;
     }
-    case Tap::kAckReleased: {
+    case obs::Ev::kAckReleased: {
       if (ev.seq == 0) break;  // reads / lease-only acks carry no write seq
-      auto it = committed_.find(ev.key);
+      auto it = committed_.find(ev.flow);
       const std::uint64_t committed = it == committed_.end() ? 0 : it->second;
       if (ev.seq > committed) {
         std::ostringstream why;
         why << auditor.ComponentName(ev.component) << " released output for "
-            << "key 0x" << std::hex << ev.key << std::dec << " seq " << ev.seq
+            << "key 0x" << std::hex << ev.flow << std::dec << " seq " << ev.seq
             << " but the chain tail has only committed up to seq " << committed
             << " — ack escaped before chain-wide durability";
         auditor.ReportViolation(name(), ev, why.str());
@@ -141,17 +142,18 @@ void ChainCommitMonitor::OnEvent(Auditor& auditor, const TapEvent& ev) {
   }
 }
 
-void EpsilonBoundMonitor::OnEvent(Auditor& auditor, const TapEvent& ev) {
-  if (ev.tap != Tap::kEpsilonSample) return;
-  const double staleness_ns = ev.value;
+void EpsilonBoundMonitor::OnEvent(Auditor& auditor,
+                                   const obs::TraceRecord& ev) {
+  if (ev.ev != obs::Ev::kEpsilonSample) return;
+  const double staleness_ns = ev.arg;
   const double bound_ns = static_cast<double>(ev.aux);
-  bool& latched = in_violation_[ev.key];
+  bool& latched = in_violation_[ev.flow];
   if (staleness_ns > bound_ns && bound_ns > 0.0) {
     if (!latched) {
       latched = true;
       std::ostringstream why;
       why << "observed staleness " << staleness_ns / 1e6 << "ms exceeds ε = "
-          << bound_ns / 1e6 << "ms for key 0x" << std::hex << ev.key
+          << bound_ns / 1e6 << "ms for key 0x" << std::hex << ev.flow
           << std::dec;
       auditor.ReportViolation(name(), ev, why.str());
     }
@@ -160,14 +162,15 @@ void EpsilonBoundMonitor::OnEvent(Auditor& auditor, const TapEvent& ev) {
   }
 }
 
-void BoundedStalenessMonitor::OnEvent(Auditor& auditor, const TapEvent& ev) {
-  switch (ev.tap) {
-    case Tap::kFlowAdmitted: {
-      mode_[ev.key] = ev.aux;
+void BoundedStalenessMonitor::OnEvent(Auditor& auditor,
+                                       const obs::TraceRecord& ev) {
+  switch (ev.ev) {
+    case obs::Ev::kFlowAdmitted: {
+      mode_[ev.flow] = ev.aux;
       break;
     }
-    case Tap::kLocalReadServed: {
-      const auto it = mode_.find(ev.key);
+    case obs::Ev::kLocalReadServed: {
+      const auto it = mode_.find(ev.flow);
       // Only flows admitted under replicated-read carry a staleness
       // contract; local reads of mergeable flows (or of unannounced keys)
       // are legal at any staleness.
@@ -176,9 +179,9 @@ void BoundedStalenessMonitor::OnEvent(Auditor& auditor, const TapEvent& ev) {
                             core::ConsistencyMode::kReplicatedRead)) {
         break;
       }
-      const double staleness_ns = ev.value;
+      const double staleness_ns = ev.arg;
       const double bound_ns = static_cast<double>(ev.aux);
-      bool& latched = in_violation_[ev.key];
+      bool& latched = in_violation_[ev.flow];
       if (bound_ns > 0.0 && staleness_ns > bound_ns) {
         if (!latched) {
           latched = true;
@@ -186,7 +189,7 @@ void BoundedStalenessMonitor::OnEvent(Auditor& auditor, const TapEvent& ev) {
           why << auditor.ComponentName(ev.component)
               << " served a local read at staleness " << staleness_ns / 1e6
               << "ms, beyond the declared bound " << bound_ns / 1e6
-              << "ms for key 0x" << std::hex << ev.key << std::dec;
+              << "ms for key 0x" << std::hex << ev.flow << std::dec;
           auditor.ReportViolation(name(), ev, why.str());
         }
       } else {
@@ -199,27 +202,28 @@ void BoundedStalenessMonitor::OnEvent(Auditor& auditor, const TapEvent& ev) {
   }
 }
 
-void MergeConvergenceMonitor::OnEvent(Auditor& auditor, const TapEvent& ev) {
-  switch (ev.tap) {
-    case Tap::kMergeApplied: {
+void MergeConvergenceMonitor::OnEvent(Auditor& auditor,
+                                       const obs::TraceRecord& ev) {
+  switch (ev.ev) {
+    case obs::Ev::kMergeApplied: {
       const std::uint64_t slot = HashCombine(
-          HashCombine(ev.key, static_cast<std::uint64_t>(ev.component)),
+          HashCombine(ev.flow, static_cast<std::uint64_t>(ev.component)),
           epoch_[ev.component]);
-      auto [it, inserted] = measure_.try_emplace(slot, ev.value);
+      auto [it, inserted] = measure_.try_emplace(slot, ev.arg);
       if (!inserted) {
-        if (ev.value < it->second) {
+        if (ev.arg < it->second) {
           std::ostringstream why;
           why << auditor.ComponentName(ev.component)
-              << " merged key 0x" << std::hex << ev.key << std::dec
+              << " merged key 0x" << std::hex << ev.flow << std::dec
               << " down the lattice: measure went " << it->second << " -> "
-              << ev.value << " — the store overwrote instead of joining";
+              << ev.arg << " — the store overwrote instead of joining";
           auditor.ReportViolation(name(), ev, why.str());
         }
-        it->second = std::max(it->second, ev.value);
+        it->second = std::max(it->second, ev.arg);
       }
       break;
     }
-    case Tap::kStoreReset: {
+    case obs::Ev::kStoreReset: {
       ++epoch_[ev.component];
       break;
     }

@@ -39,7 +39,6 @@ RedPlaneSwitch::RedPlaneSwitch(
       config_(config),
       stats_(node.name() + "/rp"),
       trace_(node.name() + "/rp"),
-      atap_(node.name() + "/rp"),
       diag_(node.name() + "/rp lease table",
             [this](std::ostream& os) { DumpLeaseTable(os); }) {
   assert(shard_for_);
@@ -170,7 +169,7 @@ void RedPlaneSwitch::HandleAppPacket(dp::SwitchContext& ctx, net::Packet pkt) {
       renew.span_id = NewSpanId();
       cold.renew_in_flight = true;
       m_.renewals_sent.Add();
-      if (trace_.armed()) {
+      if (trace_.armed(obs::Ev::kRenewSent)) {
         trace_.Emit(obs::Ev::kRenewSent, net::HashPartitionKey(*key),
                     flows_.cur_seq(slot), 0.0, renew.span_id);
       }
@@ -202,7 +201,7 @@ void RedPlaneSwitch::HandleAppPacket(dp::SwitchContext& ctx, net::Packet pkt) {
     buf.piggyback = std::move(pkt);
     buf.span_id = NewSpanId();
     m_.init_loop_buffered.Add();
-    if (trace_.armed()) {
+    if (trace_.armed(obs::Ev::kBufferedReadLoop)) {
       trace_.Emit(obs::Ev::kBufferedReadLoop, net::HashPartitionKey(*key), 0,
                   static_cast<double>(cold.init_loops), buf.span_id);
     }
@@ -230,12 +229,12 @@ void RedPlaneSwitch::HandleAppPacket(dp::SwitchContext& ctx, net::Packet pkt) {
   init.piggyback = std::move(pkt);
   init.span_id = NewSpanId();
   m_.inits_sent.Add();
-  if (trace_.armed()) {
+  if (trace_.armed(obs::Ev::kLeaseMiss)) {
     trace_.Emit(obs::Ev::kLeaseMiss, net::HashPartitionKey(*key), 0, 0.0,
                 init.span_id);
   }
-  if (atap_.armed()) {
-    atap_.Emit(audit::Tap::kLeaseRequested, net::HashPartitionKey(*key));
+  if (trace_.armed(obs::Ev::kLeaseRequested)) {
+    trace_.Emit(obs::Ev::kLeaseRequested, net::HashPartitionKey(*key));
   }
   SendRequest(init, /*mirror=*/true);
 }
@@ -278,7 +277,7 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
                     static_cast<SimDuration>(config_.max_retransmissions) *
                         config_.request_timeout);
     m_.writes_replicated.Add();
-    if (trace_.armed()) {
+    if (trace_.armed(obs::Ev::kReplicationSent)) {
       flows_.cold(slot).last_write_span = repl.span_id;
       trace_.Emit(obs::Ev::kReplicationSent, net::HashPartitionKey(key), seq,
                   static_cast<double>(repl.state.size()), repl.span_id);
@@ -301,11 +300,11 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
         for (auto& out : result.outputs) {
           m_.local_reads_served.Add();
           m_.local_read_staleness_us.Record(ToMicroseconds(staleness));
-          if (atap_.armed()) {
-            atap_.Emit(audit::Tap::kLocalReadServed, net::HashPartitionKey(key),
-                       flows_.cur_seq(slot),
-                       static_cast<std::uint64_t>(policy_->staleness_bound()),
-                       static_cast<double>(staleness));
+          if (trace_.armed(obs::Ev::kLocalReadServed)) {
+            trace_.Emit(
+                obs::Ev::kLocalReadServed, net::HashPartitionKey(key),
+                flows_.cur_seq(slot), static_cast<double>(staleness), 0, 0,
+                static_cast<std::uint64_t>(policy_->staleness_bound()));
           }
           ReleaseOutput(ctx, key, std::move(out));
         }
@@ -325,7 +324,7 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
       buf.piggyback = std::move(out);
       buf.span_id = NewSpanId();
       m_.reads_buffered.Add();
-      if (trace_.armed()) {
+      if (trace_.armed(obs::Ev::kBufferedRead)) {
         // Parent the read's span under the write it waits on, so the span
         // tree shows the dependency.
         trace_.Emit(obs::Ev::kBufferedRead, net::HashPartitionKey(key),
@@ -349,14 +348,14 @@ void RedPlaneSwitch::HandleMergeablePacket(dp::SwitchContext& ctx,
                                            net::Packet pkt) {
   std::uint32_t slot = flows_.FindSlot(key);
   if (slot == FlowTable::kNilSlot) {
-    // Local admission: no lease, no store round trip.  The admission tap
+    // Local admission: no lease, no store round trip.  The admission record
     // exempts the key from the single-owner invariant — several switches
     // admitting the same mergeable key concurrently is the whole point.
     slot = flows_.GetOrCreateSlot(key);
     flows_.set_status(slot, FlowStatus::kActive);
-    if (atap_.armed()) {
-      atap_.Emit(audit::Tap::kFlowAdmitted, net::HashPartitionKey(key), 0,
-                 static_cast<std::uint64_t>(mode_));
+    if (trace_.armed(obs::Ev::kFlowAdmitted)) {
+      trace_.Emit(obs::Ev::kFlowAdmitted, net::HashPartitionKey(key), 0, 0.0, 0,
+                  0, static_cast<std::uint64_t>(mode_));
     }
   }
   AppContext actx;
@@ -372,12 +371,13 @@ void RedPlaneSwitch::HandleMergeablePacket(dp::SwitchContext& ctx,
       merge_dirty_.emplace_back(slot, flows_.gen(slot));
     }
     EnsureMergeTick();
-  } else if (atap_.armed() && !result.outputs.empty()) {
+  } else if (trace_.armed(obs::Ev::kLocalReadServed) &&
+             !result.outputs.empty()) {
     // A locally served read with no staleness contract (aux 0): legal at
-    // any staleness in this mode, and tapped so the mode-aware monitors
+    // any staleness in this mode, and reported so the mode-aware monitors
     // can prove they know that.
-    atap_.Emit(audit::Tap::kLocalReadServed, net::HashPartitionKey(key),
-               flows_.cur_seq(slot), 0, 0.0);
+    trace_.Emit(obs::Ev::kLocalReadServed, net::HashPartitionKey(key),
+                flows_.cur_seq(slot));
   }
   // Zero-RTT writes: every output releases immediately; durability comes
   // from the periodic idempotent merge push, not from an ack.
@@ -420,11 +420,11 @@ void RedPlaneSwitch::MergeTick(std::uint64_t epoch) {
                     static_cast<SimDuration>(config_.max_retransmissions) *
                         config_.request_timeout);
     m_.merge_deltas_sent.Add();
-    if (atap_.armed()) {
-      atap_.Emit(audit::Tap::kMergeEmitted, net::HashPartitionKey(cold.key),
-                 seq, 0, policy_->Measure(cold.state));
+    if (trace_.armed(obs::Ev::kMergeEmitted)) {
+      trace_.Emit(obs::Ev::kMergeEmitted, net::HashPartitionKey(cold.key), seq,
+                  policy_->Measure(cold.state));
     }
-    if (trace_.armed()) {
+    if (trace_.armed(obs::Ev::kReplicationSent)) {
       trace_.Emit(obs::Ev::kReplicationSent, net::HashPartitionKey(cold.key),
                   seq, static_cast<double>(delta.state.size()), delta.span_id);
     }
@@ -470,13 +470,10 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
       } else {
         m_.grants_new.Add();
       }
-      if (trace_.armed()) {
-        trace_.Emit(migrate ? obs::Ev::kFailoverRehome : obs::Ev::kLeaseGrant,
-                    net::HashPartitionKey(key), seq, 0.0, span);
-      }
-      if (atap_.armed()) {
-        atap_.Emit(audit::Tap::kLeaseGranted, net::HashPartitionKey(key), seq,
-                   migrate ? 1 : 0);
+      const obs::Ev granted =
+          migrate ? obs::Ev::kFailoverRehome : obs::Ev::kLeaseGrant;
+      if (trace_.armed(granted)) {
+        trace_.Emit(granted, net::HashPartitionKey(key), seq, 0.0, span);
       }
       const SimTime init_sent = flows_.cold(slot).init_sent_at;
       const SimTime sent_at = init_sent != 0 ? init_sent : ctx.Now();
@@ -500,18 +497,18 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
                                        config_.mutation_lease_extension);
         flows_.set_status(s, FlowStatus::kActive);
         flows_.cold(s).init_loops = 0;
-        if (atap_.armed()) {
-          atap_.Emit(audit::Tap::kLeaseAcquired, net::HashPartitionKey(key),
-                     seq,
-                     static_cast<std::uint64_t>(flows_.lease_expiry(s)));
+        if (trace_.armed(obs::Ev::kLeaseAcquired)) {
+          trace_.Emit(obs::Ev::kLeaseAcquired, net::HashPartitionKey(key), seq,
+                      0.0, 0, 0,
+                      static_cast<std::uint64_t>(flows_.lease_expiry(s)));
         }
         if (mode_ == ConsistencyMode::kReplicatedRead) {
           // Announce the weaker mode to the mode-aware monitors and
           // subscribe this switch to the store's replica pushes.  (Single-
           // owner flows announce nothing: their path stays bit-identical.)
-          if (atap_.armed()) {
-            atap_.Emit(audit::Tap::kFlowAdmitted, net::HashPartitionKey(key),
-                       0, static_cast<std::uint64_t>(mode_));
+          if (trace_.armed(obs::Ev::kFlowAdmitted)) {
+            trace_.Emit(obs::Ev::kFlowAdmitted, net::HashPartitionKey(key), 0,
+                        0.0, 0, 0, static_cast<std::uint64_t>(mode_));
           }
           FlowTable::Cold& cold = flows_.cold(s);
           if (!cold.replica_subscribed) {
@@ -555,19 +552,16 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
         }
         flows_.NoteAck(slot, seq,
                        config_.lease_period + config_.mutation_lease_extension);
-        if (atap_.armed()) {
-          atap_.Emit(audit::Tap::kLeaseAcquired, net::HashPartitionKey(key),
-                     seq,
-                     static_cast<std::uint64_t>(flows_.lease_expiry(slot)));
+        if (trace_.armed(obs::Ev::kLeaseAcquired)) {
+          trace_.Emit(obs::Ev::kLeaseAcquired, net::HashPartitionKey(key), seq,
+                      0.0, 0, 0,
+                      static_cast<std::uint64_t>(flows_.lease_expiry(slot)));
         }
       }
       node_.mirror().Acknowledge(key, seq, cancel_retx);
-      if (trace_.armed()) {
+      if (trace_.armed(obs::Ev::kAckReleased)) {
         trace_.Emit(obs::Ev::kAckReleased, net::HashPartitionKey(key), seq,
                     0.0, span);
-      }
-      if (atap_.armed()) {
-        atap_.Emit(audit::Tap::kAckReleased, net::HashPartitionKey(key), seq);
       }
       if (msg.has_piggyback()) {
         if (auto piggy = msg.PiggybackPacket()) {
@@ -588,7 +582,7 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
           // loop again, bounded per packet.
           if (msg.snapshot_index() >= config_.max_init_loops) {
             m_.init_loop_drops.Add();
-            if (trace_.armed()) {
+            if (trace_.armed(obs::Ev::kOutputDropped)) {
               trace_.Emit(obs::Ev::kOutputDropped, net::HashPartitionKey(key),
                           0, static_cast<double>(msg.snapshot_index()), span);
             }
@@ -607,7 +601,7 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
           // network buffer accumulates in one lifecycle.
           buf.span_id = span;
           m_.init_loop_buffered.Add();
-          if (trace_.armed()) {
+          if (trace_.armed(obs::Ev::kBufferedReadLoop)) {
             trace_.Emit(obs::Ev::kBufferedReadLoop, net::HashPartitionKey(key),
                         0, static_cast<double>(msg.snapshot_index() + 1), span);
           }
@@ -633,13 +627,9 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
           m_.malformed_acks.Add();
           return;
         }
-        if (trace_.armed()) {
+        if (trace_.armed(obs::Ev::kAckReleased)) {
           trace_.Emit(obs::Ev::kAckReleased, net::HashPartitionKey(key), seq,
                       0.0, span);
-        }
-        if (atap_.armed()) {
-          atap_.Emit(audit::Tap::kAckReleased, net::HashPartitionKey(key),
-                     seq);
         }
         ReleaseOutput(ctx, key, std::move(*piggy));
       }
@@ -650,7 +640,7 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
       FlowTable::Cold& cold = flows_.cold(slot);
       CancelRenewTimer(slot);
       cold.renew_in_flight = false;
-      if (trace_.armed()) {
+      if (trace_.armed(obs::Ev::kRenewAck)) {
         trace_.Emit(obs::Ev::kRenewAck, net::HashPartitionKey(key), seq, 0.0,
                     span);
       }
@@ -660,10 +650,10 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
                            cold.renew_sent_at + config_.lease_period +
                                config_.mutation_lease_extension));
         cold.renew_sent_at = 0;
-        if (atap_.armed()) {
-          atap_.Emit(audit::Tap::kLeaseAcquired, net::HashPartitionKey(key),
-                     seq,
-                     static_cast<std::uint64_t>(flows_.lease_expiry(slot)));
+        if (trace_.armed(obs::Ev::kLeaseAcquired)) {
+          trace_.Emit(obs::Ev::kLeaseAcquired, net::HashPartitionKey(key), seq,
+                      0.0, 0, 0,
+                      static_cast<std::uint64_t>(flows_.lease_expiry(slot)));
         }
       }
       return;
@@ -672,13 +662,13 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
       // Another switch owns the flow; forget it here (its packets will
       // re-init if routing brings them back).
       m_.lease_denials.Add();
-      if (trace_.armed()) {
+      if (trace_.armed(obs::Ev::kLeaseDenied)) {
         trace_.Emit(obs::Ev::kLeaseDenied, net::HashPartitionKey(key), 0, 0.0,
                     span);
       }
       if (slot != FlowTable::kNilSlot) {
-        if (atap_.armed()) {
-          atap_.Emit(audit::Tap::kLeaseReleased, net::HashPartitionKey(key));
+        if (trace_.armed(obs::Ev::kLeaseReleased)) {
+          trace_.Emit(obs::Ev::kLeaseReleased, net::HashPartitionKey(key));
         }
         CancelRenewTimer(slot);
       }
@@ -811,7 +801,7 @@ void RedPlaneSwitch::FlushBatch(net::Ipv4Addr shard) {
     m_.batch_envelopes.Add();
     m_.batch_msgs.Record(static_cast<double>(b.msgs.size()));
     m_.batch_bytes.Record(static_cast<double>(env.size()));
-    if (trace_.armed()) {
+    if (trace_.armed(obs::Ev::kBatchFlushed)) {
       trace_.Emit(obs::Ev::kBatchFlushed, shard.value,
                   static_cast<std::uint64_t>(b.msgs.size()),
                   static_cast<double>(env.size()));
@@ -863,7 +853,7 @@ void RedPlaneSwitch::OnMirrorTimeout(dp::MirrorTable::Handle h) {
   mirror.set_last_sent_at(h, now);
   mirror.BumpRetx(h);
   m_.retransmits.Add();
-  if (trace_.armed()) {
+  if (trace_.armed(obs::Ev::kRetransmit)) {
     // The mirrored bytes carry the original request's span id verbatim.
     trace_.Emit(obs::Ev::kRetransmit, net::HashPartitionKey(mirror.key(h)),
                 mirror.seq(h), static_cast<double>(mirror.retx_count(h)),
@@ -885,7 +875,7 @@ void RedPlaneSwitch::GiveUpMirror(dp::MirrorTable::Handle h) {
   const net::PartitionKey key = node_.mirror().key(h);
   const std::uint64_t seq = node_.mirror().seq(h);
   m_.retx_give_ups.Add();
-  if (trace_.armed()) {
+  if (trace_.armed(obs::Ev::kRetxGiveUp)) {
     trace_.Emit(obs::Ev::kRetxGiveUp, net::HashPartitionKey(key), seq);
   }
   // Releases h itself (its timer lane is already 0 — the fired timer
@@ -903,8 +893,8 @@ void RedPlaneSwitch::GiveUpMirror(dp::MirrorTable::Handle h) {
     const std::uint32_t slot = flows_.FindSlot(key);
     if (slot != FlowTable::kNilSlot &&
         flows_.status(slot) == FlowStatus::kInitPending) {
-      if (atap_.armed()) {
-        atap_.Emit(audit::Tap::kLeaseReleased, net::HashPartitionKey(key));
+      if (trace_.armed(obs::Ev::kLeaseReleased)) {
+        trace_.Emit(obs::Ev::kLeaseReleased, net::HashPartitionKey(key));
       }
       CancelRenewTimer(slot);
       flows_.Erase(key);
@@ -959,10 +949,10 @@ void RedPlaneSwitch::StartSnapshotReplication(Snapshottable& snap) {
   epsilon_->SetObserver([this](const net::PartitionKey& key,
                                SimDuration staleness, SimTime /*now*/) {
     m_.epsilon_staleness_us.Record(ToMicroseconds(staleness));
-    if (atap_.armed()) {
-      atap_.Emit(audit::Tap::kEpsilonSample, net::HashPartitionKey(key), 0,
-                 static_cast<std::uint64_t>(kEpsilonBound),
-                 static_cast<double>(staleness));
+    if (trace_.armed(obs::Ev::kEpsilonSample)) {
+      trace_.Emit(obs::Ev::kEpsilonSample, net::HashPartitionKey(key), 0,
+                  static_cast<double>(staleness), 0, 0,
+                  static_cast<std::uint64_t>(kEpsilonBound));
     }
   });
   // One batch per T_snap; packet i addresses slot i (§5.4).  Generated
@@ -1008,7 +998,7 @@ void RedPlaneSwitch::SnapshotBurstSlot(std::uint32_t index) {
     msg.state = snapshottable_->ReadSnapshotSlot(key, index);
     msg.span_id = NewSpanId();
     m_.snapshot_slots_sent.Add();
-    if (trace_.armed()) {
+    if (trace_.armed(obs::Ev::kSnapshotSent)) {
       trace_.Emit(obs::Ev::kSnapshotSent, net::HashPartitionKey(key),
                   SnapSeq(snapshot_round_, index),
                   static_cast<double>(msg.state.size()), msg.span_id);
@@ -1026,8 +1016,8 @@ void RedPlaneSwitch::ReleaseOutput(dp::SwitchContext& ctx,
   // paper's Fig. 10 methodology), so the released output counts as original
   // traffic alongside its arrival.
   m_.orig_bytes.Add(static_cast<double>(pkt.WireSize()));
-  if (atap_.armed()) {
-    atap_.Emit(audit::Tap::kOutputServed, net::HashPartitionKey(key));
+  if (trace_.armed(obs::Ev::kOutputServed)) {
+    trace_.Emit(obs::Ev::kOutputServed, net::HashPartitionKey(key));
   }
   node_.ForwardPacket(std::move(pkt), kInvalidPort);
 }
@@ -1053,9 +1043,9 @@ void RedPlaneSwitch::DumpLeaseTable(std::ostream& os) const {
 
 void RedPlaneSwitch::Reset() {
   ++epoch_;
-  if (atap_.armed()) {
+  if (trace_.armed(obs::Ev::kLeaseReleased)) {
     // key 0 = "this component dropped every lease" (SRAM lost on failure).
-    atap_.Emit(audit::Tap::kLeaseReleased, 0);
+    trace_.Emit(obs::Ev::kLeaseReleased, 0);
   }
   // Cancel every per-entry timer before the tables forget the entries; the
   // epoch bump alone would keep the events pending (and their payload slots

@@ -29,7 +29,6 @@
 #include <unordered_map>
 
 #include "audit/diag.h"
-#include "audit/taps.h"
 #include "core/app.h"
 #include "core/epsilon.h"
 #include "core/flow_table.h"
@@ -93,7 +92,7 @@ struct RedPlaneConfig {
   SimDuration staleness_bound = 0;
   /// TEST-ONLY protocol mutation: replicated-read serves local reads
   /// without checking the staleness bound (the served staleness is still
-  /// honestly tapped), so stale reads beyond the bound escape.  Proves the
+  /// honestly reported), so stale reads beyond the bound escape.  Proves the
   /// bounded_staleness monitor catches them; must stay false in production.
   bool mutation_stale_reads = false;
 };
@@ -194,7 +193,7 @@ class RedPlaneSwitch : public dp::PipelineHandler {
   void SnapshotBurstSlot(std::uint32_t index);
 
   /// Releases an output packet toward its destination.  `key` identifies
-  /// the flow the output belongs to, for the kOutputServed recovery tap
+  /// the flow the output belongs to, for the kOutputServed recovery record
   /// (per-flow downtime is measured between served outputs).
   void ReleaseOutput(dp::SwitchContext& ctx, const net::PartitionKey& key,
                      net::Packet pkt);
@@ -217,7 +216,6 @@ class RedPlaneSwitch : public dp::PipelineHandler {
   FlowTable flows_;
   obs::MetricRegistry stats_;
   obs::TraceHandle trace_;
-  audit::TapHandle atap_;
   audit::DiagToken diag_;
 
   /// Typed handles into stats_ for every hot-path counter (registered once

@@ -114,7 +114,7 @@ MirrorTable::Handle MirrorTable::Mirror(const net::PartitionKey& key,
   ++count_;
   occupancy_ += data_[slot].size();
   peak_ = std::max(peak_, occupancy_);
-  if (trace_.armed()) {
+  if (trace_.armed(obs::Ev::kMirrored)) {
     trace_.Emit(obs::Ev::kMirrored, net::HashPartitionKey(key), seq,
                 static_cast<double>(data_[slot].size()));
   }

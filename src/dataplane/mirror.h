@@ -85,7 +85,7 @@ class MirrorTable {
       }
       slot = next;
     }
-    if (cleared > 0 && trace_.armed()) {
+    if (cleared > 0 && trace_.armed(obs::Ev::kMirrorCleared)) {
       trace_.Emit(obs::Ev::kMirrorCleared, net::HashPartitionKey(key),
                   acked_seq, static_cast<double>(cleared));
     }

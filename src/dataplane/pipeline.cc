@@ -41,7 +41,7 @@ void SwitchNode::HandlePacket(net::Packet pkt, PortId in_port) {
   sim_.Schedule(config_.pipeline_latency, [this, epoch, in_port,
                                            pkt = std::move(pkt)]() mutable {
     if (epoch != epoch_ || !IsUp()) return;
-    if (trace().armed()) {
+    if (trace().armed(obs::Ev::kPipeline)) {
       const auto flow = pkt.Flow();
       trace().Emit(obs::Ev::kPipeline, flow ? net::HashFlowKey(*flow) : 0,
                    pkt.id, static_cast<double>(pkt.WireSize()));

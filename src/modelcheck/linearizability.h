@@ -72,8 +72,9 @@ bool BruteForceCheck(const std::vector<HistoryEvent>& history,
 // The weaker consistency modes trade linearizability for latency, but each
 // still makes a checkable promise.  These oracles are the offline analogue
 // of the online bounded_staleness / merge_convergence audit monitors: a
-// campaign run collects samples from the taps and feeds them here, so the
-// same evidence is judged by two independent implementations.
+// campaign run collects samples from the tracer's subscriber stream and
+// feeds them here, so the same evidence is judged by two independent
+// implementations.
 
 /// One locally served read in replicated-read mode: how far the durable
 /// store view trailed the local state, against the app's declared bound.

@@ -7,7 +7,7 @@
 // structure a flamegraph renders.  Self time is derived at export: a node's
 // total minus its children's totals.
 //
-// Cost discipline (mirrors TraceHandle / TapHandle, DESIGN.md §7/§9):
+// Cost discipline (mirrors TraceHandle, DESIGN.md §7/§9):
 //  * disarmed (no profiler installed, or disabled): one global load and a
 //    predictable branch per scope — cheap enough to leave compiled into
 //    every hot path, including per-packet ones;

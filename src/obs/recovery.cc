@@ -32,60 +32,61 @@ bool PhaseSumOk(const RecoveryEpisode& episode) {
   return sum == episode.Downtime();
 }
 
-void RecoveryTracker::OnTapEvent(const audit::TapEvent& ev) {
-  switch (ev.tap) {
-    case audit::Tap::kNodeDown:
+void RecoveryTracker::OnRecord(const TraceRecord& r) {
+  switch (r.ev) {
+    case Ev::kNodeDown:
       if (open_) {
         ++current_.extra_faults;
       } else {
-        OpenEpisode(ev, "node_down");
+        OpenEpisode(r, "node_down");
       }
       return;
-    case audit::Tap::kLinkCut:
+    case Ev::kLinkCut:
       if (open_) {
         ++current_.extra_faults;
       } else {
-        OpenEpisode(ev, "link_cut");
+        OpenEpisode(r, "link_cut");
       }
       return;
-    case audit::Tap::kRouteReconverged:
+    case Ev::kReroute:
       if (open_ && current_.phase_end[0] == 0) {
-        MarkPhase(RecoveryPhase::kFailureDetection, ev.t);
+        MarkPhase(RecoveryPhase::kFailureDetection, r.t);
       }
       return;
-    case audit::Tap::kLeaseRequested:
+    case Ev::kLeaseRequested:
       if (open_ && current_.phase_end[1] == 0) {
-        MarkPhase(RecoveryPhase::kRouteReconvergence, ev.t);
+        MarkPhase(RecoveryPhase::kRouteReconvergence, r.t);
       }
       return;
-    case audit::Tap::kLeaseGranted:
+    case Ev::kLeaseGrant:
+    case Ev::kFailoverRehome:
       if (open_ && current_.phase_end[2] == 0) {
-        MarkPhase(RecoveryPhase::kLeaseReacquisition, ev.t);
+        MarkPhase(RecoveryPhase::kLeaseReacquisition, r.t);
       }
       return;
-    case audit::Tap::kLeaseAcquired:
+    case Ev::kLeaseAcquired:
       if (open_ && current_.phase_end[3] == 0) {
-        MarkPhase(RecoveryPhase::kStateInstall, ev.t);
+        MarkPhase(RecoveryPhase::kStateInstall, r.t);
       }
       return;
-    case audit::Tap::kOutputServed: {
-      if (open_ && ev.t >= current_.fault_at) {
-        if (first_served_after_fault_ == 0) first_served_after_fault_ = ev.t;
+    case Ev::kOutputServed: {
+      if (open_ && r.t >= current_.fault_at) {
+        if (first_served_after_fault_ == 0) first_served_after_fault_ = r.t;
         // Per-flow downtime: first post-fault service of a flow that was
         // served before the fault.
-        const auto it = served_before_fault_.find(ev.key);
+        const auto it = served_before_fault_.find(r.flow);
         if (it != served_before_fault_.end()) {
           current_.flow_downtime_us.Add(
-              static_cast<double>(ev.t - current_.fault_at) / 1e3);
+              static_cast<double>(r.t - current_.fault_at) / 1e3);
           served_before_fault_.erase(it);
         }
         if (current_.phase_end[3] != 0 && current_.phase_end[4] == 0) {
-          MarkPhase(RecoveryPhase::kFirstPacketServed, ev.t);
+          MarkPhase(RecoveryPhase::kFirstPacketServed, r.t);
           current_.complete = true;
           CloseEpisode();
         }
       }
-      last_served_[ev.key] = ev.t;
+      last_served_[r.flow] = r.t;
       return;
     }
     default:
@@ -93,28 +94,19 @@ void RecoveryTracker::OnTapEvent(const audit::TapEvent& ev) {
   }
 }
 
-void RecoveryTracker::OpenEpisode(const audit::TapEvent& ev,
-                                  const char* trigger) {
+void RecoveryTracker::OpenEpisode(const TraceRecord& r, const char* trigger) {
   open_ = true;
   current_ = RecoveryEpisode{};
   current_.id = episodes_.size() + 1;
-  current_.fault_at = ev.t;
+  current_.fault_at = r.t;
   current_.trigger = trigger;
-  current_.fault_aux = ev.aux;
+  current_.fault_aux = r.aux;
   first_served_after_fault_ = 0;
   served_before_fault_ = last_served_;
-  snapshot_has_records_ = false;
-  snapshot_last_order_ = 0;
   if (tracer_ != nullptr) {
-    // Flight-recorder rescue: copy the ring *now*, while the pre-fault
-    // context is still in it; a long campaign would otherwise evict these
-    // records before the episode closes.
-    current_.trace = tracer_->Records();
+    ring_at_open_ = tracer_->size();
+    emitted_at_open_ = tracer_->emitted();
     current_.evicted_at_open = tracer_->evicted();
-    if (!current_.trace.empty()) {
-      snapshot_last_order_ = current_.trace.back().order;
-      snapshot_has_records_ = true;
-    }
   }
 }
 
@@ -128,7 +120,7 @@ void RecoveryTracker::MarkPhase(RecoveryPhase phase, SimTime t) {
 }
 
 void RecoveryTracker::CloseEpisode() {
-  // Clamp endpoints non-decreasing (defensive: tap timestamps are already
+  // Clamp endpoints non-decreasing (defensive: record timestamps are already
   // monotone within a single-threaded run).
   SimTime prev = current_.fault_at;
   for (int i = 0; i < kNumRecoveryPhases; ++i) {
@@ -137,13 +129,15 @@ void RecoveryTracker::CloseEpisode() {
   }
   if (tracer_ != nullptr) {
     current_.evicted_at_close = tracer_->evicted();
-    // Merge in what the ring accumulated during the episode: records newer
-    // than the open-time snapshot.
-    for (const TraceRecord& r : tracer_->Records()) {
-      if (!snapshot_has_records_ || r.order > snapshot_last_order_) {
-        current_.trace.push_back(r);
-      }
-    }
+    // The ring at open, plus the records written since that the ring still
+    // holds (all of them when the ring was empty at open).
+    const std::uint64_t held = tracer_->size();
+    const std::uint64_t emitted = tracer_->emitted();
+    const std::uint64_t since_open =
+        emitted > emitted_at_open_ ? emitted - emitted_at_open_ : 0;
+    current_.trace_records = ring_at_open_ + (ring_at_open_ == 0
+                                                  ? held
+                                                  : std::min(held, since_open));
   }
   episodes_.push_back(std::move(current_));
   current_ = RecoveryEpisode{};
@@ -178,8 +172,8 @@ void RecoveryTracker::Reset() {
   last_served_.clear();
   served_before_fault_.clear();
   first_served_after_fault_ = 0;
-  snapshot_has_records_ = false;
-  snapshot_last_order_ = 0;
+  ring_at_open_ = 0;
+  emitted_at_open_ = 0;
 }
 
 void RecoveryTracker::WriteJson(std::ostream& os) const {
@@ -214,7 +208,7 @@ void RecoveryTracker::WriteJson(std::ostream& os) const {
     }
     os << "}, \"evicted_during\": "
        << (e.evicted_at_close - e.evicted_at_open)
-       << ", \"trace_records\": " << e.trace.size() << "}";
+       << ", \"trace_records\": " << e.trace_records << "}";
   }
   os << "]}";
 }

@@ -2,16 +2,16 @@
 //
 // RedPlane's headline number is not steady-state latency but the ~1 s
 // end-to-end disruption after a failure — failure-detection delay plus the
-// lease period (Fig. 14, Table 1).  This engine turns the audit tap stream
-// into that number, decomposed: it watches the raw protocol facts the
-// auditor publishes (audit/taps.h) and, on an injected fault
-// (kNodeDown / kLinkCut), opens a *recovery episode* that it closes into
-// five causally ordered phases:
+// lease period (Fig. 14, Table 1).  This engine turns the tracer's
+// subscriber stream (obs/events.h) into that number, decomposed: on an
+// injected fault (kNodeDown / kLinkCut) it opens a *recovery episode* that
+// it closes into five causally ordered phases:
 //
 //   t0 ──────── fault injected            (kNodeDown / kLinkCut)
-//   t0..t1      failure_detection         ends at kRouteReconverged
+//   t0..t1      failure_detection         ends at kReroute
 //   t1..t2      route_reconvergence       ends at kLeaseRequested
-//   t2..t3      lease_reacquisition       ends at kLeaseGranted
+//   t2..t3      lease_reacquisition       ends at kLeaseGrant or
+//                                                 kFailoverRehome
 //   t3..t4      state_install             ends at kLeaseAcquired
 //   t4..t5      first_packet_served       ends at kOutputServed
 //
@@ -27,15 +27,10 @@
 // A flow served before t0 and again at t > t0 contributes the sample
 // (t − t0) to the episode's downtime distribution (p50/p99/max).
 //
-// Flight-recorder snapshot: on episode open the tracker copies the tracer
-// ring (the pre-fault context) so long campaigns cannot evict the records
-// that explain the episode; the close merges in what the ring accumulated
-// during the episode.
-//
-// This file deliberately depends only on the audit *header* (the Tap enum
-// and the TapEvent POD): obs does not link the audit library.  Producers
-// wire the stream with Auditor::SetTapObserver at sites that link both
-// (tools/campaign, the benches).
+// Ring accounting: with a tracer attached, each episode records how many
+// ring records span it (the ring at open plus what was written until
+// close) and how many the ring evicted meanwhile, read from the tracer's
+// counters.
 #pragma once
 
 #include <array>
@@ -45,7 +40,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "audit/taps.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "obs/tracer.h"
@@ -70,7 +64,7 @@ struct RecoveryEpisode {
   std::uint64_t id = 0;       // 1-based, in detection order
   SimTime fault_at = 0;       // t0: the injected fault's timestamp
   std::string trigger;        // "node_down" or "link_cut"
-  std::uint64_t fault_aux = 0;  // tap aux (node id for kNodeDown)
+  std::uint64_t fault_aux = 0;  // fault record's aux (node id for kNodeDown)
   /// End timestamp of each phase (t1..t5); 0 while unreached.  After the
   /// episode closes, every endpoint is set and non-decreasing; a skipped
   /// phase collapses to zero width (its endpoint equals its predecessor's).
@@ -88,10 +82,9 @@ struct RecoveryEpisode {
   /// fault).
   SampleSet flow_downtime_us;
 
-  /// Flight-recorder snapshot: the tracer ring at episode open merged with
-  /// the records accrued until close, in emission order.  Empty when no
-  /// tracer was attached.
-  std::vector<TraceRecord> trace;
+  /// Ring records spanning the episode: those in the ring at open plus
+  /// those written until close.  0 when no tracer was attached.
+  std::uint64_t trace_records = 0;
   std::uint64_t evicted_at_open = 0;
   std::uint64_t evicted_at_close = 0;
 
@@ -113,22 +106,20 @@ struct RecoveryEpisode {
 /// episodes.
 bool PhaseSumOk(const RecoveryEpisode& episode);
 
-/// Consumes the audit tap stream and detects recovery episodes.
+/// Consumes the tracer's subscriber stream and detects recovery episodes.
 ///
 /// Wire with:
-///   auditor.SetTapObserver([&t](const audit::TapEvent& ev) {
-///     t.OnTapEvent(ev);
-///   });
+///   tracer.Subscribe([&t](const obs::TraceRecord& r) { t.OnRecord(r); });
 /// and call Finalize(sim.Now()) after the run drains so an episode whose
 /// t5 marker was missed (no lease re-acquisition) still closes from the
 /// first post-fault service event.
 class RecoveryTracker {
  public:
-  /// `tracer` (optional) is snapshotted on episode open/close.
+  /// `tracer` (optional) is the ring whose counters each episode records.
   explicit RecoveryTracker(const Tracer* tracer = nullptr)
       : tracer_(tracer) {}
 
-  void OnTapEvent(const audit::TapEvent& ev);
+  void OnRecord(const TraceRecord& r);
 
   /// Closes a still-open episode from the recorded post-fault service
   /// times (skipped phases collapse to zero width).  An episode with no
@@ -148,7 +139,7 @@ class RecoveryTracker {
   ///                  "phases": [{"name", "start_ns", "end_ns",
   ///                              "duration_ns"}, ...],
   ///                  "flows": {"count", "p50_us", "p99_us", "max_us"},
-  ///                  "evicted_during": N}, ...]}
+  ///                  "evicted_during": N, "trace_records": N}, ...]}
   void WriteJson(std::ostream& os) const;
   std::string Json() const;
 
@@ -156,7 +147,7 @@ class RecoveryTracker {
   void PrintTimeline(std::ostream& os) const;
 
  private:
-  void OpenEpisode(const audit::TapEvent& ev, const char* trigger);
+  void OpenEpisode(const TraceRecord& r, const char* trigger);
   /// Sets phase endpoint `phase` to `t` if unset, back-filling any unset
   /// earlier endpoints (skipped phases collapse to zero width).
   void MarkPhase(RecoveryPhase phase, SimTime t);
@@ -166,10 +157,10 @@ class RecoveryTracker {
   std::vector<RecoveryEpisode> episodes_;
   bool open_ = false;
   RecoveryEpisode current_;
-  /// Order index of the newest record in the open-time snapshot, so the
-  /// close-time merge appends only records emitted after it.
-  std::uint64_t snapshot_last_order_ = 0;
-  bool snapshot_has_records_ = false;
+  /// Ring size and emission count at episode open: the close counts only
+  /// the records written after open that the ring still holds.
+  std::uint64_t ring_at_open_ = 0;
+  std::uint64_t emitted_at_open_ = 0;
   /// Last time each flow (pre-hashed partition key) was served an output.
   std::unordered_map<std::uint64_t, SimTime> last_served_;
   /// Flows already sampled into the open episode's downtime distribution.

@@ -12,49 +12,6 @@
 
 namespace redplane::obs {
 
-const char* EvName(Ev ev) {
-  switch (ev) {
-    case Ev::kIngress: return "ingress";
-    case Ev::kHostRecv: return "host_recv";
-    case Ev::kLinkDrop: return "link_drop";
-    case Ev::kLinkDown: return "link_down";
-    case Ev::kLinkUp: return "link_up";
-    case Ev::kNodeFailure: return "node_failure";
-    case Ev::kNodeRecovery: return "node_recovery";
-    case Ev::kReroute: return "reroute";
-    case Ev::kPipeline: return "pipeline";
-    case Ev::kRecirculate: return "recirculate";
-    case Ev::kMirrored: return "mirrored";
-    case Ev::kMirrorCleared: return "mirror_cleared";
-    case Ev::kCpInstalled: return "cp_installed";
-    case Ev::kPktgenBatch: return "pktgen_batch";
-    case Ev::kLeaseMiss: return "lease_miss";
-    case Ev::kLeaseGrant: return "lease_grant";
-    case Ev::kFailoverRehome: return "failover_rehome";
-    case Ev::kReplicationSent: return "replication_sent";
-    case Ev::kRenewSent: return "renew_sent";
-    case Ev::kRenewAck: return "renew_ack";
-    case Ev::kBufferedRead: return "buffered_read";
-    case Ev::kBufferedReadLoop: return "buffered_read_loop";
-    case Ev::kRetransmit: return "retransmit";
-    case Ev::kRetxGiveUp: return "retx_give_up";
-    case Ev::kAckReleased: return "ack_released";
-    case Ev::kLeaseDenied: return "lease_denied";
-    case Ev::kSnapshotSent: return "snapshot_sent";
-    case Ev::kOutputDropped: return "output_dropped";
-    case Ev::kStoreRecv: return "store_recv";
-    case Ev::kStoreServiceStart: return "store_service_start";
-    case Ev::kStoreApplied: return "store_applied";
-    case Ev::kStoreBuffered: return "store_buffered";
-    case Ev::kStoreReadParked: return "store_read_parked";
-    case Ev::kStoreDenied: return "store_denied";
-    case Ev::kStoreResponded: return "store_responded";
-    case Ev::kBatchFlushed: return "batch_flushed";
-    case Ev::kStoreBatchRecv: return "store_batch_recv";
-  }
-  return "?";
-}
-
 namespace internal {
 Tracer* g_tracer = nullptr;
 }  // namespace internal
@@ -102,28 +59,60 @@ const std::string& Tracer::ComponentName(std::uint16_t id) const {
   return id < components_.size() ? components_[id] : kUnknown;
 }
 
+std::uint64_t Tracer::Subscribe(Subscriber fn) {
+  const std::uint64_t id = next_subscriber_++;
+  subscribers_.emplace_back(id, std::move(fn));
+  UpdateSinks();
+  return id;
+}
+
+void Tracer::Unsubscribe(std::uint64_t id) {
+  std::erase_if(subscribers_, [id](const auto& s) { return s.first == id; });
+  UpdateSinks();
+}
+
 void Tracer::Emit(std::uint16_t component, Ev ev, std::uint64_t flow,
                   std::uint64_t seq, double arg, std::uint64_t span,
-                  std::uint64_t parent_span) {
-  if (!enabled_) return;
-  if (flow_filter_ != 0 && flow != 0 && flow != flow_filter_) return;
-  TraceRecord rec;
-  rec.t = NowOrZero();
-  rec.order = next_order_++;
-  rec.ev = ev;
-  rec.component = component;
-  rec.flow = flow;
-  rec.seq = seq;
-  rec.arg = arg;
-  rec.span = span;
-  rec.parent_span = parent_span;
+                  std::uint64_t parent_span, std::uint64_t aux,
+                  std::uint8_t sinks) {
+  const std::uint8_t to = sinks_ & EvSinks(ev) & sinks;
+  if (to == 0) return;
+  // Every field is stored straight into its destination, so a ring record
+  // is written in place with no temporary copied over it.
+  const auto fill = [&](TraceRecord& r, std::uint64_t order) {
+    r.t = NowOrZero();
+    r.order = order;
+    r.ev = ev;
+    r.component = component;
+    r.orphan = false;
+    r.flow = flow;
+    r.seq = seq;
+    r.arg = arg;
+    r.span = span;
+    r.parent_span = parent_span;
+    r.aux = aux;
+  };
+  if ((to & kRing) == 0) {
+    TraceRecord rec;
+    fill(rec, 0);
+    for (const auto& [id, fn] : subscribers_) fn(rec);
+    return;
+  }
+  TraceRecord* slot;
   if (count_ < ring_.size()) {
-    ring_[(head_ + count_) % ring_.size()] = rec;
+    slot = &ring_[(head_ + count_) % ring_.size()];
     ++count_;
   } else {
-    ring_[head_] = rec;
+    slot = &ring_[head_];
     head_ = (head_ + 1) % ring_.size();
     ++evicted_;
+  }
+  fill(*slot, next_order_++);
+  if ((to & kSubscribers) != 0) {
+    // Dispatched from a copy: a subscriber may itself emit and wrap the
+    // ring over this slot.
+    const TraceRecord rec = *slot;
+    for (const auto& [id, fn] : subscribers_) fn(rec);
   }
 }
 

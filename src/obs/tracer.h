@@ -1,11 +1,18 @@
-// Deterministic per-packet lifecycle tracer.
+// Deterministic event bus: one record stream for tracing and auditing.
 //
-// A Tracer records fixed-size event records into a bounded ring buffer.
+// Components emit every fact through a `TraceHandle`, which caches its
+// interned component id.  The Tracer routes each record by its kind's row in
+// obs/events.h: ring kinds go to a bounded ring buffer (Chrome export,
+// latency breakdown, causal slices), subscriber kinds go synchronously to
+// the subscribers (the auditor's monitors, the recovery tracker), and a few
+// kinds go to both.  The ring and the subscribers are armed independently:
+// an auditor can subscribe to a tracer whose ring stays disabled.  A handle
+// whose kind reaches no armed sink compiles down to two loads and a branch,
+// cheap enough to leave in every hot path.
+//
 // Timestamps come from an injected clock (the simulator registers
 // `Simulator::Now`), so identical seeds produce byte-identical trace
-// exports.  Components emit through a `TraceHandle`, which caches its
-// interned component id and compiles down to two loads and a branch when
-// tracing is disabled — cheap enough to leave in every hot path.
+// exports and identical subscriber streams.
 //
 // Exports: Chrome `trace_event` JSON (loadable in Perfetto / chrome://tracing)
 // and a per-phase latency-breakdown table (p50/p99 per protocol phase),
@@ -18,6 +25,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -27,13 +35,15 @@
 
 namespace redplane::obs {
 
-/// One trace record.  `flow` is a pre-hashed flow/key identifier (callers
+/// One event record.  `flow` is a pre-hashed flow/key identifier (callers
 /// hash with net::HashFlowKey / net::HashPartitionKey); `seq` disambiguates
-/// per-write lifecycles; `arg` carries an event-specific payload (bytes,
-/// counts, ...).
+/// per-write lifecycles; `arg` and `aux` carry event-specific payloads
+/// (bytes, staleness, believed lease expiry, ...; see obs/events.h).
 struct TraceRecord {
   SimTime t = 0;
-  std::uint64_t order = 0;  // global emission index; breaks timestamp ties
+  /// Ring emission index; breaks timestamp ties.  Only ring records take
+  /// one (a subscriber-only record carries 0).
+  std::uint64_t order = 0;
   Ev ev = Ev::kIngress;
   std::uint16_t component = 0;
   /// End-of-span record whose begin partner is absent from the record set
@@ -50,6 +60,7 @@ struct TraceRecord {
   std::uint64_t span = 0;
   /// Enclosing span, for lifecycles spawned by another (0 = root).
   std::uint64_t parent_span = 0;
+  std::uint64_t aux = 0;
 };
 
 /// One begin→end protocol-span pairing (the pairings behind
@@ -98,14 +109,27 @@ class Tracer {
 
   explicit Tracer(std::size_t capacity = kDefaultCapacity);
 
+  using Subscriber = std::function<void(const TraceRecord&)>;
+
   // --- configuration ---
   void SetClock(std::function<SimTime()> clock) { clock_ = std::move(clock); }
   void ClearClock() { clock_ = nullptr; }
-  void SetEnabled(bool enabled) { enabled_ = enabled; }
+  /// Arms the ring (subscribers are armed by subscribing).
+  void SetEnabled(bool enabled) {
+    enabled_ = enabled;
+    UpdateSinks();
+  }
   bool enabled() const { return enabled_; }
-  /// Record-time flow filter: when nonzero, only records with this flow id
-  /// (or flow == 0, i.e. non-flow events) are kept.
-  void SetFlowFilter(std::uint64_t flow) { flow_filter_ = flow; }
+  /// The armed sinks (a Sink mask): kRing when enabled, kSubscribers when
+  /// anyone subscribed.
+  std::uint8_t sinks() const { return sinks_; }
+
+  // --- subscribers ---
+  /// Calls `fn` with every record of a subscriber kind, in emission order,
+  /// after any ring write of the same record.  Returns an id for
+  /// Unsubscribe.
+  std::uint64_t Subscribe(Subscriber fn);
+  void Unsubscribe(std::uint64_t id);
 
   // --- component interning ---
   /// Interns `name`, returning its stable component id.
@@ -117,15 +141,20 @@ class Tracer {
   std::uint64_t generation() const { return generation_; }
 
   // --- recording ---
+  /// Routes one record to the armed sinks among `EvSinks(ev) & sinks`.
   void Emit(std::uint16_t component, Ev ev, std::uint64_t flow = 0,
             std::uint64_t seq = 0, double arg = 0.0, std::uint64_t span = 0,
-            std::uint64_t parent_span = 0);
+            std::uint64_t parent_span = 0, std::uint64_t aux = 0,
+            std::uint8_t sinks = kBoth);
 
   // --- inspection ---
   std::size_t size() const { return count_; }
   std::size_t capacity() const { return ring_.size(); }
   /// Number of records evicted from the ring since the last Clear().
   std::uint64_t evicted() const { return evicted_; }
+  /// Number of records written to the ring since the last Clear() (the
+  /// next record's `order`).
+  std::uint64_t emitted() const { return next_order_; }
   /// Records in emission order (oldest first), optionally filtered.
   std::vector<TraceRecord> Records(const TraceFilter& filter = {}) const;
   /// End-of-span records currently in the ring whose begin partner was
@@ -159,6 +188,10 @@ class Tracer {
   const TraceRecord& At(std::size_t i) const {
     return ring_[(head_ + i) % ring_.size()];
   }
+  void UpdateSinks() {
+    sinks_ = static_cast<std::uint8_t>(
+        (enabled_ ? kRing : 0) | (subscribers_.empty() ? 0 : kSubscribers));
+  }
 
   std::vector<TraceRecord> ring_;
   std::size_t head_ = 0;   // index of oldest record
@@ -166,7 +199,9 @@ class Tracer {
   std::uint64_t evicted_ = 0;
   std::uint64_t next_order_ = 0;
   bool enabled_ = false;
-  std::uint64_t flow_filter_ = 0;
+  std::uint8_t sinks_ = 0;
+  std::vector<std::pair<std::uint64_t, Subscriber>> subscribers_;
+  std::uint64_t next_subscriber_ = 1;
   std::function<SimTime()> clock_;
   std::vector<std::string> components_;
   std::uint64_t generation_ = 1;
@@ -197,24 +232,28 @@ class TraceHandle {
   }
   const std::string& name() const { return name_; }
 
-  /// True when emitting would actually record — callers guard any expensive
-  /// argument computation (flow hashing, byte counting) behind this.
-  bool armed() const {
-    Tracer* t = internal::g_tracer;
-    return t != nullptr && t->enabled();
+  /// True when emitting `ev` would reach an armed sink — callers guard any
+  /// expensive argument computation (flow hashing, byte counting) behind
+  /// this.
+  bool armed(Ev ev) const {
+    const Tracer* t = internal::g_tracer;
+    return t != nullptr && (t->sinks() & EvSinks(ev)) != 0;
   }
 
+  /// Emits one record to the global tracer.  `sinks` narrows the kind's
+  /// routing (for a site whose subscriber fact is a different kind).
   void Emit(Ev ev, std::uint64_t flow = 0, std::uint64_t seq = 0,
             double arg = 0.0, std::uint64_t span = 0,
-            std::uint64_t parent_span = 0) const {
+            std::uint64_t parent_span = 0, std::uint64_t aux = 0,
+            std::uint8_t sinks = kBoth) const {
     Tracer* t = internal::g_tracer;
-    if (t == nullptr || !t->enabled()) return;
+    if (t == nullptr || (t->sinks() & EvSinks(ev) & sinks) == 0) return;
     if (cached_tracer_ != t || cached_generation_ != t->generation()) {
       cached_tracer_ = t;
       cached_generation_ = t->generation();
       cached_id_ = t->Intern(name_.empty() ? std::string_view("?") : name_);
     }
-    t->Emit(cached_id_, ev, flow, seq, arg, span, parent_span);
+    t->Emit(cached_id_, ev, flow, seq, arg, span, parent_span, aux, sinks);
   }
 
  private:

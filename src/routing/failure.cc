@@ -39,9 +39,9 @@ void FailureInjector::SchedulePartialPartition(sim::Link* link, NodeId from,
 
 void FailureInjector::FailNode(sim::Node* node) {
   if (++node_cuts_[node] > 1) return;  // already down: deepen only
-  if (atap_.armed()) {
-    atap_.Emit(audit::Tap::kNodeDown, 0, 0,
-               static_cast<std::uint64_t>(node->id()));
+  if (trace_.armed(obs::Ev::kNodeDown)) {
+    trace_.Emit(obs::Ev::kNodeDown, 0, 0, 0.0, 0, 0,
+                static_cast<std::uint64_t>(node->id()));
   }
   node->SetUp(false);
   fabric_.NotifyTopologyChange();
@@ -51,9 +51,9 @@ void FailureInjector::RecoverNode(sim::Node* node) {
   auto it = node_cuts_.find(node);
   if (it == node_cuts_.end() || it->second == 0) return;  // spurious heal
   if (--it->second > 0) return;  // another cut still holds the node down
-  if (atap_.armed()) {
-    atap_.Emit(audit::Tap::kNodeUp, 0, 0,
-               static_cast<std::uint64_t>(node->id()));
+  if (trace_.armed(obs::Ev::kNodeUp)) {
+    trace_.Emit(obs::Ev::kNodeUp, 0, 0, 0.0, 0, 0,
+                static_cast<std::uint64_t>(node->id()));
   }
   node->SetUp(true);
   fabric_.NotifyTopologyChange();
@@ -61,8 +61,8 @@ void FailureInjector::RecoverNode(sim::Node* node) {
 
 void FailureInjector::FailLink(sim::Link* link) {
   if (++link_cuts_[link] > 1) return;
-  if (atap_.armed()) {
-    atap_.Emit(audit::Tap::kLinkCut, 0);
+  if (trace_.armed(obs::Ev::kLinkCut)) {
+    trace_.Emit(obs::Ev::kLinkCut, 0);
   }
   link->SetUp(false);
   fabric_.NotifyTopologyChange();
@@ -72,8 +72,8 @@ void FailureInjector::RecoverLink(sim::Link* link) {
   auto it = link_cuts_.find(link);
   if (it == link_cuts_.end() || it->second == 0) return;
   if (--it->second > 0) return;
-  if (atap_.armed()) {
-    atap_.Emit(audit::Tap::kLinkRestored, 0);
+  if (trace_.armed(obs::Ev::kLinkRestored)) {
+    trace_.Emit(obs::Ev::kLinkRestored, 0);
   }
   link->SetUp(true);
   fabric_.NotifyTopologyChange();
@@ -85,9 +85,9 @@ void FailureInjector::ApplyAsymmetricLoss(sim::Link* link, NodeId from,
   ++dl.depth;
   dl.rate = std::max(dl.rate, rate);
   link->SetDirectionLoss(from, dl.rate);
-  if (atap_.armed()) {
-    atap_.Emit(audit::Tap::kGrayFault, 0, 0,
-               static_cast<std::uint64_t>(from), rate);
+  if (trace_.armed(obs::Ev::kGrayFault)) {
+    trace_.Emit(obs::Ev::kGrayFault, 0, 0, rate, 0, 0,
+                static_cast<std::uint64_t>(from));
   }
 }
 
@@ -97,9 +97,9 @@ void FailureInjector::ClearAsymmetricLoss(sim::Link* link, NodeId from) {
   if (--it->second.depth > 0) return;  // another injection still active
   it->second.rate = 0.0;
   link->SetDirectionLoss(from, -1.0);
-  if (atap_.armed()) {
-    atap_.Emit(audit::Tap::kGrayCleared, 0, 0,
-               static_cast<std::uint64_t>(from));
+  if (trace_.armed(obs::Ev::kGrayCleared)) {
+    trace_.Emit(obs::Ev::kGrayCleared, 0, 0, 0.0, 0, 0,
+                static_cast<std::uint64_t>(from));
   }
 }
 

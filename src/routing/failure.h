@@ -22,7 +22,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "audit/taps.h"
+#include "obs/tracer.h"
 #include "routing/ecmp.h"
 #include "sim/link.h"
 #include "sim/node.h"
@@ -81,9 +81,9 @@ class FailureInjector {
   std::unordered_map<const sim::Node*, int> node_cuts_;
   std::unordered_map<const sim::Link*, int> link_cuts_;
   std::map<std::pair<const sim::Link*, NodeId>, DirLoss> dir_loss_;
-  /// Injected faults are published as audit environment events so causal
-  /// slices can show the fault that preceded a violation.
-  audit::TapHandle atap_{"failure_injector"};
+  /// Injected faults are reported as environment events so the recovery
+  /// tracker can open episodes and the auditor can see them.
+  obs::TraceHandle trace_{"failure_injector"};
 };
 
 }  // namespace redplane::routing

@@ -28,7 +28,7 @@ class HostNode : public Node {
 
   /// Transmits out of the host's single uplink.
   void Send(net::Packet pkt) {
-    if (trace().armed()) {
+    if (trace().armed(obs::Ev::kIngress)) {
       const auto flow = pkt.Flow();
       trace().Emit(obs::Ev::kIngress, flow ? net::HashFlowKey(*flow) : 0, pkt.id,
                    static_cast<double>(pkt.WireSize()));
@@ -39,7 +39,7 @@ class HostNode : public Node {
   void HandlePacket(net::Packet pkt, PortId in_port) override {
     (void)in_port;
     if (!IsUp()) return;
-    if (trace().armed()) {
+    if (trace().armed(obs::Ev::kHostRecv)) {
       const auto flow = pkt.Flow();
       trace().Emit(obs::Ev::kHostRecv, flow ? net::HashFlowKey(*flow) : 0,
                    pkt.id, static_cast<double>(pkt.WireSize()));

@@ -66,9 +66,9 @@ void ChainManager::Probe() {
     active_ = std::move(survivors);
     ++reconfigurations_;
     Rewire();
-    if (atap_.armed()) {
-      atap_.Emit(audit::Tap::kChainReconfig, 0, reconfigurations_,
-                 active_.size());
+    if (trace_.armed(obs::Ev::kChainReconfig)) {
+      trace_.Emit(obs::Ev::kChainReconfig, 0, reconfigurations_, 0.0, 0, 0,
+                  active_.size());
     }
     // The splice moved the chain's commit point: by the prefix property,
     // everything the surviving tail has applied is also present on every
@@ -136,19 +136,19 @@ void ChainManager::Readmit(StateStoreServer* replica) {
     active_.push_back(replica);
     ++reconfigurations_;
     Rewire();
-    if (atap_.armed()) {
-      atap_.Emit(audit::Tap::kChainReconfig, 0, reconfigurations_,
-                 active_.size());
+    if (trace_.armed(obs::Ev::kChainReconfig)) {
+      trace_.Emit(obs::Ev::kChainReconfig, 0, reconfigurations_, 0.0, 0, 0,
+                  active_.size());
     }
   });
 }
 
 void ChainManager::EmitResyncCommits(
     const std::unordered_map<net::PartitionKey, FlowRecord>& flows) {
-  if (!atap_.armed()) return;
+  if (!trace_.armed(obs::Ev::kResyncCommit)) return;
   for (const auto& [key, rec] : flows) {
-    atap_.Emit(audit::Tap::kResyncCommit, net::HashPartitionKey(key),
-               rec.last_applied_seq);
+    trace_.Emit(obs::Ev::kResyncCommit, net::HashPartitionKey(key),
+                rec.last_applied_seq);
   }
 }
 

@@ -22,6 +22,7 @@
 
 #include <vector>
 
+#include "obs/tracer.h"
 #include "sim/simulator.h"
 #include "statestore/server.h"
 
@@ -64,14 +65,14 @@ class ChainManager {
   void Probe();
   void Rewire();
   void Readmit(StateStoreServer* replica);
-  /// Publishes each resynced record as durable-by-resync to the auditor
+  /// Reports each resynced record as durable-by-resync to the auditor
   /// (a rejoining replica's records are commit evidence, not re-applies).
   void EmitResyncCommits(
       const std::unordered_map<net::PartitionKey, FlowRecord>& flows);
 
   sim::Simulator& sim_;
   ChainManagerConfig config_;
-  audit::TapHandle atap_{"chain_mgr"};
+  obs::TraceHandle trace_{"chain_mgr"};
   std::vector<StateStoreServer*> all_;
   std::vector<StateStoreServer*> active_;
   std::uint64_t reconfigurations_ = 0;

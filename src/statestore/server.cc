@@ -22,7 +22,6 @@ StateStoreServer::StateStoreServer(sim::Simulator& sim, NodeId id,
                                    std::string name, net::Ipv4Addr ip,
                                    StoreConfig config)
     : Node(sim, id, std::move(name)), ip_(ip), config_(config) {
-  atap_.SetName(this->name());
   auto& reg = counters();
   m_.non_protocol_drops = reg.RegisterCounter("non_protocol_drops");
   m_.malformed_drops = reg.RegisterCounter("malformed_drops");
@@ -141,7 +140,7 @@ void StateStoreServer::HandlePacket(net::Packet pkt, PortId in_port) {
   }
   // Arrival instant: begins the request's queue-wait segment (service start
   // is emitted by ProcessMsg when the FIFO drains to it).
-  if (trace().armed()) {
+  if (trace().armed(obs::Ev::kStoreRecv)) {
     trace().Emit(obs::Ev::kStoreRecv, net::HashPartitionKey(msg->key()),
                  msg->seq(), static_cast<double>(msg->chain_hop()),
                  msg->span_id());
@@ -171,10 +170,10 @@ void StateStoreServer::SetUp(bool up) {
     in_batch_ = false;
     busy_until_ = 0;
     m_.failures.Add();
-    if (atap_.armed()) {
+    if (trace().armed(obs::Ev::kStoreReset)) {
       // This replica's DRAM records are gone; audit baselines derived from
       // them (sequence filter positions) must be forgotten too.
-      atap_.Emit(audit::Tap::kStoreReset, 0);
+      trace().Emit(obs::Ev::kStoreReset, 0);
     }
   }
 }
@@ -183,7 +182,7 @@ void StateStoreServer::ProcessMsg(MsgView msg) {
   obs::ProfScope prof(g_prof_process);
   // Service start: closes the queue-wait segment opened by the arrival
   // kStoreRecv in HandlePacket.
-  if (trace().armed()) {
+  if (trace().armed(obs::Ev::kStoreServiceStart)) {
     trace().Emit(obs::Ev::kStoreServiceStart, net::HashPartitionKey(msg.key()),
                  msg.seq(), static_cast<double>(msg.chain_hop()),
                  msg.span_id());
@@ -197,7 +196,7 @@ void StateStoreServer::ProcessMsg(MsgView msg) {
     // A request from a switch reached a non-head replica (stale partition
     // map); drop — the switch will retransmit toward the right head.
     m_.misdirected_drops.Add();
-    if (trace().armed()) {
+    if (trace().armed(obs::Ev::kStoreDenied)) {
       trace().Emit(obs::Ev::kStoreDenied, net::HashPartitionKey(msg.key()),
                    msg.seq(), 0.0, msg.span_id());
     }
@@ -227,7 +226,7 @@ void StateStoreServer::ProcessBatchEnvelope(net::BufferView frame) {
   }
   m_.batch_envelopes.Add();
   m_.batch_subs.Add(static_cast<double>(batch->size()));
-  if (trace().armed()) {
+  if (trace().armed(obs::Ev::kStoreBatchRecv)) {
     trace().Emit(obs::Ev::kStoreBatchRecv, 0, batch->size(),
                  static_cast<double>(frame.size()));
   }
@@ -243,13 +242,14 @@ void StateStoreServer::ProcessBatchEnvelope(net::BufferView frame) {
     // envelope's arrival already paid the queue wait); emit the per-sub
     // arrival here so every span still carries a (zero-length) queue-wait
     // segment and pairs symmetrically with the single-message path.
-    if (trace().armed()) {
+    if (trace().armed(obs::Ev::kStoreRecv)) {
       trace().Emit(obs::Ev::kStoreRecv, net::HashPartitionKey(msg->key()),
                    msg->seq(), static_cast<double>(msg->chain_hop()),
                    msg->span_id());
     }
     // Each sub-message runs the regular handler, so seq filtering, lease
-    // checks, taps, and per-flow acks are exactly per-packet semantics.
+    // checks, trace records, and per-flow acks are exactly per-packet
+    // semantics.
     ProcessMsg(std::move(*msg));
   }
   in_batch_ = false;
@@ -309,7 +309,7 @@ void StateStoreServer::HandleInit(Msg msg) {
   if (max_flows_ > 0 && flows_.size() >= max_flows_ &&
       flows_.find(msg.key) == flows_.end()) {
     SendDeny(msg.key, msg.reply_to, 0, msg.span_id);
-    if (trace().armed()) {
+    if (trace().armed(obs::Ev::kStoreDenied)) {
       trace().Emit(obs::Ev::kStoreDenied, net::HashPartitionKey(msg.key), 0,
                    0.0, msg.span_id);
     }
@@ -329,7 +329,7 @@ void StateStoreServer::HandleInit(Msg msg) {
     }
     if (queue.size() >= config_.max_buffered_inits) {
       SendDeny(msg.key, msg.reply_to, rec.last_applied_seq, msg.span_id);
-      if (trace().armed()) {
+      if (trace().armed(obs::Ev::kStoreDenied)) {
         trace().Emit(obs::Ev::kStoreDenied, net::HashPartitionKey(msg.key), 0,
                      0.0, msg.span_id);
       }
@@ -340,7 +340,7 @@ void StateStoreServer::HandleInit(Msg msg) {
     const SimTime retry_at = rec.lease_expiry + Microseconds(1);
     queue.push_back(PendingInit{std::move(msg)});
     m_.init_buffered.Add();
-    if (trace().armed()) {
+    if (trace().armed(obs::Ev::kStoreBuffered)) {
       trace().Emit(obs::Ev::kStoreBuffered, net::HashPartitionKey(key), 0,
                    static_cast<double>(queue.size()), span);
     }
@@ -374,7 +374,7 @@ void StateStoreServer::HandleRepl(MsgView msg) {
   FlowRecord& rec = GetOrCreate(msg.key());
   if (LeaseActiveByOther(rec, msg.reply_to())) {
     SendDeny(msg.key(), msg.reply_to(), rec.last_applied_seq, msg.span_id());
-    if (trace().armed()) {
+    if (trace().armed(obs::Ev::kStoreDenied)) {
       trace().Emit(obs::Ev::kStoreDenied, net::HashPartitionKey(msg.key()),
                    msg.seq(), 0.0, msg.span_id());
     }
@@ -388,13 +388,13 @@ void StateStoreServer::HandleRepl(MsgView msg) {
     // and release any piggybacked output (its effects are subsumed by the
     // newer durable state).  The piggyback bytes are echoed verbatim.
     m_.stale_writes.Add();
-    if (atap_.armed()) {
+    if (trace().armed(obs::Ev::kStoreFiltered)) {
       const std::uint64_t key_hash = net::HashPartitionKey(msg.key());
-      atap_.Emit(audit::Tap::kStoreFiltered, key_hash, msg.seq(),
-                 rec.last_applied_seq);
+      trace().Emit(obs::Ev::kStoreFiltered, key_hash, msg.seq(), 0.0, 0, 0,
+                   rec.last_applied_seq);
       // The ack about to be sent acknowledges seq already durable
       // chain-wide — legal evidence for the chain-commit monitor.
-      atap_.Emit(audit::Tap::kDupAckDurable, key_hash, rec.last_applied_seq);
+      trace().Emit(obs::Ev::kDupAckDurable, key_hash, rec.last_applied_seq);
     }
     Msg ack;
     ack.type = MsgType::kAck;
@@ -418,7 +418,7 @@ void StateStoreServer::HandleRenewOnly(MsgView msg) {
   FlowRecord& rec = GetOrCreate(msg.key());
   if (LeaseActiveByOther(rec, msg.reply_to())) {
     SendDeny(msg.key(), msg.reply_to(), rec.last_applied_seq, msg.span_id());
-    if (trace().armed()) {
+    if (trace().armed(obs::Ev::kStoreDenied)) {
       trace().Emit(obs::Ev::kStoreDenied, net::HashPartitionKey(msg.key()),
                    msg.seq(), 0.0, msg.span_id());
     }
@@ -512,9 +512,9 @@ void StateStoreServer::PushToSubscribers(const net::PartitionKey& key,
     push.mode = core::ConsistencyMode::kReplicatedRead;
     push.span_id = span;
     m_.replica_pushes_tx.Add();
-    if (atap_.armed()) {
-      atap_.Emit(audit::Tap::kReplicaPushed, net::HashPartitionKey(key),
-                 rec.last_applied_seq, sub.value);
+    if (trace().armed(obs::Ev::kReplicaPushed)) {
+      trace().Emit(obs::Ev::kReplicaPushed, net::HashPartitionKey(key),
+                   rec.last_applied_seq, 0.0, 0, 0, sub.value);
     }
     SendMsg(sub, push);
   }
@@ -543,16 +543,11 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
         const std::uint64_t prev_applied = rec.last_applied_seq;
         rec.state = msg.state().ToVector();
         rec.last_applied_seq = msg.seq();
-        if (trace().armed()) {
+        if (trace().armed(obs::Ev::kStoreApplied)) {
           trace().Emit(obs::Ev::kStoreApplied,
                        net::HashPartitionKey(msg.key()), msg.seq(),
                        static_cast<double>(msg.state().size()),
-                       msg.span_id());
-        }
-        if (atap_.armed()) {
-          atap_.Emit(audit::Tap::kStoreApplied,
-                     net::HashPartitionKey(msg.key()), msg.seq(),
-                     prev_applied);
+                       msg.span_id(), 0, prev_applied);
         }
         PushToSubscribers(msg.key(), rec, msg.reply_to(), msg.span_id());
       }
@@ -574,7 +569,7 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
         // is released by PumpWaitingReads when the blocking condition
         // clears, or dropped if it outlives a lease period (packet loss is
         // permitted by the correctness model).
-        if (trace().armed()) {
+        if (trace().armed(obs::Ev::kStoreReadParked)) {
           trace().Emit(obs::Ev::kStoreReadParked,
                        net::HashPartitionKey(msg.key()), msg.seq(), 0.0,
                        msg.span_id());
@@ -603,12 +598,14 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
       } else {
         config_.merger(rec.state, msg.state().span());
       }
-      if (trace().armed()) {
+      if (trace().armed(obs::Ev::kStoreApplied)) {
+        // Ring only: the subscribers' fact for a merge is kMergeApplied,
+        // which carries the merged measure instead of the state size.
         trace().Emit(obs::Ev::kStoreApplied, net::HashPartitionKey(msg.key()),
                      msg.seq(), static_cast<double>(msg.state().size()),
-                     msg.span_id());
+                     msg.span_id(), 0, 0, obs::kRing);
       }
-      if (atap_.armed()) {
+      if (trace().armed(obs::Ev::kMergeApplied)) {
         // The measure is computed from the *post-merge* stored state: a
         // correct join can only move up the lattice, so this series is
         // non-decreasing per key (checked by the merge-convergence
@@ -616,8 +613,8 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
         // (possibly lower) measure and get caught.
         const double measure =
             config_.measure != nullptr ? config_.measure(rec.state) : 0.0;
-        atap_.Emit(audit::Tap::kMergeApplied, net::HashPartitionKey(msg.key()),
-                   msg.seq(), 0, measure);
+        trace().Emit(obs::Ev::kMergeApplied, net::HashPartitionKey(msg.key()),
+                     msg.seq(), measure);
       }
       break;
     }
@@ -670,17 +667,18 @@ void StateStoreServer::Respond(const MsgView& request) {
     if (const FlowRecord* rec = Find(request.key())) resp.state = rec->state;
   }
   m_.responses.Add();
-  if (trace().armed()) {
+  if (trace().armed(obs::Ev::kStoreResponded)) {
     trace().Emit(obs::Ev::kStoreResponded,
                  net::HashPartitionKey(request.key()), request.seq(), 0.0,
                  request.span_id());
   }
-  if (atap_.armed() && IsTail() && request.ack() == AckKind::kWriteAck) {
+  if (trace().armed(obs::Ev::kTailCommit) && IsTail() &&
+      request.ack() == AckKind::kWriteAck) {
     // The tail answering a decided write is the chain-wide commit point —
     // emitted before the response leaves so the commit-order monitor sees
     // commit evidence strictly before the switch's ack-released event.
-    atap_.Emit(audit::Tap::kTailCommit, net::HashPartitionKey(request.key()),
-               request.seq());
+    trace().Emit(obs::Ev::kTailCommit, net::HashPartitionKey(request.key()),
+                 request.seq());
   }
   SendMsg(request.reply_to(), resp);
 }

@@ -28,23 +28,32 @@ namespace redplane {
 namespace {
 
 using audit::Auditor;
-using audit::Tap;
+using obs::Ev;
 
 // ---------------------------------------------------------------------------
-// Monitor unit tests: feed tap events straight into an auditor.
+// Monitor unit tests: emit records straight into a tracer the auditor
+// subscribes to (its ring stays disabled unless a test arms it).
 
 struct AuditorFixture : public ::testing::Test {
   void SetUp() override {
-    auditor.SetClock([this] { return now; });
+    tracer.SetClock([this] { return now; });
     auditor.ArmStandardMonitors();
-    auditor.SetEnabled(true);
-    sw1 = auditor.Intern("sw1");
-    sw2 = auditor.Intern("sw2");
-    store = auditor.Intern("store0");
+    auditor.Attach(&tracer);
+    sw1 = tracer.Intern("sw1");
+    sw2 = tracer.Intern("sw2");
+    store = tracer.Intern("store0");
+  }
+
+  /// Emits one record from component `c`.
+  void Publish(std::uint16_t c, Ev ev, std::uint64_t key,
+               std::uint64_t seq = 0, std::uint64_t aux = 0,
+               double value = 0.0) {
+    tracer.Emit(c, ev, key, seq, value, 0, 0, aux);
   }
 
   std::size_t Total() const { return auditor.violations().size(); }
 
+  obs::Tracer tracer;
   Auditor auditor;
   SimTime now = 0;
   std::uint16_t sw1 = 0, sw2 = 0, store = 0;
@@ -54,39 +63,39 @@ constexpr std::uint64_t kKey = 0xabcdef0123456789ull;
 
 TEST_F(AuditorFixture, SingleOwnerFlagsTwoLiveClaims) {
   now = 100;
-  auditor.Publish(sw1, Tap::kLeaseAcquired, kKey, 1, /*expiry=*/1'000'000);
+  Publish(sw1, Ev::kLeaseAcquired, kKey, 1, /*expiry=*/1'000'000);
   now = 200;
-  auditor.Publish(sw2, Tap::kLeaseAcquired, kKey, 1, /*expiry=*/2'000'000);
+  Publish(sw2, Ev::kLeaseAcquired, kKey, 1, /*expiry=*/2'000'000);
   EXPECT_EQ(auditor.ViolationCount("single_owner"), 1u);
   EXPECT_EQ(Total(), 1u);
   const auto& v = auditor.violations()[0];
-  EXPECT_EQ(v.at.key, kKey);
+  EXPECT_EQ(v.at.flow, kKey);
   EXPECT_NE(v.detail.find("sw1"), std::string::npos);
   EXPECT_NE(v.detail.find("sw2"), std::string::npos);
 }
 
 TEST_F(AuditorFixture, SingleOwnerPrunesExpiredClaims) {
   now = 100;
-  auditor.Publish(sw1, Tap::kLeaseAcquired, kKey, 1, /*expiry=*/500);
+  Publish(sw1, Ev::kLeaseAcquired, kKey, 1, /*expiry=*/500);
   now = 1000;  // sw1's believed expiry has certainly passed
-  auditor.Publish(sw2, Tap::kLeaseAcquired, kKey, 1, /*expiry=*/5000);
+  Publish(sw2, Ev::kLeaseAcquired, kKey, 1, /*expiry=*/5000);
   EXPECT_EQ(Total(), 0u);
 }
 
 TEST_F(AuditorFixture, SingleOwnerReleaseAllClearsComponent) {
   now = 100;
-  auditor.Publish(sw1, Tap::kLeaseAcquired, kKey, 1, /*expiry=*/1'000'000);
-  auditor.Publish(sw1, Tap::kLeaseReleased, 0);  // key 0: dropped everything
+  Publish(sw1, Ev::kLeaseAcquired, kKey, 1, /*expiry=*/1'000'000);
+  Publish(sw1, Ev::kLeaseReleased, 0);  // key 0: dropped everything
   now = 200;
-  auditor.Publish(sw2, Tap::kLeaseAcquired, kKey, 1, /*expiry=*/2'000'000);
+  Publish(sw2, Ev::kLeaseAcquired, kKey, 1, /*expiry=*/2'000'000);
   EXPECT_EQ(Total(), 0u);
 }
 
 TEST_F(AuditorFixture, SingleOwnerSameComponentRenewIsFine) {
   now = 100;
-  auditor.Publish(sw1, Tap::kLeaseAcquired, kKey, 1, 1'000'000);
+  Publish(sw1, Ev::kLeaseAcquired, kKey, 1, 1'000'000);
   now = 500'000;
-  auditor.Publish(sw1, Tap::kLeaseAcquired, kKey, 2, 1'500'000);  // renewal
+  Publish(sw1, Ev::kLeaseAcquired, kKey, 2, 1'500'000);  // renewal
   EXPECT_EQ(Total(), 0u);
 }
 
@@ -97,42 +106,42 @@ TEST_F(AuditorFixture, SingleOwnerSameComponentRenewIsFine) {
 TEST_F(AuditorFixture, SingleOwnerSkipsFlowsAdmittedUnderMergeable) {
   const auto mergeable =
       static_cast<std::uint64_t>(core::ConsistencyMode::kMergeable);
-  auditor.Publish(sw1, Tap::kFlowAdmitted, kKey, 0, mergeable);
+  Publish(sw1, Ev::kFlowAdmitted, kKey, 0, mergeable);
   now = 100;
-  auditor.Publish(sw1, Tap::kLeaseAcquired, kKey, 1, /*expiry=*/1'000'000);
+  Publish(sw1, Ev::kLeaseAcquired, kKey, 1, /*expiry=*/1'000'000);
   now = 200;
-  auditor.Publish(sw2, Tap::kLeaseAcquired, kKey, 1, /*expiry=*/2'000'000);
+  Publish(sw2, Ev::kLeaseAcquired, kKey, 1, /*expiry=*/2'000'000);
   // Two concurrent writers are the point of mergeable mode, not a violation.
   EXPECT_EQ(Total(), 0u);
   // The exemption is per-key: an unannounced key still gets the invariant.
   now = 300;
-  auditor.Publish(sw1, Tap::kLeaseAcquired, kKey + 1, 1, 1'000'000);
-  auditor.Publish(sw2, Tap::kLeaseAcquired, kKey + 1, 1, 2'000'000);
+  Publish(sw1, Ev::kLeaseAcquired, kKey + 1, 1, 1'000'000);
+  Publish(sw2, Ev::kLeaseAcquired, kKey + 1, 1, 2'000'000);
   EXPECT_EQ(auditor.ViolationCount("single_owner"), 1u);
 }
 
 TEST_F(AuditorFixture, SingleOwnerExemptionAppliesToEarlierClaims) {
-  // Admission can reach the auditor after a lease claim (taps are emitted
+  // Admission can reach the auditor after a lease claim (records are emitted
   // from different components); the exemption must retroactively drop any
   // holders already recorded for the key.
   now = 100;
-  auditor.Publish(sw1, Tap::kLeaseAcquired, kKey, 1, /*expiry=*/1'000'000);
-  auditor.Publish(
-      sw2, Tap::kFlowAdmitted, kKey, 0,
+  Publish(sw1, Ev::kLeaseAcquired, kKey, 1, /*expiry=*/1'000'000);
+  Publish(
+      sw2, Ev::kFlowAdmitted, kKey, 0,
       static_cast<std::uint64_t>(core::ConsistencyMode::kMergeable));
   now = 200;
-  auditor.Publish(sw2, Tap::kLeaseAcquired, kKey, 1, /*expiry=*/2'000'000);
+  Publish(sw2, Ev::kLeaseAcquired, kKey, 1, /*expiry=*/2'000'000);
   EXPECT_EQ(Total(), 0u);
 }
 
 TEST_F(AuditorFixture, SingleOwnerStillBindsSingleOwnerAdmissions) {
-  auditor.Publish(
-      sw1, Tap::kFlowAdmitted, kKey, 0,
+  Publish(
+      sw1, Ev::kFlowAdmitted, kKey, 0,
       static_cast<std::uint64_t>(core::ConsistencyMode::kSingleOwner));
   now = 100;
-  auditor.Publish(sw1, Tap::kLeaseAcquired, kKey, 1, /*expiry=*/1'000'000);
+  Publish(sw1, Ev::kLeaseAcquired, kKey, 1, /*expiry=*/1'000'000);
   now = 200;
-  auditor.Publish(sw2, Tap::kLeaseAcquired, kKey, 1, /*expiry=*/2'000'000);
+  Publish(sw2, Ev::kLeaseAcquired, kKey, 1, /*expiry=*/2'000'000);
   EXPECT_EQ(auditor.ViolationCount("single_owner"), 1u);
 }
 
@@ -142,131 +151,126 @@ TEST_F(AuditorFixture, BoundedStalenessBindsOnlyReplicatedReadFlows) {
   const auto mergeable =
       static_cast<std::uint64_t>(core::ConsistencyMode::kMergeable);
   // A mergeable flow serves arbitrarily stale local reads legally.
-  auditor.Publish(sw1, Tap::kFlowAdmitted, kKey, 0, mergeable);
-  auditor.Publish(sw1, Tap::kLocalReadServed, kKey, 0, /*bound=*/1'000,
+  Publish(sw1, Ev::kFlowAdmitted, kKey, 0, mergeable);
+  Publish(sw1, Ev::kLocalReadServed, kKey, 0, /*bound=*/1'000,
                   /*staleness=*/9e12);
   EXPECT_EQ(Total(), 0u);
   // A replicated-read flow with the same staleness violates its contract.
-  auditor.Publish(sw2, Tap::kFlowAdmitted, kKey + 1, 0, replicated);
-  auditor.Publish(sw2, Tap::kLocalReadServed, kKey + 1, 0, /*bound=*/1'000,
+  Publish(sw2, Ev::kFlowAdmitted, kKey + 1, 0, replicated);
+  Publish(sw2, Ev::kLocalReadServed, kKey + 1, 0, /*bound=*/1'000,
                   /*staleness=*/2'000.0);
   EXPECT_EQ(auditor.ViolationCount("bounded_staleness"), 1u);
   // Latched per episode: repeat violations don't double-count, recovery
   // re-arms.
-  auditor.Publish(sw2, Tap::kLocalReadServed, kKey + 1, 0, 1'000, 3'000.0);
+  Publish(sw2, Ev::kLocalReadServed, kKey + 1, 0, 1'000, 3'000.0);
   EXPECT_EQ(auditor.ViolationCount("bounded_staleness"), 1u);
-  auditor.Publish(sw2, Tap::kLocalReadServed, kKey + 1, 0, 1'000, 500.0);
-  auditor.Publish(sw2, Tap::kLocalReadServed, kKey + 1, 0, 1'000, 2'000.0);
+  Publish(sw2, Ev::kLocalReadServed, kKey + 1, 0, 1'000, 500.0);
+  Publish(sw2, Ev::kLocalReadServed, kKey + 1, 0, 1'000, 2'000.0);
   EXPECT_EQ(auditor.ViolationCount("bounded_staleness"), 2u);
 }
 
 TEST_F(AuditorFixture, MergeConvergenceFlagsLatticeRegression) {
-  auditor.Publish(store, Tap::kMergeApplied, kKey, 1, 0, /*measure=*/5.0);
-  auditor.Publish(store, Tap::kMergeApplied, kKey, 2, 0, 7.0);
-  auditor.Publish(store, Tap::kMergeApplied, kKey, 3, 0, 6.0);  // went down
+  Publish(store, Ev::kMergeApplied, kKey, 1, 0, /*measure=*/5.0);
+  Publish(store, Ev::kMergeApplied, kKey, 2, 0, 7.0);
+  Publish(store, Ev::kMergeApplied, kKey, 3, 0, 6.0);  // went down
   EXPECT_EQ(auditor.ViolationCount("merge_convergence"), 1u);
   // A store reset re-baselines: the rebuilt state may start lower.
-  auditor.Publish(store, Tap::kStoreReset, 0);
-  auditor.Publish(store, Tap::kMergeApplied, kKey, 4, 0, 1.0);
+  Publish(store, Ev::kStoreReset, 0);
+  Publish(store, Ev::kMergeApplied, kKey, 4, 0, 1.0);
   EXPECT_EQ(auditor.ViolationCount("merge_convergence"), 1u);
 }
 
 TEST_F(AuditorFixture, SeqMonotonicFlagsReapply) {
-  auditor.Publish(store, Tap::kStoreApplied, kKey, 1);
-  auditor.Publish(store, Tap::kStoreApplied, kKey, 2);
-  auditor.Publish(store, Tap::kStoreApplied, kKey, 2);  // filter regressed
+  Publish(store, Ev::kStoreApplied, kKey, 1);
+  Publish(store, Ev::kStoreApplied, kKey, 2);
+  Publish(store, Ev::kStoreApplied, kKey, 2);  // filter regressed
   EXPECT_EQ(auditor.ViolationCount("seq_monotonic"), 1u);
   EXPECT_EQ(Total(), 1u);
 }
 
 TEST_F(AuditorFixture, SeqMonotonicTracksReplicasIndependently) {
-  const std::uint16_t replica = auditor.Intern("store1");
-  auditor.Publish(store, Tap::kStoreApplied, kKey, 5);
-  auditor.Publish(replica, Tap::kStoreApplied, kKey, 5);  // chain forward
+  const std::uint16_t replica = tracer.Intern("store1");
+  Publish(store, Ev::kStoreApplied, kKey, 5);
+  Publish(replica, Ev::kStoreApplied, kKey, 5);  // chain forward
   EXPECT_EQ(Total(), 0u);
 }
 
 TEST_F(AuditorFixture, SeqMonotonicForgivesFailStoppedReplica) {
-  auditor.Publish(store, Tap::kStoreApplied, kKey, 5);
-  auditor.Publish(store, Tap::kStoreReset, 0);  // DRAM records gone
-  auditor.Publish(store, Tap::kStoreApplied, kKey, 3);  // resync re-baseline
+  Publish(store, Ev::kStoreApplied, kKey, 5);
+  Publish(store, Ev::kStoreReset, 0);  // DRAM records gone
+  Publish(store, Ev::kStoreApplied, kKey, 3);  // resync re-baseline
   EXPECT_EQ(Total(), 0u);
-  auditor.Publish(store, Tap::kStoreApplied, kKey, 3);  // but still monotonic
+  Publish(store, Ev::kStoreApplied, kKey, 3);  // but still monotonic
   EXPECT_EQ(auditor.ViolationCount("seq_monotonic"), 1u);
 }
 
 TEST_F(AuditorFixture, ChainCommitFlagsAckBeforeTailCommit) {
-  auditor.Publish(sw1, Tap::kAckReleased, kKey, 3);
+  Publish(sw1, Ev::kAckReleased, kKey, 3);
   EXPECT_EQ(auditor.ViolationCount("chain_commit"), 1u);
   EXPECT_EQ(Total(), 1u);
 }
 
 TEST_F(AuditorFixture, ChainCommitSilentAfterTailCommit) {
-  auditor.Publish(store, Tap::kTailCommit, kKey, 3);
-  auditor.Publish(sw1, Tap::kAckReleased, kKey, 3);
+  Publish(store, Ev::kTailCommit, kKey, 3);
+  Publish(sw1, Ev::kAckReleased, kKey, 3);
   EXPECT_EQ(Total(), 0u);
 }
 
 TEST_F(AuditorFixture, ChainCommitAcceptsDuplicateAndResyncEvidence) {
-  auditor.Publish(store, Tap::kDupAckDurable, kKey, 2);
-  auditor.Publish(sw1, Tap::kAckReleased, kKey, 2);
-  auditor.Publish(store, Tap::kResyncCommit, kKey, 4);
-  auditor.Publish(sw1, Tap::kAckReleased, kKey, 4);
+  Publish(store, Ev::kDupAckDurable, kKey, 2);
+  Publish(sw1, Ev::kAckReleased, kKey, 2);
+  Publish(store, Ev::kResyncCommit, kKey, 4);
+  Publish(sw1, Ev::kAckReleased, kKey, 4);
   EXPECT_EQ(Total(), 0u);
 }
 
 TEST_F(AuditorFixture, ChainCommitIgnoresSeqZeroAcks) {
-  auditor.Publish(sw1, Tap::kAckReleased, kKey, 0);  // read / lease-only ack
+  Publish(sw1, Ev::kAckReleased, kKey, 0);  // read / lease-only ack
   EXPECT_EQ(Total(), 0u);
 }
 
 TEST_F(AuditorFixture, EpsilonBoundLatchesPerEpisode) {
-  auditor.Publish(sw1, Tap::kEpsilonSample, kKey, 0, /*bound=*/1'000'000,
+  Publish(sw1, Ev::kEpsilonSample, kKey, 0, /*bound=*/1'000'000,
                   /*staleness=*/2'000'000.0);
-  auditor.Publish(sw1, Tap::kEpsilonSample, kKey, 0, 1'000'000, 3'000'000.0);
+  Publish(sw1, Ev::kEpsilonSample, kKey, 0, 1'000'000, 3'000'000.0);
   EXPECT_EQ(auditor.ViolationCount("epsilon_bound"), 1u);  // one episode
-  auditor.Publish(sw1, Tap::kEpsilonSample, kKey, 0, 1'000'000, 500'000.0);
-  auditor.Publish(sw1, Tap::kEpsilonSample, kKey, 0, 1'000'000, 2'000'000.0);
+  Publish(sw1, Ev::kEpsilonSample, kKey, 0, 1'000'000, 500'000.0);
+  Publish(sw1, Ev::kEpsilonSample, kKey, 0, 1'000'000, 2'000'000.0);
   EXPECT_EQ(auditor.ViolationCount("epsilon_bound"), 2u);  // new episode
 }
 
 TEST_F(AuditorFixture, EpsilonBoundZeroBoundIsUnbounded) {
-  auditor.Publish(sw1, Tap::kEpsilonSample, kKey, 0, /*bound=*/0,
+  Publish(sw1, Ev::kEpsilonSample, kKey, 0, /*bound=*/0,
                   /*staleness=*/9e12);
   EXPECT_EQ(Total(), 0u);
 }
 
 TEST_F(AuditorFixture, ClearFindingsDropsViolationsAndMonitorState) {
-  auditor.Publish(sw1, Tap::kAckReleased, kKey, 3);
+  Publish(sw1, Ev::kAckReleased, kKey, 3);
   ASSERT_EQ(Total(), 1u);
   auditor.ClearFindings();
   EXPECT_EQ(Total(), 0u);
   // Monitor state was reset too: the same ack violates again.
-  auditor.Publish(sw1, Tap::kAckReleased, kKey, 3);
+  Publish(sw1, Ev::kAckReleased, kKey, 3);
   EXPECT_EQ(Total(), 1u);
 }
 
 TEST_F(AuditorFixture, StoredViolationsAreCapped) {
   for (int i = 0; i < 200; ++i) {
-    auditor.Publish(sw1, Tap::kAckReleased, kKey + i, 1);
+    Publish(sw1, Ev::kAckReleased, kKey + i, 1);
   }
   EXPECT_EQ(auditor.violations().size(), Auditor::kMaxStoredViolations);
   EXPECT_EQ(auditor.ViolationCount("chain_commit"), 200u);  // still counted
 }
 
 TEST_F(AuditorFixture, ViolationCarriesSliceWhenTracerAttached) {
-  obs::Tracer tracer;
-  SimTime t = 0;
-  tracer.SetClock([&t] { return t; });
   tracer.SetEnabled(true);
   const std::uint16_t c = tracer.Intern("sw1/rp");
-  t = 100;
+  now = 100;
   tracer.Emit(c, obs::Ev::kReplicationSent, kKey, 3);
-  t = 300;
-  tracer.Emit(c, obs::Ev::kAckReleased, kKey, 3);
-  auditor.SetTracer(&tracer);
   now = 300;
-  auditor.Publish(sw1, Tap::kAckReleased, kKey, 3);
+  // One record, to the ring and then to the auditor.
+  tracer.Emit(c, obs::Ev::kAckReleased, kKey, 3);
   ASSERT_EQ(Total(), 1u);
   const auto& slice = auditor.violations()[0].slice;
   EXPECT_FALSE(slice.empty());
@@ -430,7 +434,6 @@ TEST(LinFeedTest, LinearCounterHistoryPasses) {
 
 TEST(LinFeedTest, LostUpdateIsReportedThroughAuditor) {
   Auditor auditor;
-  auditor.SetEnabled(true);
   audit::LinearizabilityFeed feed(&auditor);
   feed.Input(7, 201, 10);
   feed.Output(7, 201, 20, 1);
@@ -438,7 +441,7 @@ TEST(LinFeedTest, LostUpdateIsReportedThroughAuditor) {
   feed.Output(7, 202, 40, 1);  // the counter failed to advance: lost update
   EXPECT_EQ(feed.CloseAll(), 1u);
   EXPECT_EQ(auditor.ViolationCount("linearizability"), 1u);
-  EXPECT_EQ(auditor.violations()[0].at.key, 7u);
+  EXPECT_EQ(auditor.violations()[0].at.flow, 7u);
 }
 
 TEST(LinFeedTest, FlowsAreIndependent) {
@@ -598,8 +601,7 @@ TEST(DiagnosticsTest, DumpIncludesTracerTailLeaseTableAndViolations) {
   h.src->SendTo(0, net::MakeUdpPacket(TheFlow(), 20));
   h.Run(Milliseconds(5));
   // Seed one synthetic violation so the dump has findings to show.
-  h.auditor.Publish(h.auditor.Intern("synthetic"), Tap::kAckReleased, 0x99,
-                    5);
+  h.tracer.Emit(h.tracer.Intern("synthetic"), Ev::kAckReleased, 0x99, 5);
   std::ostringstream os;
   audit::DumpDiagnostics(os, /*last_n=*/16);
   const std::string text = os.str();

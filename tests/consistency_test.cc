@@ -279,7 +279,7 @@ TEST(MergeableTest, ZeroRttWritesOnTwoSwitchesConvergeAtStore) {
               std::min<std::size_t>(8, rec->state.size()));
   EXPECT_EQ(stored, 5u);
 
-  // Clean mergeable traffic trips no monitor: the admission taps exempted
+  // Clean mergeable traffic trips no monitor: the admission records exempted
   // the key from single-owner, and the merge measures only went up.
   EXPECT_EQ(h.auditor.violations().size(), 0u);
 }

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "obs/events.h"
+#include "obs/tracer.h"
 #include "tools/campaign/minimizer.h"
 #include "tools/campaign/runner.h"
 #include "tools/campaign/schedule.h"
@@ -373,6 +375,96 @@ TEST(CommittedSchedules, FailoverScenariosRecoverInOneEpisode) {
       EXPECT_TRUE(r.episodes[0].complete);
       EXPECT_TRUE(r.episodes[0].phase_sum_ok);
     }
+  }
+}
+
+// Per-kind record counts of the switch crash replay, per sink: taken when
+// the ring and the audit taps were two separate streams, so any kind whose
+// routing (obs/events.h) drifts between the ring and the subscribers fails
+// here.  Index 0 = single-owner, 1 = replicated-read.
+struct SinkCounts {
+  obs::Ev ev;
+  std::uint64_t ring[2];
+  std::uint64_t subscribers[2];
+};
+constexpr SinkCounts kSwitchCrashCounts[] = {
+    {obs::Ev::kIngress, {160, 440}, {0, 0}},
+    {obs::Ev::kHostRecv, {152, 418}, {0, 0}},
+    {obs::Ev::kLinkDrop, {8, 22}, {0, 0}},
+    {obs::Ev::kNodeFailure, {1, 1}, {0, 0}},
+    {obs::Ev::kNodeRecovery, {1, 1}, {0, 0}},
+    {obs::Ev::kReroute, {2, 2}, {2, 2}},
+    {obs::Ev::kPipeline, {3002, 6847}, {0, 0}},
+    {obs::Ev::kRecirculate, {94, 274}, {0, 0}},
+    {obs::Ev::kMirrored, {161, 161}, {0, 0}},
+    {obs::Ev::kMirrorCleared, {161, 161}, {0, 0}},
+    {obs::Ev::kLeaseMiss, {7, 7}, {0, 0}},
+    {obs::Ev::kLeaseGrant, {4, 4}, {4, 4}},
+    {obs::Ev::kFailoverRehome, {3, 3}, {3, 3}},
+    {obs::Ev::kReplicationSent, {154, 154}, {0, 0}},
+    {obs::Ev::kRenewSent, {3, 3}, {0, 0}},
+    {obs::Ev::kRenewAck, {3, 3}, {0, 0}},
+    {obs::Ev::kBufferedRead, {0, 41}, {0, 0}},
+    {obs::Ev::kBufferedReadLoop, {87, 267}, {0, 0}},
+    {obs::Ev::kRetransmit, {287, 602}, {0, 0}},
+    {obs::Ev::kAckReleased, {154, 508}, {154, 508}},
+    {obs::Ev::kStoreRecv, {1036, 2017}, {0, 0}},
+    {obs::Ev::kStoreServiceStart, {1036, 2017}, {0, 0}},
+    {obs::Ev::kStoreApplied, {458, 458}, {458, 458}},
+    {obs::Ev::kStoreBuffered, {3, 3}, {0, 0}},
+    {obs::Ev::kStoreReadParked, {87, 267}, {0, 0}},
+    {obs::Ev::kStoreResponded, {249, 468}, {0, 0}},
+    {obs::Ev::kLeaseAcquired, {0, 0}, {164, 477}},
+    {obs::Ev::kLeaseReleased, {0, 0}, {1, 1}},
+    {obs::Ev::kLeaseRequested, {0, 0}, {7, 7}},
+    {obs::Ev::kOutputServed, {0, 0}, {152, 418}},
+    {obs::Ev::kStoreFiltered, {0, 0}, {2, 317}},
+    {obs::Ev::kDupAckDurable, {0, 0}, {2, 317}},
+    {obs::Ev::kTailCommit, {0, 0}, {152, 152}},
+    {obs::Ev::kNodeDown, {0, 0}, {1, 1}},
+    {obs::Ev::kNodeUp, {0, 0}, {1, 1}},
+    {obs::Ev::kFlowAdmitted, {0, 0}, {0, 7}},
+    {obs::Ev::kLocalReadServed, {0, 0}, {0, 224}},
+    {obs::Ev::kReplicaPushed, {0, 0}, {0, 90}},
+};
+
+TEST(CommittedSchedules, SwitchCrashRoutesEachKindToItsSinks) {
+  const auto schedule = LoadSchedule(SchedulesDir() / "switch_crash_s42.json");
+  ASSERT_TRUE(schedule.has_value());
+  const std::string out_dir = TempOutDir("routing_pin");
+  const core::ConsistencyMode modes[] = {
+      core::ConsistencyMode::kSingleOwner,
+      core::ConsistencyMode::kReplicatedRead};
+  for (int m = 0; m < 2; ++m) {
+    SCOPED_TRACE(static_cast<int>(modes[m]));
+    obs::Tracer tracer;
+    std::vector<std::uint64_t> ring(obs::kNumEvents, 0);
+    std::vector<std::uint64_t> dispatched(obs::kNumEvents, 0);
+    tracer.Subscribe([&](const obs::TraceRecord& r) {
+      ++dispatched[static_cast<std::size_t>(r.ev)];
+    });
+    const RunResult result = RunSchedule(*schedule, modes[m], {}, out_dir,
+                                         "switch_crash_s42", 0, &tracer);
+    ASSERT_EQ(tracer.evicted(), 0u);
+    for (const obs::TraceRecord& r : tracer.Records()) {
+      ++ring[static_cast<std::size_t>(r.ev)];
+    }
+    std::vector<std::uint64_t> want_ring(obs::kNumEvents, 0);
+    std::vector<std::uint64_t> want_dispatched(obs::kNumEvents, 0);
+    for (const SinkCounts& c : kSwitchCrashCounts) {
+      want_ring[static_cast<std::size_t>(c.ev)] = c.ring[m];
+      want_dispatched[static_cast<std::size_t>(c.ev)] = c.subscribers[m];
+    }
+    for (int k = 0; k < obs::kNumEvents; ++k) {
+      const auto ev = static_cast<obs::Ev>(k);
+      EXPECT_EQ(ring[static_cast<std::size_t>(k)],
+                want_ring[static_cast<std::size_t>(k)])
+          << "ring " << obs::EvName(ev);
+      EXPECT_EQ(dispatched[static_cast<std::size_t>(k)],
+                want_dispatched[static_cast<std::size_t>(k)])
+          << "subscribers " << obs::EvName(ev);
+    }
+    EXPECT_EQ(result.audit_events, m == 0 ? 1103u : 2987u);
   }
 }
 

@@ -75,18 +75,34 @@ TEST(TracerTest, SpanOrderingPreservesEmissionOrderOnEqualTimestamps) {
   EXPECT_EQ(records[2].ev, Ev::kReplicationSent);
 }
 
-TEST(TracerTest, FlowFilterKeepsMatchingAndNonFlowRecords) {
+TEST(TracerTest, RoutesEachKindToItsSinks) {
   Tracer tracer;
   tracer.SetEnabled(true);
-  tracer.SetFlowFilter(42);
+  std::vector<Ev> dispatched;
+  tracer.Subscribe([&](const obs::TraceRecord& r) {
+    dispatched.push_back(r.ev);
+    EXPECT_EQ(r.aux, r.ev == Ev::kLeaseAcquired ? 9u : 0u);
+  });
   const std::uint16_t comp = tracer.Intern("c");
-  tracer.Emit(comp, Ev::kIngress, 42);
-  tracer.Emit(comp, Ev::kIngress, 7);    // filtered out
-  tracer.Emit(comp, Ev::kNodeFailure, 0);  // non-flow event: kept
-  EXPECT_EQ(tracer.size(), 2u);
+  tracer.Emit(comp, Ev::kIngress, 1);                         // ring only
+  tracer.Emit(comp, Ev::kLeaseAcquired, 1, 0, 0.0, 0, 0, 9);  // subscribers
+  tracer.Emit(comp, Ev::kAckReleased, 1, 1);                  // both
+  tracer.Emit(comp, Ev::kAckReleased, 1, 2, 0.0, 0, 0, 0, obs::kRing);
+  ASSERT_EQ(tracer.size(), 3u);
   const auto records = tracer.Records();
-  EXPECT_EQ(records[0].flow, 42u);
-  EXPECT_EQ(records[1].flow, 0u);
+  EXPECT_EQ(records[0].ev, Ev::kIngress);
+  EXPECT_EQ(records[1].ev, Ev::kAckReleased);
+  // Subscriber-only records take no ring emission index.
+  EXPECT_EQ(records[1].order, 1u);
+  EXPECT_EQ(tracer.emitted(), 3u);
+  EXPECT_EQ(dispatched,
+            (std::vector<Ev>{Ev::kLeaseAcquired, Ev::kAckReleased}));
+
+  // With the ring disarmed, subscribers still see their kinds.
+  tracer.SetEnabled(false);
+  tracer.Emit(comp, Ev::kAckReleased, 1, 3);
+  EXPECT_EQ(tracer.size(), 3u);
+  EXPECT_EQ(dispatched.size(), 3u);
 }
 
 TEST(TracerTest, QueryFilterSelectsByFlowAndComponent) {
@@ -114,7 +130,7 @@ TEST(TracerTest, TraceHandleRevalidatesAfterReset) {
   tracer.SetEnabled(true);
   GlobalTracerGuard guard(&tracer);
   obs::TraceHandle handle("widget");
-  EXPECT_TRUE(handle.armed());
+  EXPECT_TRUE(handle.armed(Ev::kIngress));
   handle.Emit(Ev::kIngress);
   tracer.Reset();  // drops names, bumps generation
   handle.Emit(Ev::kHostRecv);
@@ -127,7 +143,7 @@ TEST(TracerTest, DisabledTracerRecordsNothing) {
   Tracer tracer;
   GlobalTracerGuard guard(&tracer);
   obs::TraceHandle handle("c");
-  EXPECT_FALSE(handle.armed());
+  EXPECT_FALSE(handle.armed(Ev::kIngress));
   handle.Emit(Ev::kIngress, 1, 2, 3.0);
   EXPECT_EQ(tracer.size(), 0u);
 }

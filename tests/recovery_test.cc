@@ -1,15 +1,14 @@
-// Recovery-episode forensics: the tracker turns a synthetic audit-tap
-// stream into episodes whose five phase durations sum *exactly* to the
+// Recovery-episode forensics: the tracker turns a synthetic subscriber
+// record stream into episodes whose five phase durations sum *exactly* to the
 // measured downtime (the DESIGN.md §13 invariant, this PR's acceptance
 // pin), skipped phases collapse to zero width, per-flow downtime samples
-// the first service gap spanning the fault, and the flight-recorder
-// snapshot preserves pre-fault trace context across ring eviction.
+// the first service gap spanning the fault, and the ring accounting counts
+// pre-fault trace context across ring eviction.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 
-#include "audit/taps.h"
 #include "obs/json.h"
 #include "obs/recovery.h"
 #include "obs/tracer.h"
@@ -22,25 +21,25 @@ using obs::RecoveryEpisode;
 using obs::RecoveryPhase;
 using obs::RecoveryTracker;
 
-audit::TapEvent At(audit::Tap tap, SimTime t, std::uint64_t key = 0) {
-  audit::TapEvent ev;
-  ev.tap = tap;
-  ev.t = t;
-  ev.key = key;
-  return ev;
+obs::TraceRecord At(obs::Ev ev, SimTime t, std::uint64_t key = 0) {
+  obs::TraceRecord r;
+  r.ev = ev;
+  r.t = t;
+  r.flow = key;
+  return r;
 }
 
 TEST(RecoveryTest, FullPhaseChainSumsExactlyToDowntime) {
   RecoveryTracker tracker;
   // Flow 7 served before the fault: its downtime is measurable.
-  tracker.OnTapEvent(At(audit::Tap::kOutputServed, 500, 7));
-  tracker.OnTapEvent(At(audit::Tap::kNodeDown, 1000));
+  tracker.OnRecord(At(obs::Ev::kOutputServed, 500, 7));
+  tracker.OnRecord(At(obs::Ev::kNodeDown, 1000));
   ASSERT_TRUE(tracker.EpisodeOpen());
-  tracker.OnTapEvent(At(audit::Tap::kRouteReconverged, 2000));
-  tracker.OnTapEvent(At(audit::Tap::kLeaseRequested, 2500, 7));
-  tracker.OnTapEvent(At(audit::Tap::kLeaseGranted, 3000, 7));
-  tracker.OnTapEvent(At(audit::Tap::kLeaseAcquired, 3500, 7));
-  tracker.OnTapEvent(At(audit::Tap::kOutputServed, 4000, 7));
+  tracker.OnRecord(At(obs::Ev::kReroute, 2000));
+  tracker.OnRecord(At(obs::Ev::kLeaseRequested, 2500, 7));
+  tracker.OnRecord(At(obs::Ev::kLeaseGrant, 3000, 7));
+  tracker.OnRecord(At(obs::Ev::kLeaseAcquired, 3500, 7));
+  tracker.OnRecord(At(obs::Ev::kOutputServed, 4000, 7));
 
   ASSERT_EQ(tracker.episodes().size(), 1u);
   EXPECT_FALSE(tracker.EpisodeOpen());
@@ -68,11 +67,11 @@ TEST(RecoveryTest, FullPhaseChainSumsExactlyToDowntime) {
 
 TEST(RecoveryTest, SkippedPhasesCollapseToZeroWidth) {
   RecoveryTracker tracker;
-  tracker.OnTapEvent(At(audit::Tap::kLinkCut, 1000));
+  tracker.OnRecord(At(obs::Ev::kLinkCut, 1000));
   // Recovery without route/lease-request/grant markers (e.g. an in-flight
   // ack masks the fault): kLeaseAcquired back-fills the earlier endpoints.
-  tracker.OnTapEvent(At(audit::Tap::kLeaseAcquired, 2000, 3));
-  tracker.OnTapEvent(At(audit::Tap::kOutputServed, 2500, 3));
+  tracker.OnRecord(At(obs::Ev::kLeaseAcquired, 2000, 3));
+  tracker.OnRecord(At(obs::Ev::kOutputServed, 2500, 3));
 
   ASSERT_EQ(tracker.episodes().size(), 1u);
   const RecoveryEpisode& e = tracker.episodes().front();
@@ -91,15 +90,15 @@ TEST(RecoveryTest, SkippedPhasesCollapseToZeroWidth) {
 
 TEST(RecoveryTest, OutputsWithoutLeaseReinstallDoNotCloseEarly) {
   RecoveryTracker tracker;
-  tracker.OnTapEvent(At(audit::Tap::kOutputServed, 100, 1));
-  tracker.OnTapEvent(At(audit::Tap::kOutputServed, 200, 2));
-  tracker.OnTapEvent(At(audit::Tap::kNodeDown, 1000));
+  tracker.OnRecord(At(obs::Ev::kOutputServed, 100, 1));
+  tracker.OnRecord(At(obs::Ev::kOutputServed, 200, 2));
+  tracker.OnRecord(At(obs::Ev::kNodeDown, 1000));
   // An unaffected flow keeps being served — the episode must stay open
   // until the protocol actually re-installs a lease.
-  tracker.OnTapEvent(At(audit::Tap::kOutputServed, 1200, 1));
+  tracker.OnRecord(At(obs::Ev::kOutputServed, 1200, 1));
   EXPECT_TRUE(tracker.EpisodeOpen());
-  tracker.OnTapEvent(At(audit::Tap::kLeaseAcquired, 2000, 2));
-  tracker.OnTapEvent(At(audit::Tap::kOutputServed, 2100, 2));
+  tracker.OnRecord(At(obs::Ev::kLeaseAcquired, 2000, 2));
+  tracker.OnRecord(At(obs::Ev::kOutputServed, 2100, 2));
 
   ASSERT_EQ(tracker.episodes().size(), 1u);
   const RecoveryEpisode& e = tracker.episodes().front();
@@ -114,9 +113,9 @@ TEST(RecoveryTest, OutputsWithoutLeaseReinstallDoNotCloseEarly) {
 
 TEST(RecoveryTest, FinalizeClosesFromFirstPostFaultService) {
   RecoveryTracker tracker;
-  tracker.OnTapEvent(At(audit::Tap::kLinkCut, 1000));
+  tracker.OnRecord(At(obs::Ev::kLinkCut, 1000));
   // Service resumes (surviving leases) but the lease chain never signals.
-  tracker.OnTapEvent(At(audit::Tap::kOutputServed, 1500, 9));
+  tracker.OnRecord(At(obs::Ev::kOutputServed, 1500, 9));
   EXPECT_TRUE(tracker.EpisodeOpen());
   tracker.Finalize(50000);
 
@@ -129,7 +128,7 @@ TEST(RecoveryTest, FinalizeClosesFromFirstPostFaultService) {
 
 TEST(RecoveryTest, FinalizeWithoutServiceLeavesEpisodeIncomplete) {
   RecoveryTracker tracker;
-  tracker.OnTapEvent(At(audit::Tap::kNodeDown, 1000));
+  tracker.OnRecord(At(obs::Ev::kNodeDown, 1000));
   tracker.Finalize(9000);
 
   ASSERT_EQ(tracker.episodes().size(), 1u);
@@ -141,11 +140,11 @@ TEST(RecoveryTest, FinalizeWithoutServiceLeavesEpisodeIncomplete) {
 
 TEST(RecoveryTest, OverlappingFaultsFoldIntoOneEpisode) {
   RecoveryTracker tracker;
-  tracker.OnTapEvent(At(audit::Tap::kNodeDown, 1000));
-  tracker.OnTapEvent(At(audit::Tap::kLinkCut, 1100));
-  tracker.OnTapEvent(At(audit::Tap::kNodeDown, 1200));
-  tracker.OnTapEvent(At(audit::Tap::kLeaseAcquired, 2000, 1));
-  tracker.OnTapEvent(At(audit::Tap::kOutputServed, 2500, 1));
+  tracker.OnRecord(At(obs::Ev::kNodeDown, 1000));
+  tracker.OnRecord(At(obs::Ev::kLinkCut, 1100));
+  tracker.OnRecord(At(obs::Ev::kNodeDown, 1200));
+  tracker.OnRecord(At(obs::Ev::kLeaseAcquired, 2000, 1));
+  tracker.OnRecord(At(obs::Ev::kOutputServed, 2500, 1));
 
   ASSERT_EQ(tracker.episodes().size(), 1u);
   EXPECT_EQ(tracker.episodes().front().extra_faults, 2u);
@@ -154,10 +153,10 @@ TEST(RecoveryTest, OverlappingFaultsFoldIntoOneEpisode) {
 
 TEST(RecoveryTest, JsonExportParsesAndCarriesTheInvariant) {
   RecoveryTracker tracker;
-  tracker.OnTapEvent(At(audit::Tap::kOutputServed, 500, 7));
-  tracker.OnTapEvent(At(audit::Tap::kNodeDown, 1000));
-  tracker.OnTapEvent(At(audit::Tap::kLeaseAcquired, 2000, 7));
-  tracker.OnTapEvent(At(audit::Tap::kOutputServed, 3000, 7));
+  tracker.OnRecord(At(obs::Ev::kOutputServed, 500, 7));
+  tracker.OnRecord(At(obs::Ev::kNodeDown, 1000));
+  tracker.OnRecord(At(obs::Ev::kLeaseAcquired, 2000, 7));
+  tracker.OnRecord(At(obs::Ev::kOutputServed, 3000, 7));
 
   const std::string json = tracker.Json();
   auto doc = obs::ParseJson(json);
@@ -181,9 +180,9 @@ TEST(RecoveryTest, JsonExportParsesAndCarriesTheInvariant) {
   EXPECT_EQ(phase_sum, ep.NumberOr("downtime_ns", -1));
 }
 
-// Satellite 3 (flight-recorder rescue): the tracker snapshots the tracer
-// ring at episode open, so records that explain the fault survive even when
-// episode-time churn evicts them from the ring before close.
+// Ring accounting: an episode counts the ring at open plus what the ring
+// still holds of the records written since, and the eviction counter at
+// both ends, so ring truncation during an episode is visible.
 TEST(RecoveryTest, FlightRecorderSnapshotSurvivesRingEviction) {
   obs::Tracer tracer(/*capacity=*/8);
   tracer.SetEnabled(true);
@@ -195,37 +194,32 @@ TEST(RecoveryTest, FlightRecorderSnapshotSurvivesRingEviction) {
   ASSERT_EQ(tracer.evicted(), 0u);
 
   RecoveryTracker tracker(&tracer);
-  tracker.OnTapEvent(At(audit::Tap::kNodeDown, 1000));
+  tracker.OnRecord(At(obs::Ev::kNodeDown, 1000));
   // Episode-time churn: 32 more records, wrapping the ring four times over.
   for (std::uint64_t i = 0; i < 32; ++i) {
     tracer.Emit(comp, obs::Ev::kIngress, 200 + i);
   }
   EXPECT_GT(tracer.evicted(), 0u);
-  tracker.OnTapEvent(At(audit::Tap::kLeaseAcquired, 2000, 1));
-  tracker.OnTapEvent(At(audit::Tap::kOutputServed, 3000, 1));
+  tracker.OnRecord(At(obs::Ev::kLeaseAcquired, 2000, 1));
+  tracker.OnRecord(At(obs::Ev::kOutputServed, 3000, 1));
 
   ASSERT_EQ(tracker.episodes().size(), 1u);
   const RecoveryEpisode& e = tracker.episodes().front();
-  // Snapshot (8 pre-fault) + what the ring still holds at close (its last
-  // 8): without the open-time snapshot the pre-fault context would be gone.
-  EXPECT_EQ(e.trace.size(), 16u);
-  bool found_prefault = false;
-  for (const auto& r : e.trace) {
-    found_prefault = found_prefault || r.flow == 100;
-  }
-  EXPECT_TRUE(found_prefault) << "pre-fault context evicted despite snapshot";
-  // The eviction gauge recorded at open is 0: the snapshot was taken before
-  // any episode-time churn could push records out.
+  // The ring at open (8 pre-fault) + what the ring still holds at close
+  // (its last 8).
+  EXPECT_EQ(e.trace_records, 16u);
+  // The eviction gauge recorded at open is 0: it was read before any
+  // episode-time churn could push records out.
   EXPECT_EQ(e.evicted_at_open, 0u);
   EXPECT_GT(e.evicted_at_close, e.evicted_at_open);
 }
 
 TEST(RecoveryTest, TimelineRendersPhaseTable) {
   RecoveryTracker tracker;
-  tracker.OnTapEvent(At(audit::Tap::kNodeDown, 1000000));
-  tracker.OnTapEvent(At(audit::Tap::kRouteReconverged, 2000000));
-  tracker.OnTapEvent(At(audit::Tap::kLeaseAcquired, 3000000, 1));
-  tracker.OnTapEvent(At(audit::Tap::kOutputServed, 4000000, 1));
+  tracker.OnRecord(At(obs::Ev::kNodeDown, 1000000));
+  tracker.OnRecord(At(obs::Ev::kReroute, 2000000));
+  tracker.OnRecord(At(obs::Ev::kLeaseAcquired, 3000000, 1));
+  tracker.OnRecord(At(obs::Ev::kOutputServed, 4000000, 1));
   std::ostringstream os;
   tracker.PrintTimeline(os);
   const std::string text = os.str();

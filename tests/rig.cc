@@ -87,15 +87,12 @@ Rig::Rig(core::SwitchApp& app, RigOptions opt) : net(sim, opt.seed) {
     tracer.SetClock([this] { return sim.Now(); });
     tracer.SetEnabled(true);
     tracer_guard_.emplace(&tracer);
-    auditor.SetClock([this] { return sim.Now(); });
     auditor.ArmStandardMonitors();
-    auditor.SetTracer(&tracer);
-    audit::SetGlobalAuditor(&auditor);
-    auditor.SetEnabled(true);
+    auditor.Attach(&tracer);
   }
 }
 
-// The auditor uninstalls itself from the global slot on destruction.
+// The auditor detaches from the tracer on destruction.
 Rig::~Rig() = default;
 
 core::ProcessResult CountingEchoApp::Process(core::AppContext&,

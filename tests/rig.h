@@ -59,8 +59,8 @@ struct RigOptions {
   store::StoreConfig::ProtocolMutations head_mutations{};
   /// The switch↔hub links.
   sim::LinkConfig switch_link{};
-  /// Arms `tracer` and `auditor` as the process globals; both are restored
-  /// when the rig is destroyed.
+  /// Arms `tracer` as the process-global tracer (restored when the rig is
+  /// destroyed) with `auditor` subscribed to it.
   bool audit = false;
 };
 

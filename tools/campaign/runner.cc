@@ -116,7 +116,8 @@ std::string RunResult::Failure(bool require_recovery) const {
 
 RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
                       const MutationSpec& mut, const std::string& out_dir,
-                      const std::string& label, SimDuration coalesce_delay) {
+                      const std::string& label, SimDuration coalesce_delay,
+                      obs::Tracer* tracer_override) {
   RunResult out;
   out.label = label;
   out.seed = schedule.seed;
@@ -135,7 +136,7 @@ RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
   cfg.store.mutations.early_chain_ack = mut.chain;
   cfg.store.mutations.overwrite_instead_of_merge = mut.merge;
   // The store joins merge deltas with the app's declared CRDT join and
-  // reports the monotone measure on the kMergeApplied tap.
+  // reports the monotone measure on the kMergeApplied record.
   cfg.store.merger = core::MergeMaxU64;
   cfg.store.measure = core::MeasureU64;
   if (replicated) {
@@ -148,52 +149,57 @@ RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
   cfg.fabric.failure_detection_delay = Milliseconds(2);
   Testbed tb = BuildTestbed(sim, cfg);
 
-  obs::Tracer tracer;
+  obs::Tracer local_tracer;
+  obs::Tracer& tracer = tracer_override != nullptr ? *tracer_override
+                                                   : local_tracer;
   tracer.SetClock([&sim] { return sim.Now(); });
   tracer.SetEnabled(true);
   obs::Tracer* prev_tracer = obs::SetGlobalTracer(&tracer);
 
-  audit::Auditor auditor;
-  auditor.SetClock([&sim] { return sim.Now(); });
-  auditor.ArmStandardMonitors();
-  auditor.SetTracer(&tracer);
-  audit::SetGlobalAuditor(&auditor);
-  auditor.SetEnabled(true);
-  audit::LinearizabilityFeed feed(&auditor);
-
-  // Recovery forensics: every tap the auditor publishes also feeds the
-  // episode tracker, which decomposes the injected fault's recovery into
-  // causally ordered phases (obs/recovery.h).  The same stream feeds the
-  // offline per-mode oracles: staleness samples from locally served reads
-  // and measure samples from store-side merge applications (with the store
-  // reset epoch folded into the component, mirroring the online monitor's
-  // re-baseline rule).
+  // Recovery forensics: every subscriber record feeds the episode tracker,
+  // which decomposes the injected fault's recovery into causally ordered
+  // phases (obs/recovery.h).  The same stream feeds the offline per-mode
+  // oracles: staleness samples from locally served reads and measure
+  // samples from store-side merge applications (with the store reset epoch
+  // folded into the replica, mirroring the online monitor's re-baseline
+  // rule).  The oracles name a replica by the rank of its first record in
+  // this stream, so their verdict text does not depend on the order in
+  // which ring-only components were interned.
   obs::RecoveryTracker recovery(&tracer);
   std::vector<modelcheck::StalenessSample> stale_samples;
   std::vector<modelcheck::MergeSample> merge_samples;
-  std::map<std::uint16_t, std::uint64_t> store_epoch;
-  auditor.SetTapObserver([&](const audit::TapEvent& ev) {
-    recovery.OnTapEvent(ev);
-    switch (ev.tap) {
-      case audit::Tap::kLocalReadServed:
-        if (ev.aux != 0) {  // aux 0 = no staleness contract (mergeable)
-          stale_samples.push_back(
-              {ev.key, static_cast<std::uint64_t>(ev.value), ev.aux});
+  std::vector<std::uint64_t> rank_of;  // component id -> 1 + first-record rank
+  std::uint64_t ranked = 0;
+  std::map<std::uint64_t, std::uint64_t> store_epoch;
+  const std::uint64_t forensics =
+      tracer.Subscribe([&](const obs::TraceRecord& r) {
+        recovery.OnRecord(r);
+        if (r.component >= rank_of.size()) rank_of.resize(r.component + 1, 0);
+        if (rank_of[r.component] == 0) rank_of[r.component] = ++ranked;
+        const std::uint64_t replica = rank_of[r.component] - 1;
+        switch (r.ev) {
+          case obs::Ev::kLocalReadServed:
+            if (r.aux != 0) {  // aux 0 = no staleness contract (mergeable)
+              stale_samples.push_back(
+                  {r.flow, static_cast<std::uint64_t>(r.arg), r.aux});
+            }
+            break;
+          case obs::Ev::kMergeApplied:
+            merge_samples.push_back(
+                {HashCombine(replica, store_epoch[replica]), r.flow, r.arg});
+            break;
+          case obs::Ev::kStoreReset:
+            ++store_epoch[replica];
+            break;
+          default:
+            break;
         }
-        break;
-      case audit::Tap::kMergeApplied:
-        merge_samples.push_back(
-            {HashCombine(static_cast<std::uint64_t>(ev.component),
-                         store_epoch[ev.component]),
-             ev.key, ev.value});
-        break;
-      case audit::Tap::kStoreReset:
-        ++store_epoch[ev.component];
-        break;
-      default:
-        break;
-    }
-  });
+      });
+
+  audit::Auditor auditor;
+  auditor.ArmStandardMonitors();
+  auditor.Attach(&tracer);
+  audit::LinearizabilityFeed feed(&auditor);
 
   store::ChainManager mgr(sim, tb.store,
                           store::ChainManagerConfig{
@@ -483,7 +489,7 @@ RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
   recovery.Finalize(sim.Now());
   out.trace_hash = trace_hash;
 
-  // Offline per-mode oracles: the tap-derived samples must satisfy the
+  // Offline per-mode oracles: the stream-derived samples must satisfy the
   // mode's promise independently of the online monitors.
   out.staleness_samples = stale_samples.size();
   out.merge_samples = merge_samples.size();
@@ -501,6 +507,10 @@ RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
   out.audit_events = auditor.events_seen();
   const std::string run_stem =
       out_dir + "/" + label + "_s" + std::to_string(schedule.seed);
+  // One slice pair per (monitor, key): a broken invariant usually fires on
+  // every packet of a flow, so repeats point at the first one's pair.
+  std::map<std::pair<std::string, std::uint64_t>, std::size_t> first_of;
+  std::vector<std::size_t> sliced;  // violations whose slice pair is written
   for (const auto& v : auditor.violations()) {
     ViolationOut vo;
     vo.monitor = v.monitor;
@@ -508,10 +518,18 @@ RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
     vo.at = v.at.t;
     vo.slice_events = v.slice.events.size();
     vo.slice_closed = audit::IsHappensBeforeClosed(v.slice);
-    const std::string stem =
-        run_stem + "_v" + std::to_string(out.violations.size());
-    vo.slice_json_path = stem + ".slice.json";
-    vo.slice_text_path = stem + ".slice.txt";
+    const auto [first, added] =
+        first_of.try_emplace({v.monitor, v.at.flow}, out.violations.size());
+    if (added) {
+      const std::string stem =
+          run_stem + "_v" + std::to_string(out.violations.size());
+      vo.slice_json_path = stem + ".slice.json";
+      vo.slice_text_path = stem + ".slice.txt";
+      sliced.push_back(out.violations.size());
+    } else {
+      vo.slice_json_path = out.violations[first->second].slice_json_path;
+      vo.slice_text_path = out.violations[first->second].slice_text_path;
+    }
     out.violations.push_back(std::move(vo));
   }
   for (const auto& phase : tracer.LatencyBreakdown()) {
@@ -557,7 +575,7 @@ RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
   // episode-timeline JSON and the fleet time-series CSV.
   if (!out.Failure(/*require_recovery=*/true).empty()) {
     std::filesystem::create_directories(out_dir);
-    for (std::size_t i = 0; i < out.violations.size(); ++i) {
+    for (const std::size_t i : sliced) {
       const audit::CausalSlice& slice = auditor.violations()[i].slice;
       std::ofstream(out.violations[i].slice_json_path) << slice.PerfettoJson();
       std::ofstream(out.violations[i].slice_text_path) << slice.Text();
@@ -569,8 +587,11 @@ RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
     fleet.WriteCsv(fleet_csv);
   }
 
+  // A caller's tracer outlives this run's subscribers and clock.
+  auditor.Attach(nullptr);
+  tracer.Unsubscribe(forensics);
+  tracer.ClearClock();
   obs::SetGlobalTracer(prev_tracer);
-  // `auditor` uninstalls itself from the global slot on destruction.
   return out;
 }
 

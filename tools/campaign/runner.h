@@ -19,6 +19,7 @@
 #include "common/types.h"
 #include "core/consistency.h"
 #include "obs/recovery.h"
+#include "obs/tracer.h"
 #include "tools/campaign/schedule.h"
 
 namespace redplane::campaign {
@@ -38,6 +39,8 @@ struct ViolationOut {
   SimTime at = 0;
   std::size_t slice_events = 0;
   bool slice_closed = false;
+  /// The causal-slice pair for this violation's (monitor, key); repeats
+  /// share the pair of the first violation of that (monitor, key).
   std::string slice_json_path;
   std::string slice_text_path;
 };
@@ -72,8 +75,9 @@ struct RunResult {
   std::uint64_t audit_events = 0;
   std::size_t lin_failures = 0;
   /// Offline per-mode oracle verdicts (modelcheck/linearizability.h):
-  /// staleness and merge-convergence samples are collected from the taps
-  /// and re-judged by an implementation independent of the online monitors.
+  /// staleness and merge-convergence samples are collected from the
+  /// tracer's subscriber stream and re-judged by an implementation
+  /// independent of the online monitors.
   std::size_t oracle_failures = 0;
   std::string oracle_why;
   std::size_t staleness_samples = 0;
@@ -112,11 +116,14 @@ struct RunResult {
 /// Executes a schedule.  `label` stems the artifact filenames under
 /// `out_dir`; a passing run writes no file (it replays bit-identically, so
 /// nothing is lost).  `coalesce_delay` > 0 turns on replication batching
-/// (0 = per packet).
+/// (0 = per packet).  The run records into `tracer` when given (its ring
+/// is enabled, and subscribers the caller attached stay attached), else
+/// into a tracer of its own.
 RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
                       const MutationSpec& mut, const std::string& out_dir,
                       const std::string& label,
-                      SimDuration coalesce_delay = 0);
+                      SimDuration coalesce_delay = 0,
+                      obs::Tracer* tracer = nullptr);
 
 void WriteJsonReport(std::ostream& os, const std::vector<RunResult>& runs,
                      core::ConsistencyMode mode, const MutationSpec& mut);
