@@ -213,8 +213,8 @@ Impact HeavyHitterImpact() {
     std::uint64_t recovered = 0;
     if (redplane) {
       const auto* rec = s.tb->store[0]->Find(net::PartitionKey::OfVlan(1));
-      if (rec != nullptr) {
-        for (const auto& [idx, slot] : rec->snapshot_slots) {
+      if (rec != nullptr && rec->mode) {
+        for (const auto& [idx, slot] : rec->mode->snapshot_slots) {
           net::ByteReader r(slot.first);
           recovered += r.U32();
         }

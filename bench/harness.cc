@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <set>
+#include <unordered_set>
 
 #include "net/codec.h"
 #include "obs/spans.h"
@@ -111,11 +111,11 @@ void PrintCdf(const std::string& name, const SampleSet& samples,
 void ShapeFlowChurn(std::vector<trace::TracePacket>& packets,
                     SimDuration min_gap) {
   std::vector<net::FlowKey> active;
-  std::set<net::FlowKey> seen;
+  std::unordered_set<net::FlowKey> seen;
   SimTime last_intro = -min_gap;
   std::size_t reuse_cursor = 0;
   for (auto& pkt : packets) {
-    if (seen.count(pkt.flow)) continue;
+    if (seen.contains(pkt.flow)) continue;
     if (pkt.time - last_intro >= min_gap || active.empty()) {
       seen.insert(pkt.flow);
       active.push_back(pkt.flow);

@@ -21,6 +21,9 @@ Two kinds of checks:
         (BM_SingleOwnerSequencingPolicy) stays within 2% of the hard-wired
         before-twin (BM_SingleOwnerSequencingInline), plus a small absolute
         epsilon for timer granularity on the ~9 ns region.
+    Each of these relative gates except the 2x and 50x floors re-measures
+    its benchmarks in a bench_micro run of their own (random
+    interleaving, 40 repetitions of 0.05 s) and compares those medians.
  2. Absolute regression against the recorded baselines (BENCH_PR2.json,
     BENCH_PR7.json, BENCH_PR9.json; --baseline is repeatable): each
     benchmark must stay within --tolerance (default 25%) of its baseline
@@ -47,6 +50,7 @@ the wheel primitives) — CI uploads it as an artifact.
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 
@@ -106,14 +110,17 @@ def print_attribution(profile_path, baseline_path):
                   f"(+{top[0] * 100:.1f} pts of total self time)")
 
 
-def run_bench(bench_path):
+def run_bench(bench_path, extra_args=(), min_time=0.2, repetitions=3):
+    """Runs bench_micro; returns per-benchmark median real time (ns) and
+    the median counters."""
     out = subprocess.run(
         [
             bench_path,
             "--benchmark_format=json",
-            "--benchmark_min_time=0.2",
-            "--benchmark_repetitions=3",
+            f"--benchmark_min_time={min_time}",
+            f"--benchmark_repetitions={repetitions}",
             "--benchmark_report_aggregates_only=true",
+            *extra_args,
         ],
         check=True,
         capture_output=True,
@@ -130,6 +137,27 @@ def run_bench(bench_path):
             if key in b:
                 counters.setdefault(name, {})[key] = b[key]
     return results, counters
+
+
+def remeasure(bench_path, names):
+    """Medians of the benchmarks in `names`, from a run of their own.
+
+    A relative gate compares benchmarks against each other, so they must
+    see the same machine.  On a shared host a core's speed shifts for
+    seconds at a time (the chain hop runs at about 27 or about 46 ns), and
+    the full run measures the two sides of a gate seconds apart, three
+    repetitions each: that alone moved the chain-hop auditor pair and the
+    due-scan pair past their budgets on unchanged code.  Here the group
+    runs alone, 40 short repetitions of each in random order, so a slow
+    spell of the host falls on every benchmark of the group alike, and the
+    medians are compared.
+    """
+    pattern = "^(" + "|".join(re.escape(n) for n in names) + ")$"
+    return run_bench(
+        bench_path,
+        extra_args=(f"--benchmark_filter={pattern}",
+                    "--benchmark_enable_random_interleaving=true"),
+        min_time=0.05, repetitions=40)
 
 
 def write_timer_table(path, results, counters):
@@ -256,21 +284,7 @@ def main():
     # within 5% of its unarmed twin.  The +0.5 ns epsilon absorbs timer
     # granularity: on a ~5 ns bench a single tick of run-to-run noise is
     # already >5%, and we are guarding the guard, not the scheduler.
-    for base, armed, label in [
-        ("BM_LinkHopForward", "BM_LinkHopForwardAuditorArmed", "hop-forward"),
-        ("BM_ChainHopForwardZeroCopy", "BM_ChainHopForwardAuditorArmed",
-         "chain-hop"),
-    ]:
-        if base not in results or armed not in results:
-            failures.append(f"missing auditor-overhead pair for {label}")
-            continue
-        budget = results[base] * 1.05 + 0.5
-        if results[armed] > budget:
-            failures.append(
-                f"{label}: auditor-armed path ({results[armed]:.1f} ns) "
-                f"exceeds 5% overhead budget over unarmed "
-                f"({results[base]:.1f} ns)")
-
+    #
     # Armed-profiler overhead on the same hop paths: a sampled ProfSite at
     # stride 256 amortizes its clock reads to well under a nanosecond per
     # entry, leaving a constant ~2 ns armed-not-sampled cost (one global
@@ -279,28 +293,43 @@ def main():
     # these nanosecond-scale microbench regions; the 5% relative term is
     # what binds on real instrumented regions (switch/store process paths
     # are hundreds of ns, where 5% >> the constant).
-    for base, armed, label in [
-        ("BM_LinkHopForward", "BM_LinkHopForwardProfilerArmed",
-         "hop-forward profiler"),
-        ("BM_ChainHopForwardZeroCopy", "BM_ChainHopForwardProfilerArmed",
-         "chain-hop profiler"),
+    #
+    # Each hop path and its two armed twins are re-measured together in a
+    # run of their own (remeasure).
+    for base, auditor, profiler, label in [
+        ("BM_LinkHopForward", "BM_LinkHopForwardAuditorArmed",
+         "BM_LinkHopForwardProfilerArmed", "hop-forward"),
+        ("BM_ChainHopForwardZeroCopy", "BM_ChainHopForwardAuditorArmed",
+         "BM_ChainHopForwardProfilerArmed", "chain-hop"),
     ]:
-        if base not in results or armed not in results:
-            failures.append(f"missing profiler-overhead pair for {label}")
+        names = [base, auditor, profiler]
+        if any(n not in results for n in names):
+            failures.append(f"missing armed-overhead benchmarks for {label}")
             continue
-        budget = results[base] * 1.05 + 3.0
-        if results[armed] > budget:
+        group, _ = remeasure(args.bench, names)
+        if any(n not in group for n in names):
+            failures.append(f"re-measuring the {label} group failed")
+            continue
+        if group[auditor] > group[base] * 1.05 + 0.5:
             failures.append(
-                f"{label}: profiler-armed path ({results[armed]:.1f} ns) "
-                f"exceeds 5% + 3 ns overhead budget over unarmed "
-                f"({results[base]:.1f} ns)")
+                f"{label}: auditor-armed path ({group[auditor]:.1f} ns) "
+                f"exceeds 5% overhead budget over unarmed "
+                f"({group[base]:.1f} ns)")
+        if group[profiler] > group[base] * 1.05 + 3.0:
+            failures.append(
+                f"{label} profiler: profiler-armed path "
+                f"({group[profiler]:.1f} ns) exceeds 5% + 3 ns overhead "
+                f"budget over unarmed ({group[base]:.1f} ns)")
 
     # Timing-wheel retransmit-check invariants (the PR 7 acceptance bar).
     # Flatness: the per-item due-scan cost must not depend on how many
-    # non-due entries sit in the table — 1M parked flows vs 10k within 10%.
+    # non-due entries sit in the table — 1M parked flows vs 10k within 10%,
+    # from a re-measurement of the pair on its own (remeasure).
+    due_names = [f"BM_MirrorDueScan/{arg}" for arg in ("10240", "1048576")]
+    _, due_counters = remeasure(args.bench, due_names)
     due_rates = {}
     for arg in ("10240", "1048576"):
-        rate = counters.get(f"BM_MirrorDueScan/{arg}", {}).get(
+        rate = due_counters.get(f"BM_MirrorDueScan/{arg}", {}).get(
             "items_per_second")
         if rate is None:
             failures.append(
@@ -319,9 +348,13 @@ def main():
     # single-owner policy explicitly must be free — the sequencing core
     # routed through the ConsistencyPolicy object stays within 2% of the
     # hard-wired before-twin.  The +0.5 ns epsilon absorbs timer granularity
-    # on a ~9 ns region, as for the auditor-overhead pairs above.
-    so_inline = results.get("BM_SingleOwnerSequencingInline")
-    so_policy = results.get("BM_SingleOwnerSequencingPolicy")
+    # on a ~9 ns region, as for the auditor-overhead pairs above.  The pair
+    # is re-measured in a run of its own (remeasure).
+    so_pair, _ = remeasure(args.bench,
+                                ["BM_SingleOwnerSequencingInline",
+                                 "BM_SingleOwnerSequencingPolicy"])
+    so_inline = so_pair.get("BM_SingleOwnerSequencingInline")
+    so_policy = so_pair.get("BM_SingleOwnerSequencingPolicy")
     if so_inline is None or so_policy is None:
         failures.append("missing single-owner consistency A/B pair "
                         "(BM_SingleOwnerSequencing{Inline,Policy})")

@@ -78,8 +78,8 @@ int main() {
   for (std::uint16_t vlan : hh_config.vlans) {
     const auto* rec = tb.store[0]->Find(net::PartitionKey::OfVlan(vlan));
     std::uint64_t recovered = 0;
-    if (rec != nullptr) {
-      for (const auto& [idx, slot] : rec->snapshot_slots) {
+    if (rec != nullptr && rec->mode) {
+      for (const auto& [idx, slot] : rec->mode->snapshot_slots) {
         net::ByteReader r(slot.first);
         recovered += r.U32();  // row 0 of the sketch
       }

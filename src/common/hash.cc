@@ -40,10 +40,4 @@ std::uint32_t Crc32(std::span<const std::byte> data, std::uint32_t seed) {
   return c ^ 0xffffffffu;
 }
 
-std::uint64_t Mix64(std::uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 }  // namespace redplane

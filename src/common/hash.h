@@ -25,8 +25,12 @@ std::uint64_t Fnv1a64(std::string_view s);
 std::uint32_t Crc32(std::span<const std::byte> data, std::uint32_t seed = 0);
 
 /// Stateless 64-bit finalizer (SplitMix64's output function); good for
-/// combining already-mixed words.
-std::uint64_t Mix64(std::uint64_t x);
+/// combining already-mixed words.  Inline: ECMP calls it on every hop.
+inline std::uint64_t Mix64(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
 
 /// Combines two hash values (boost::hash_combine style, 64-bit).
 inline std::uint64_t HashCombine(std::uint64_t h, std::uint64_t v) {

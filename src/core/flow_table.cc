@@ -7,9 +7,6 @@ namespace redplane::core {
 
 namespace {
 constexpr std::size_t kMinIndexCap = 16;
-/// Hard bound on per-flow pending-send records even without a horizon:
-/// outstanding requests are capped by retransmission anyway.
-constexpr std::size_t kMaxPendingSends = 256;
 }  // namespace
 
 std::size_t FlowTable::FindCell(std::uint64_t digest,
@@ -128,7 +125,7 @@ void FlowTable::Erase(const net::PartitionKey& key) {
   EraseCell(cell);
   cold_[slot].state.clear();
   cold_[slot].state.shrink_to_fit();
-  cold_[slot].pending_sends.clear();
+  cold_[slot].pending_sends.Release();
   live_[slot] = 0;
   ++gen_[slot];
   free_link_[slot] = free_head_;
@@ -160,7 +157,7 @@ void FlowTable::NoteSend(std::uint32_t slot, std::uint64_t seq, SimTime now,
       pending.pop_front();
     }
   }
-  pending.emplace_back(seq, now);
+  pending.push_back(seq, now);
   if (pending.size() > kMaxPendingSends) pending.pop_front();
 }
 

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <utility>
 #include <vector>
 
@@ -34,9 +33,59 @@ enum class FlowStatus : std::uint8_t {
   kActive,
 };
 
+/// FIFO of (sequence number, send time) records for one flow's outstanding
+/// lease-renewing requests.  A vector plus a head index: an empty queue
+/// owns no heap block (most flows never send a write), a pop is an index
+/// bump, and the popped prefix is compacted away on a push that would
+/// otherwise grow the vector while at least half of it is dead.  Moves are
+/// nothrow, so the cold array relocates on growth without copying.
+class SendQueue {
+ public:
+  using Entry = std::pair<std::uint64_t, SimTime>;
+
+  bool empty() const { return head_ == items_.size(); }
+  std::size_t size() const { return items_.size() - head_; }
+  std::size_t capacity() const { return items_.capacity(); }
+  const Entry& front() const { return items_[head_]; }
+  std::vector<Entry>::const_iterator begin() const {
+    return items_.begin() + static_cast<std::ptrdiff_t>(head_);
+  }
+  std::vector<Entry>::const_iterator end() const { return items_.end(); }
+
+  void push_back(std::uint64_t seq, SimTime at) {
+    if (head_ > 0 && items_.size() == items_.capacity() &&
+        head_ * 2 >= items_.size()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    items_.emplace_back(seq, at);
+  }
+  void pop_front() {
+    if (++head_ == items_.size()) clear();
+  }
+  /// Empties the queue, keeping its block for the flow's next writes.
+  void clear() {
+    items_.clear();
+    head_ = 0;
+  }
+  /// Empties the queue and frees its block.
+  void Release() {
+    std::vector<Entry>().swap(items_);
+    head_ = 0;
+  }
+
+ private:
+  std::vector<Entry> items_;
+  std::size_t head_ = 0;
+};
+
 class FlowTable {
  public:
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
+  /// Hard bound on per-flow pending-send records even without a horizon:
+  /// outstanding requests are capped by retransmission anyway.
+  static constexpr std::size_t kMaxPendingSends = 256;
 
   /// Cold per-flow state: everything off the per-packet hot path.
   struct Cold {
@@ -46,7 +95,7 @@ class FlowTable {
     std::vector<std::byte> state;
     /// Send times of outstanding lease-renewing requests, by sequence
     /// number; consulted on ack to compute the conservative expiry.
-    std::deque<std::pair<std::uint64_t, SimTime>> pending_sends;
+    SendQueue pending_sends;
     /// Send time of the outstanding Init (for grant RTT accounting).
     SimTime init_sent_at = 0;
     /// Send time of the outstanding explicit renew; 0 when none.  Cleared
@@ -92,6 +141,10 @@ class FlowTable {
     }
     std::size_t pending_send_count() const {
       return t_->cold_[slot_].pending_sends.size();
+    }
+    /// Records the pending-send queue has room for without allocating.
+    std::size_t pending_send_capacity() const {
+      return t_->cold_[slot_].pending_sends.capacity();
     }
     bool WritesInFlight() const { return t_->WritesInFlight(slot_); }
     bool LeaseActive(SimTime now) const {
@@ -176,7 +229,7 @@ class FlowTable {
   /// older than `horizon` are dead — their request either got acked (and
   /// was popped) or passed the retransmit give-up point — so they are
   /// compacted away; dropping one is conservative (a very late ack then
-  /// skips the lease extension).  The hard cap bounds the deque even with
+  /// skips the lease extension).  The hard cap bounds the queue even with
   /// horizon 0.
   void NoteSend(std::uint32_t slot, std::uint64_t seq, SimTime now,
                 SimDuration horizon = 0);

@@ -16,20 +16,6 @@ void ResetPacketIds() {
   g_next_packet_id.store(1, std::memory_order_relaxed);
 }
 
-std::size_t Packet::WireSize() const {
-  std::size_t size = 0;
-  if (eth) size += EthernetHeader::kWireSize;
-  if (vlan != 0) size += 4;  // 802.1Q tag
-  if (ip) size += Ipv4Header::kWireSize;
-  if (udp) size += UdpHeader::kWireSize;
-  if (tcp) size += TcpHeader::kWireSize;
-  size += payload.size();
-  size += pad_bytes;
-  // Minimum Ethernet frame size.
-  if (eth && size < 64) size = 64;
-  return size;
-}
-
 std::optional<FlowKey> Packet::Flow() const {
   if (!ip) return std::nullopt;
   FlowKey key;

@@ -47,8 +47,21 @@ struct Packet {
   SimTime created_at = 0;
   NodeId origin = kInvalidNode;
 
-  /// Total bytes this packet occupies on the wire.
-  std::size_t WireSize() const;
+  /// Total bytes this packet occupies on the wire.  Inline: every link
+  /// hop charges it.
+  std::size_t WireSize() const {
+    std::size_t size = 0;
+    if (eth) size += EthernetHeader::kWireSize;
+    if (vlan != 0) size += 4;  // 802.1Q tag
+    if (ip) size += Ipv4Header::kWireSize;
+    if (udp) size += UdpHeader::kWireSize;
+    if (tcp) size += TcpHeader::kWireSize;
+    size += payload.size();
+    size += pad_bytes;
+    // Minimum Ethernet frame size.
+    if (eth && size < 64) size = 64;
+    return size;
+  }
 
   /// Extracts the 5-tuple, if the packet has IP + L4 headers.
   std::optional<FlowKey> Flow() const;

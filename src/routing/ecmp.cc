@@ -13,13 +13,25 @@ namespace redplane::routing {
 RoutingFabric::RoutingFabric(sim::Network& network, FabricConfig config)
     : network_(network), config_(config) {}
 
+namespace {
+bool IpLess(const std::pair<std::uint32_t, sim::Node*>& entry,
+            std::uint32_t ip) {
+  return entry.first < ip;
+}
+}  // namespace
+
 void RoutingFabric::AssignAddress(sim::Node* node, net::Ipv4Addr ip) {
-  by_ip_[ip.value] = node;
+  auto it = std::lower_bound(by_ip_.begin(), by_ip_.end(), ip.value, IpLess);
+  if (it != by_ip_.end() && it->first == ip.value) {
+    it->second = node;
+  } else {
+    by_ip_.insert(it, {ip.value, node});
+  }
 }
 
 sim::Node* RoutingFabric::NodeFor(net::Ipv4Addr ip) const {
-  auto it = by_ip_.find(ip.value);
-  return it == by_ip_.end() ? nullptr : it->second;
+  auto it = std::lower_bound(by_ip_.begin(), by_ip_.end(), ip.value, IpLess);
+  return it != by_ip_.end() && it->first == ip.value ? it->second : nullptr;
 }
 
 void RoutingFabric::Install() {
@@ -56,7 +68,9 @@ void RoutingFabric::Rebuild() {
                static_cast<double>(network_.NumNodes()));
   }
   const std::size_t n = network_.NumNodes();
-  routes_.assign(n, {});
+  num_nodes_ = n;
+  routes_.assign(n * n, PortRange{});
+  route_ports_.clear();
 
   // Adjacency over currently-up links and nodes.
   struct Edge {
@@ -87,10 +101,13 @@ void RoutingFabric::Rebuild() {
 
   // For each destination (any addressed node), BFS distances, then record
   // every port on a shortest path at every node.
+  std::vector<char> routed(n, 0);
   for (const auto& [ip, dest] : by_ip_) {
     (void)ip;
     if (!dest->IsUp()) continue;
     const NodeId dest_id = dest->id();
+    if (routed[dest_id] != 0) continue;  // a node with several addresses
+    routed[dest_id] = 1;
     std::vector<int> dist(n, -1);
     std::deque<NodeId> queue;
     dist[dest_id] = 0;
@@ -107,14 +124,16 @@ void RoutingFabric::Rebuild() {
     }
     for (std::size_t u = 0; u < n; ++u) {
       if (dist[u] <= 0) continue;  // unreachable or the destination itself
-      std::vector<PortId> ports;
+      PortRange& range = routes_[u * n + dest_id];
+      range.begin = static_cast<std::uint32_t>(route_ports_.size());
       for (const Edge& e : adj[u]) {
-        if (dist[e.neighbor] == dist[u] - 1) ports.push_back(e.out_port);
+        if (dist[e.neighbor] == dist[u] - 1) {
+          route_ports_.push_back(e.out_port);
+        }
       }
-      std::sort(ports.begin(), ports.end());
-      if (!ports.empty()) {
-        routes_[u][dest_id] = std::move(ports);
-      }
+      std::sort(route_ports_.begin() + range.begin, route_ports_.end());
+      range.count =
+          static_cast<std::uint32_t>(route_ports_.size() - range.begin);
     }
   }
 }
@@ -124,10 +143,9 @@ std::optional<PortId> RoutingFabric::NextHop(sim::Node* at,
   if (!pkt.ip.has_value()) return std::nullopt;
   sim::Node* dest = NodeFor(pkt.ip->dst);
   if (dest == nullptr || dest == at) return std::nullopt;
-  const auto& table = routes_[at->id()];
-  auto it = table.find(dest->id());
-  if (it == table.end() || it->second.empty()) return std::nullopt;
-  const auto& ports = it->second;
+  if (at->id() >= num_nodes_ || dest->id() >= num_nodes_) return std::nullopt;
+  const PortRange range = routes_[at->id() * num_nodes_ + dest->id()];
+  if (range.count == 0) return std::nullopt;
   // ECMP keyed to the deployment's partition key (see FabricConfig).
   std::uint64_t h;
   if (config_.ecmp_hash == FabricConfig::EcmpHash::kDstAddress) {
@@ -139,7 +157,7 @@ std::optional<PortId> RoutingFabric::NextHop(sim::Node* at,
         pkt.ip->dst.value;
   }
   if (config_.ecmp_salt != 0) h = Mix64(h ^ config_.ecmp_salt);
-  return ports[h % ports.size()];
+  return route_ports_[range.begin + h % range.count];
 }
 
 }  // namespace redplane::routing

@@ -11,7 +11,7 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dataplane/pipeline.h"
@@ -73,11 +73,23 @@ class RoutingFabric {
  private:
   void Rebuild();
 
+  /// A run of route_ports_: the equal-cost output ports, ascending.
+  struct PortRange {
+    std::uint32_t begin = 0;
+    std::uint32_t count = 0;
+  };
+
   sim::Network& network_;
   FabricConfig config_;
-  std::unordered_map<std::uint32_t, sim::Node*> by_ip_;
-  /// routes_[node id][dest node id] = candidate output ports.
-  std::vector<std::unordered_map<NodeId, std::vector<PortId>>> routes_;
+  /// (ip, owner) sorted by ip; AssignAddress keeps it sorted, so a lookup
+  /// is a binary search and a re-assignment takes effect immediately.
+  std::vector<std::pair<std::uint32_t, sim::Node*>> by_ip_;
+  /// Nodes in the network at the last Rebuild.
+  std::size_t num_nodes_ = 0;
+  /// routes_[at * num_nodes_ + dest]: candidate output ports at node `at`
+  /// toward node `dest`; empty when unreachable or not a destination.
+  std::vector<PortRange> routes_;
+  std::vector<PortId> route_ports_;
   bool recompute_pending_ = false;
 };
 

@@ -36,6 +36,7 @@ void TimerWheel::Unlink(std::uint32_t idx) {
   if (n.bucket != kOverflowBucket && heads_[n.bucket] == kNil) {
     occupancy_[n.bucket >> kSlotBits] &=
         ~(1ull << (n.bucket & (kSlotsPerLevel - 1)));
+    next_tick_valid_ = false;
   }
 }
 
@@ -77,6 +78,7 @@ std::uint32_t TimerWheel::Schedule(SimTime time, std::uint64_t seq,
   n.payload = payload;
   Place(idx);
   ++size_;
+  if (TickOf(time) < next_tick_) next_tick_valid_ = false;
   return idx;
 }
 
@@ -95,6 +97,7 @@ bool TimerWheel::Cancel(std::uint32_t idx, std::uint64_t seq,
     // Recompute the cached overflow minimum (rare: overflow holds only
     // timers beyond the ~19.5 h top-level horizon).
     overflow_min_tick_ = UINT64_MAX;
+    next_tick_valid_ = false;
     for (std::uint32_t i = heads_[kOverflowBucket]; i != kNil;
          i = nodes_[i].next) {
       overflow_min_tick_ = std::min(overflow_min_tick_, TickOf(nodes_[i].time));
@@ -130,12 +133,16 @@ bool TimerWheel::EarliestSlot(int* level, std::uint32_t* slot,
 
 SimTime TimerWheel::NextSlotTime() const {
   assert(size_ > 0);
-  int level;
-  std::uint32_t slot;
-  std::uint64_t start_tick = UINT64_MAX;
-  EarliestSlot(&level, &slot, &start_tick);
-  if (overflow_min_tick_ < start_tick) start_tick = overflow_min_tick_;
-  return static_cast<SimTime>(start_tick << kTickShift);
+  if (!next_tick_valid_) {
+    int level;
+    std::uint32_t slot;
+    std::uint64_t start_tick = UINT64_MAX;
+    EarliestSlot(&level, &slot, &start_tick);
+    if (overflow_min_tick_ < start_tick) start_tick = overflow_min_tick_;
+    next_tick_ = start_tick;
+    next_tick_valid_ = true;
+  }
+  return static_cast<SimTime>(next_tick_ << kTickShift);
 }
 
 void TimerWheel::RefillFromOverflow() {
@@ -165,6 +172,7 @@ void TimerWheel::RefillFromOverflow() {
 
 void TimerWheel::PopNextSlot(std::vector<Due>& out) {
   assert(size_ > 0);
+  next_tick_valid_ = false;
   for (;;) {
     if (overflow_min_tick_ != UINT64_MAX &&
         (overflow_min_tick_ >> kTopShift) == (cur_tick_ >> kTopShift)) {
@@ -227,6 +235,7 @@ void TimerWheel::DrainAll(std::vector<Due>& out) {
   for (auto& occ : occupancy_) occ = 0;
   level_counts_.fill(0);
   overflow_min_tick_ = UINT64_MAX;
+  next_tick_valid_ = false;
   size_ = 0;
 }
 

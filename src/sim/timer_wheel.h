@@ -76,7 +76,9 @@ class TimerWheel {
   std::size_t Size() const { return size_; }
 
   /// Lower bound on the earliest pending timer's expiry: the start time of
-  /// the earliest occupied slot.  Precondition: !Empty().
+  /// the earliest occupied slot.  O(1) between changes: the answer is
+  /// cached until a schedule, cancel or pop can move it.  Precondition:
+  /// !Empty().
   SimTime NextSlotTime() const;
 
   /// Expires the earliest non-empty bottom-level slot: cascades higher
@@ -146,6 +148,13 @@ class TimerWheel {
   std::uint64_t occupancy_[kLevels] = {};
   std::uint32_t heads_[kLevels * kSlotsPerLevel + 1];  // +1: overflow bucket
   std::uint64_t overflow_min_tick_ = UINT64_MAX;
+  /// NextSlotTime's answer in ticks.  It depends only on the occupancy
+  /// bitmaps, the cursor and overflow_min_tick_, so it stays valid until a
+  /// slot empties (Cancel), the cursor moves (PopNextSlot, DrainAll) or a
+  /// timer files before it (Schedule; occupied slots are disjoint tick
+  /// ranges, so a new slot can start earlier only if its timer does).
+  mutable std::uint64_t next_tick_ = 0;
+  mutable bool next_tick_valid_ = false;
   /// Filed nodes per level, overflow last (see CountPerLevel).
   std::array<std::size_t, kLevels + 1> level_counts_{};
 

@@ -443,8 +443,13 @@ void StateStoreServer::HandleReadBuffer(MsgView msg) {
 void StateStoreServer::HandleSnapshot(MsgView msg) {
   m_.snapshot_reqs.Add();
   FlowRecord& rec = GetOrCreate(msg.key());
-  auto it = rec.snapshot_slots.find(msg.snapshot_index());
-  if (it != rec.snapshot_slots.end() && msg.seq() <= it->second.second) {
+  bool stale = false;
+  if (rec.mode) {
+    const auto& slots = rec.mode->snapshot_slots;
+    const auto it = slots.find(msg.snapshot_index());
+    stale = it != slots.end() && msg.seq() <= it->second.second;
+  }
+  if (stale) {
     // Stale snapshot slot; ack without applying.
     Msg ack;
     ack.type = MsgType::kAck;
@@ -476,9 +481,10 @@ void StateStoreServer::HandleReplicaSubscribe(MsgView msg) {
   m_.subscribe_reqs.Add();
   FlowRecord& rec = GetOrCreate(msg.key());
   const net::Ipv4Addr sub = msg.reply_to();
-  if (std::find(rec.subscribers.begin(), rec.subscribers.end(), sub) ==
-      rec.subscribers.end()) {
-    rec.subscribers.push_back(sub);
+  auto& subscribers = rec.mode.GetOrCreate().subscribers;
+  if (std::find(subscribers.begin(), subscribers.end(), sub) ==
+      subscribers.end()) {
+    subscribers.push_back(sub);
   }
   // Answer with the current durable state so the replica starts warm.
   // Subscription is head-local soft state: it rides in the FlowRecord, so a
@@ -500,8 +506,8 @@ void StateStoreServer::PushToSubscribers(const net::PartitionKey& key,
                                          const FlowRecord& rec,
                                          net::Ipv4Addr writer,
                                          std::uint64_t span) {
-  if (!is_head_ || rec.subscribers.empty()) return;
-  for (const net::Ipv4Addr sub : rec.subscribers) {
+  if (!is_head_ || !rec.mode) return;
+  for (const net::Ipv4Addr sub : rec.mode->subscribers) {
     if (sub == writer) continue;  // the writer already holds the newer state
     Msg push;
     push.type = MsgType::kAck;
@@ -581,12 +587,13 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
       break;
     case MsgType::kSnapshotRepl: {
       rec.exists = true;
-      auto& slot = rec.snapshot_slots[msg.snapshot_index()];
+      FlowModeState& mode = rec.mode.GetOrCreate();
+      auto& slot = mode.snapshot_slots[msg.snapshot_index()];
       if (msg.seq() > slot.second) {
         slot.first = msg.state().ToVector();
         slot.second = msg.seq();
       }
-      rec.last_snapshot_at = sim_.Now();
+      mode.last_snapshot_at = sim_.Now();
       break;
     }
     case MsgType::kMergeDelta: {
@@ -801,16 +808,20 @@ void StateStoreServer::ImportFlows(
       local.lease_expiry = incoming.lease_expiry;
       local.owner = incoming.owner;
     }
-    for (auto& [index, slot] : incoming.snapshot_slots) {
-      auto& mine = local.snapshot_slots[index];
+    if (!incoming.mode) continue;
+    // An absent block merges as an empty one: no slots, no subscribers and
+    // a last_snapshot_at of 0.
+    FlowModeState& mode = local.mode.GetOrCreate();
+    for (auto& [index, slot] : incoming.mode->snapshot_slots) {
+      auto& mine = mode.snapshot_slots[index];
       if (slot.second > mine.second) mine = std::move(slot);
     }
-    local.last_snapshot_at =
-        std::max(local.last_snapshot_at, incoming.last_snapshot_at);
-    for (const net::Ipv4Addr sub : incoming.subscribers) {
-      if (std::find(local.subscribers.begin(), local.subscribers.end(), sub) ==
-          local.subscribers.end()) {
-        local.subscribers.push_back(sub);
+    mode.last_snapshot_at =
+        std::max(mode.last_snapshot_at, incoming.mode->last_snapshot_at);
+    for (const net::Ipv4Addr sub : incoming.mode->subscribers) {
+      if (std::find(mode.subscribers.begin(), mode.subscribers.end(), sub) ==
+          mode.subscribers.end()) {
+        mode.subscribers.push_back(sub);
       }
     }
   }

@@ -30,6 +30,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -79,13 +80,55 @@ struct StoreConfig {
   ProtocolMutations mutations;
 };
 
+/// Per-flow lanes that only snapshot mode and replicated-read mode use.
+struct FlowModeState {
+  /// Snapshot slots for bounded-inconsistency state (index -> value, seq).
+  std::map<std::uint32_t, std::pair<std::vector<std::byte>, std::uint64_t>>
+      snapshot_slots;
+  SimTime last_snapshot_at = 0;
+  /// Replicated-read subscribers (DESIGN.md §14): switch IPs that asked for
+  /// a copy of this flow's durable state on every applied write.
+  std::vector<net::Ipv4Addr> subscribers;
+};
+
+/// A record's FlowModeState, held on the heap with value semantics: null
+/// until the flow's first snapshot write or subscription, so a
+/// single-owner record carries one pointer instead of 80 bytes of empty
+/// containers.  Copying deep-copies the block (chain resync copies whole
+/// records).
+class FlowModeBlock {
+ public:
+  FlowModeBlock() = default;
+  FlowModeBlock(const FlowModeBlock& other)
+      : state_(other.state_ ? std::make_unique<FlowModeState>(*other.state_)
+                            : nullptr) {}
+  FlowModeBlock& operator=(const FlowModeBlock& other) {
+    if (this != &other) *this = FlowModeBlock(other);
+    return *this;
+  }
+  FlowModeBlock(FlowModeBlock&&) noexcept = default;
+  FlowModeBlock& operator=(FlowModeBlock&&) noexcept = default;
+  ~FlowModeBlock() = default;
+
+  explicit operator bool() const { return state_ != nullptr; }
+  const FlowModeState* operator->() const { return state_.get(); }
+  FlowModeState* operator->() { return state_.get(); }
+  /// The block, created empty on first use.
+  FlowModeState& GetOrCreate() {
+    if (!state_) state_ = std::make_unique<FlowModeState>();
+    return *state_;
+  }
+
+ private:
+  std::unique_ptr<FlowModeState> state_;
+};
+
 /// Per-flow record held by every replica of a shard.
 struct FlowRecord {
   std::vector<std::byte> state;
   std::uint64_t last_applied_seq = 0;
   /// Lease owner switch IP; 0 when unowned.
   net::Ipv4Addr owner;
-  SimTime lease_expiry = 0;
   /// True once the flow has been initialized (distinguishes "new flow" from
   /// "failover to existing state", §5.1.2 cases 1 and 2).
   bool exists = false;
@@ -94,13 +137,9 @@ struct FlowRecord {
   /// this: mergeable records are joined with the app merge function,
   /// seq-ordered records by last_applied_seq comparison.
   bool mergeable = false;
-  /// Snapshot slots for bounded-inconsistency state (index -> value, seq).
-  std::map<std::uint32_t, std::pair<std::vector<std::byte>, std::uint64_t>>
-      snapshot_slots;
-  SimTime last_snapshot_at = 0;
-  /// Replicated-read subscribers (DESIGN.md §14): switch IPs that asked for
-  /// a copy of this flow's durable state on every applied write.
-  std::vector<net::Ipv4Addr> subscribers;
+  SimTime lease_expiry = 0;
+  /// Snapshot-mode and replicated-read-mode lanes; empty until used.
+  FlowModeBlock mode;
 };
 
 class StateStoreServer : public sim::Node {

@@ -1,6 +1,7 @@
 #include "trace/workload.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "apps/epc_sgw.h"
 
@@ -33,7 +34,9 @@ std::vector<TracePacket> GenerateFlowMix(Rng& rng,
                                          const FlowMixConfig& config) {
   std::vector<TracePacket> out;
   out.reserve(config.num_packets);
-  ZipfSampler zipf(config.num_flows, std::max(config.zipf_theta, 1e-9));
+  // The CDF table costs one std::pow per flow; uniform mixes never use it.
+  std::optional<ZipfSampler> zipf;
+  if (config.zipf_theta > 0) zipf.emplace(config.num_flows, config.zipf_theta);
   SimTime now = 0;
   for (std::size_t i = 0; i < config.num_packets; ++i) {
     now += static_cast<SimDuration>(
@@ -41,8 +44,7 @@ std::vector<TracePacket> GenerateFlowMix(Rng& rng,
     TracePacket pkt;
     pkt.time = now;
     const std::size_t flow_idx =
-        config.zipf_theta > 0 ? zipf.Sample(rng)
-                              : rng.NextBounded(config.num_flows);
+        zipf ? zipf->Sample(rng) : rng.NextBounded(config.num_flows);
     pkt.flow = FlowForIndex(config, flow_idx);
     pkt.size_bytes = config.realistic_sizes ? SampleDcPacketSize(rng) : 64;
     pkt.vlan = config.vlan;

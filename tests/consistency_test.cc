@@ -224,8 +224,9 @@ TEST(ReplicatedReadTest, GrantRegistersSubscriberAndPushesOnWrites) {
   const auto* rec = h.stores[0]->Find(*app.KeyOf(
       apps::MakeKvPacket(KvFlow(), {apps::KvOp::kRead, 9, 0})));
   ASSERT_NE(rec, nullptr);
-  ASSERT_EQ(rec->subscribers.size(), 1u);
-  EXPECT_EQ(rec->subscribers[0], kSw2Ip);
+  ASSERT_TRUE(rec->mode);
+  ASSERT_EQ(rec->mode->subscribers.size(), 1u);
+  EXPECT_EQ(rec->mode->subscribers[0], kSw2Ip);
 
   // Let sw2's lease lapse, then move the writer to sw1.  Each write sw1
   // replicates is pushed to the subscribed sw2, keeping its copy warm.

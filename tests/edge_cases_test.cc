@@ -2,6 +2,9 @@
 // and hostile inputs, boundary conditions, and failure-timing corners.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <type_traits>
+
 #include "apps/counter.h"
 #include "apps/epc_sgw.h"
 #include "core/flow_table.h"
@@ -75,6 +78,95 @@ TEST(FlowTableTest, NoteSendCompactsPastHorizonAndCapsDeque) {
     table.NoteSend(slot, seq, Milliseconds(11));
   }
   EXPECT_LE(table.Find(key).pending_send_count(), 256u);
+}
+
+TEST(FlowTableTest, PendingSendsKeepOrderUnderCapAcksAndHorizon) {
+  core::FlowTable table;
+  const auto key = net::PartitionKey::OfObject(5);
+  const std::uint32_t slot = table.GetOrCreateSlot(key);
+  constexpr std::uint64_t kCap = core::FlowTable::kMaxPendingSends;
+  // 300 sends with no horizon: the cap keeps the newest 256, oldest first.
+  for (std::uint64_t seq = 1; seq <= 300; ++seq) {
+    table.NoteSend(slot, seq, Microseconds(static_cast<std::int64_t>(seq)));
+  }
+  const std::uint64_t first_kept = 300 - kCap + 1;
+  EXPECT_EQ(table.Find(key).pending_send_count(), kCap);
+  EXPECT_EQ(table.SendTimeOf(slot, first_kept - 1), 0);
+  EXPECT_EQ(table.SendTimeOf(slot, first_kept),
+            Microseconds(static_cast<std::int64_t>(first_kept)));
+  EXPECT_EQ(table.OldestPendingSendTime(slot),
+            Microseconds(static_cast<std::int64_t>(first_kept)));
+
+  // A partial ack pops through seq 100 and anchors the lease at its send.
+  table.NoteAck(slot, 100, Milliseconds(1));
+  EXPECT_EQ(table.Find(key).pending_send_count(), 200u);
+  EXPECT_EQ(table.lease_expiry(slot), Microseconds(100) + Milliseconds(1));
+  EXPECT_EQ(table.SendTimeOf(slot, 100), 0);
+  EXPECT_EQ(table.SendTimeOf(slot, 101), Microseconds(101));
+  EXPECT_EQ(table.SendTimeOf(slot, 300), Microseconds(300));
+
+  // Horizon compaction drops sends strictly older than now - horizon.
+  table.NoteSend(slot, 301, Microseconds(1000), Microseconds(800));
+  EXPECT_EQ(table.Find(key).pending_send_count(), 102u);
+  EXPECT_EQ(table.OldestPendingSendTime(slot), Microseconds(200));
+  EXPECT_EQ(table.SendTimeOf(slot, 199), 0);
+  EXPECT_EQ(table.SendTimeOf(slot, 301), Microseconds(1000));
+
+  // Acking everything empties the queue.
+  table.NoteAck(slot, 301, Milliseconds(1));
+  EXPECT_EQ(table.Find(key).pending_send_count(), 0u);
+  EXPECT_EQ(table.OldestPendingSendTime(slot), 0);
+  EXPECT_EQ(table.lease_expiry(slot), Microseconds(1000) + Milliseconds(1));
+
+  // Steady send/ack churn on another flow with two writes in flight:
+  // order holds and the popped prefix is compacted, so the block stays
+  // small.
+  const auto churn = net::PartitionKey::OfObject(6);
+  const std::uint32_t cs = table.GetOrCreateSlot(churn);
+  for (std::uint64_t seq = 1; seq <= 2000; ++seq) {
+    table.NoteSend(cs, seq, Microseconds(static_cast<std::int64_t>(seq)));
+    if (seq > 2) table.NoteAck(cs, seq - 2, Milliseconds(1));
+    ASSERT_EQ(table.Find(churn).pending_send_count(),
+              std::min<std::uint64_t>(seq, 2));
+    ASSERT_EQ(table.SendTimeOf(cs, seq - 1),
+              Microseconds(static_cast<std::int64_t>(seq - 1)));
+  }
+  EXPECT_LE(table.Find(churn).pending_send_capacity(), 8u);
+}
+
+TEST(FlowTableTest, FreshSlotsOwnNoPendingBlockAndReinitClearsEverything) {
+  static_assert(std::is_nothrow_move_constructible_v<core::FlowTable::Cold>,
+                "cold-array growth must move, not copy");
+  core::FlowTable table;
+  const auto a = net::PartitionKey::OfObject(20);
+  const std::uint32_t sa = table.GetOrCreateSlot(a);
+  EXPECT_EQ(table.Find(a).pending_send_capacity(), 0u);
+
+  table.set_status(sa, core::FlowStatus::kActive);
+  table.set_cur_seq(sa, 7);
+  table.NoteSend(sa, 7, Milliseconds(1));
+  table.NoteAck(sa, 6, Milliseconds(10));
+  table.cold(sa).state = {std::byte{1}};
+  table.Reinit(sa);
+  EXPECT_EQ(table.status(sa), core::FlowStatus::kInitPending);
+  EXPECT_EQ(table.cur_seq(sa), 0u);
+  EXPECT_EQ(table.last_acked_seq(sa), 0u);
+  EXPECT_EQ(table.lease_expiry(sa), 0);
+  EXPECT_TRUE(table.cold(sa).state.empty());
+  EXPECT_EQ(table.Find(a).pending_send_count(), 0u);
+  EXPECT_EQ(table.SendTimeOf(sa, 7), 0);
+
+  // Erase frees the block; the recycled slot starts as a fresh one.
+  table.NoteSend(sa, 1, Milliseconds(2));
+  ASSERT_GT(table.Find(a).pending_send_capacity(), 0u);
+  table.Erase(a);
+  const auto b = net::PartitionKey::OfObject(21);
+  const std::uint32_t sb = table.GetOrCreateSlot(b);
+  ASSERT_EQ(sb, sa);
+  EXPECT_EQ(table.Find(b).pending_send_capacity(), 0u);
+  EXPECT_EQ(table.Find(b).pending_send_count(), 0u);
+  EXPECT_EQ(table.SendTimeOf(sb, 1), 0);
+  EXPECT_FALSE(table.Find(a));
 }
 
 TEST(FlowTableTest, SlotsAreStableAndGenerationsDetectReuse) {

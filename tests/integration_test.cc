@@ -3,6 +3,9 @@
 // store, ECMP routing with failure detection, and real workloads.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "tests/audit_diag.h"
 
 #include "apps/epc_sgw.h"
@@ -31,6 +34,54 @@ using routing::TestbedConfig;
 constexpr net::Ipv4Addr kInternalPrefix(192, 168, 0, 0);
 constexpr std::uint32_t kInternalMask = 0xffff0000;
 constexpr net::Ipv4Addr kNatExternalIp(100, 100, 0, 1);
+
+/// ShapeFlowChurn as first written, with an ordered set: the reference the
+/// hash-set version must match packet for packet.
+void ShapeFlowChurnReference(std::vector<trace::TracePacket>& packets,
+                             SimDuration min_gap) {
+  std::vector<net::FlowKey> active;
+  std::set<net::FlowKey> seen;
+  SimTime last_intro = -min_gap;
+  std::size_t reuse_cursor = 0;
+  for (auto& pkt : packets) {
+    if (seen.count(pkt.flow)) continue;
+    if (pkt.time - last_intro >= min_gap || active.empty()) {
+      seen.insert(pkt.flow);
+      active.push_back(pkt.flow);
+      last_intro = pkt.time;
+    } else {
+      pkt.flow = active[reuse_cursor++ % active.size()];
+    }
+  }
+}
+
+TEST(BenchHarnessTest, ShapeFlowChurnMatchesOrderedSetReference) {
+  for (const double theta : {1.1, 0.0}) {
+    Rng rng(11);
+    trace::FlowMixConfig mix;
+    mix.num_packets = 20000;
+    mix.num_flows = 3000;
+    mix.zipf_theta = theta;
+    mix.mean_interarrival = Microseconds(1);
+    const std::vector<trace::TracePacket> generated =
+        trace::GenerateFlowMix(rng, mix);
+    std::vector<trace::TracePacket> shaped = generated;
+    std::vector<trace::TracePacket> reference = generated;
+    bench::ShapeFlowChurn(shaped, Microseconds(20));
+    ShapeFlowChurnReference(reference, Microseconds(20));
+    ASSERT_EQ(shaped.size(), reference.size());
+    std::size_t remapped = 0;
+    for (std::size_t i = 0; i < shaped.size(); ++i) {
+      ASSERT_EQ(shaped[i].flow, reference[i].flow) << "theta " << theta
+                                                   << " packet " << i;
+      ASSERT_EQ(shaped[i].time, reference[i].time);
+      ASSERT_EQ(shaped[i].size_bytes, reference[i].size_bytes);
+      if (!(shaped[i].flow == generated[i].flow)) ++remapped;
+    }
+    // The gap actually throttles introductions, so the check is not vacuous.
+    EXPECT_GT(remapped, 1000u) << "theta " << theta;
+  }
+}
 
 TEST(IntegrationTest, NatCarriesTrafficBothWaysThroughFabric) {
   // The NAT external IP must be routable to nothing (it is the NAT itself);
@@ -202,11 +253,12 @@ TEST(IntegrationTest, HeavyHitterSnapshotsReachStoreWithinEpsilon) {
   // The store holds a complete snapshot of the sketch.
   const auto* rec = tb.store[0]->Find(net::PartitionKey::OfVlan(1));
   ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->snapshot_slots.size(), 64u);
+  ASSERT_TRUE(rec->mode);
+  EXPECT_EQ(rec->mode->snapshot_slots.size(), 64u);
   // Sum the per-slot counts of row 0: must equal (approximately, within the
   // snapshot lag) the 300 updates.
   std::uint64_t total = 0;
-  for (const auto& [idx, slot] : rec->snapshot_slots) {
+  for (const auto& [idx, slot] : rec->mode->snapshot_slots) {
     net::ByteReader r(slot.first);
     total += r.U32();  // row 0's counter for this index
   }

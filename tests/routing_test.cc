@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "common/hash.h"
 #include "routing/failure.h"
 #include "routing/topology.h"
 
@@ -87,6 +88,90 @@ TEST(EcmpTest, ProtocolAddressesRoutable) {
                   ->NextHop(tb.agg[0],
                             PacketTo(AggSwitchIp(0), tb.StoreHeadIp()))
                   .has_value());
+}
+
+/// Hashes NextHop's answer (a port, or none) for every switch, every
+/// destination in `dests` and a fixed sample of flows, in a fixed order.
+/// The sample covers both ECMP hash inputs: 5-tuple packets and an IP
+/// packet without an L4 header.
+std::uint64_t RouteFingerprint(const Testbed& tb,
+                               const std::vector<net::Ipv4Addr>& dests) {
+  std::uint64_t fp = 0;
+  for (std::size_t n = 0; n < tb.network->NumNodes(); ++n) {
+    sim::Node* node = tb.network->GetNode(static_cast<NodeId>(n));
+    if (dynamic_cast<dp::SwitchNode*>(node) == nullptr) continue;
+    for (const net::Ipv4Addr dst : dests) {
+      std::vector<net::Packet> sample;
+      for (std::uint16_t p = 0; p < 12; ++p) {
+        sample.push_back(PacketTo(ExternalHostIp(p % 4), dst,
+                                  static_cast<std::uint16_t>(4000 + 37 * p)));
+      }
+      net::Packet bare = PacketTo(RackServerIp(1, 0), dst);
+      bare.udp.reset();
+      sample.push_back(bare);
+      for (const net::Packet& pkt : sample) {
+        const auto hop = tb.fabric->NextHop(node, pkt);
+        fp = HashCombine(fp, hop.has_value() ? *hop : 0xffffu);
+      }
+    }
+  }
+  return fp;
+}
+
+TEST(EcmpTest, NextHopFingerprintAcrossTopologyAndAddressChanges) {
+  // Pins every forwarding decision through a link cut and restore, a node
+  // failure and recovery, an ECMP salt change and an anycast address that
+  // moves between the aggregation switches (assigned before and after the
+  // recompute).  The expected values were taken from the hash-map route
+  // table this dense one replaced.
+  sim::Simulator sim;
+  TestbedConfig cfg;
+  cfg.fabric.failure_detection_delay = Milliseconds(1);
+  Testbed tb = BuildTestbed(sim, cfg);
+  FailureInjector injector(sim, *tb.fabric);
+  const net::Ipv4Addr anycast(100, 64, 0, 1);
+  std::vector<net::Ipv4Addr> dests;
+  for (int r = 0; r < 2; ++r) {
+    for (int i = 0; i < 2; ++i) dests.push_back(RackServerIp(r, i));
+  }
+  for (int i = 0; i < 4; ++i) dests.push_back(ExternalHostIp(i));
+  for (int i = 0; i < 2; ++i) dests.push_back(AggSwitchIp(i));
+  for (int i = 0; i < 3; ++i) dests.push_back(StoreServerIp(i));
+  dests.push_back(anycast);
+  dests.push_back(net::Ipv4Addr(203, 0, 113, 9));  // never assigned
+
+  std::vector<std::uint64_t> stages;
+  auto settle = [&] {
+    sim.RunUntil(sim.Now() + Milliseconds(2));
+    stages.push_back(RouteFingerprint(tb, dests));
+  };
+  stages.push_back(RouteFingerprint(tb, dests));
+  sim::Link* core_agg0 = tb.network->FindLink(tb.core, tb.agg[0]);
+  ASSERT_NE(core_agg0, nullptr);
+  injector.FailLink(core_agg0);
+  settle();
+  injector.RecoverLink(core_agg0);
+  settle();
+  injector.FailNode(tb.agg[1]);
+  settle();
+  injector.RecoverNode(tb.agg[1]);
+  settle();
+  tb.fabric->SetEcmpSalt(0x5eed);
+  stages.push_back(RouteFingerprint(tb, dests));
+  tb.fabric->AssignAddress(tb.agg[0], anycast);
+  stages.push_back(RouteFingerprint(tb, dests));
+  tb.fabric->RecomputeNow();
+  stages.push_back(RouteFingerprint(tb, dests));
+  tb.fabric->AssignAddress(tb.agg[1], anycast);
+  stages.push_back(RouteFingerprint(tb, dests));
+  tb.fabric->RecomputeNow();
+  stages.push_back(RouteFingerprint(tb, dests));
+  const std::vector<std::uint64_t> expected{
+      0xef7a5d5858bd3908ull, 0x666bf28249e4cc50ull, 0xef7a5d5858bd3908ull,
+      0xb87d75be1b03a5f9ull, 0xef7a5d5858bd3908ull, 0x6f481f086817c2f8ull,
+      0x9d2ca64ec3f33edfull, 0x9d2ca64ec3f33edfull, 0x1646e8a354f47232ull,
+      0x1646e8a354f47232ull};
+  EXPECT_EQ(stages, expected);
 }
 
 TEST(FailureTest, AggFailureReroutesAfterDetectionDelay) {

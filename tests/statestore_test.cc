@@ -3,6 +3,9 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/protocol.h"
 #include "sim/host.h"
@@ -284,12 +287,118 @@ TEST(StateStoreTest, SnapshotSlotsStoredWithRoundSequencing) {
   h.sim_.Run();
   const FlowRecord* rec = h.servers_[0]->Find(net::PartitionKey::OfVlan(7));
   ASSERT_NE(rec, nullptr);
-  const auto it = rec->snapshot_slots.find(5);
-  ASSERT_NE(it, rec->snapshot_slots.end());
+  ASSERT_TRUE(rec->mode);
+  const auto it = rec->mode->snapshot_slots.find(5);
+  ASSERT_NE(it, rec->mode->snapshot_slots.end());
   EXPECT_EQ(it->second.first[0], std::byte{0x05});
   EXPECT_EQ(it->second.second, 2u);
   ASSERT_EQ(h.acks_[0].size(), 2u);
   EXPECT_EQ(h.acks_[0][1].ack, AckKind::kSnapshotAck);
+}
+
+TEST(StateStoreTest, SingleOwnerRecordCarriesNoModeBlock) {
+  // Init and seq-ordered writes never touch the snapshot or replicated-read
+  // lanes, so no replica allocates them; the first snapshot write does.
+  StoreHarness h(3);
+  h.Send(0, h.MakeInit(1));
+  h.sim_.Run();
+  h.Send(0, h.MakeWrite(1, 1, 0x11));
+  h.sim_.Run();
+  for (const StateStoreServer* server : h.servers_) {
+    const FlowRecord* rec = server->Find(Key(1));
+    ASSERT_NE(rec, nullptr) << server->name();
+    EXPECT_EQ(rec->last_applied_seq, 1u) << server->name();
+    EXPECT_FALSE(rec->mode) << server->name();
+  }
+  Msg snap;
+  snap.type = MsgType::kSnapshotRepl;
+  snap.key = Key(1);
+  snap.seq = 1;
+  snap.snapshot_index = 0;
+  snap.state = {std::byte{0x01}};
+  h.Send(0, snap);
+  h.sim_.Run();
+  for (const StateStoreServer* server : h.servers_) {
+    const FlowRecord* rec = server->Find(Key(1));
+    ASSERT_TRUE(rec->mode) << server->name();
+    EXPECT_EQ(rec->mode->snapshot_slots.size(), 1u) << server->name();
+  }
+}
+
+TEST(StateStoreTest, RecordCopiesDeepCopyTheModeBlock) {
+  FlowRecord a;
+  a.mode.GetOrCreate().subscribers.push_back(net::Ipv4Addr(10, 0, 0, 1));
+  FlowRecord b = a;
+  b.mode.GetOrCreate().subscribers.push_back(net::Ipv4Addr(10, 0, 0, 2));
+  EXPECT_EQ(a.mode->subscribers.size(), 1u);
+  EXPECT_EQ(b.mode->subscribers.size(), 2u);
+  FlowRecord c;
+  c = b;
+  b.mode.GetOrCreate().last_snapshot_at = 5;
+  EXPECT_EQ(c.mode->subscribers.size(), 2u);
+  EXPECT_EQ(c.mode->last_snapshot_at, 0);
+  c = FlowRecord{};
+  EXPECT_FALSE(c.mode);
+}
+
+TEST(StateStoreTest, ResyncImportMergesModeBlocks) {
+  StoreHarness h(1);
+  StateStoreServer& server = *h.servers_[0];
+  const net::Ipv4Addr ip1(172, 16, 0, 1), ip2(172, 16, 0, 2),
+      ip3(172, 16, 0, 3);
+  auto slot = [](std::uint8_t v, std::uint64_t seq) {
+    return std::make_pair(std::vector<std::byte>{std::byte{v}}, seq);
+  };
+  std::unordered_map<net::PartitionKey, FlowRecord> local;
+  {
+    FlowModeState& m = local[Key(1)].mode.GetOrCreate();
+    m.snapshot_slots = {{1, slot(0x10, 5)}, {2, slot(0x20, 3)}};
+    m.last_snapshot_at = 10;
+    m.subscribers = {ip1};
+  }
+  local[Key(2)].exists = true;
+  local[Key(4)].exists = true;
+  server.ImportFlows(std::move(local));
+
+  std::unordered_map<net::PartitionKey, FlowRecord> incoming;
+  {
+    FlowModeState& m = incoming[Key(1)].mode.GetOrCreate();
+    m.snapshot_slots = {{1, slot(0x11, 4)}, {2, slot(0x21, 7)},
+                        {3, slot(0x31, 1)}};
+    m.last_snapshot_at = 20;
+    m.subscribers = {ip2, ip1};
+  }
+  {
+    FlowModeState& m = incoming[Key(2)].mode.GetOrCreate();
+    m.snapshot_slots = {{4, slot(0x41, 2)}};
+    m.last_snapshot_at = 5;
+    m.subscribers = {ip3};
+  }
+  incoming[Key(3)].exists = true;
+  incoming[Key(4)].exists = true;
+  server.ImportFlows(std::move(incoming));
+
+  // Per slot the higher sequence wins; last_snapshot_at takes the max and
+  // subscribers are unioned in arrival order.
+  const FlowRecord* r1 = server.Find(Key(1));
+  ASSERT_TRUE(r1->mode);
+  const auto& s1 = r1->mode->snapshot_slots;
+  ASSERT_EQ(s1.size(), 3u);
+  EXPECT_EQ(s1.at(1), slot(0x10, 5));
+  EXPECT_EQ(s1.at(2), slot(0x21, 7));
+  EXPECT_EQ(s1.at(3), slot(0x31, 1));
+  EXPECT_EQ(r1->mode->last_snapshot_at, 20);
+  EXPECT_EQ(r1->mode->subscribers, (std::vector<net::Ipv4Addr>{ip1, ip2}));
+  // A record without a block merges as an empty one.
+  const FlowRecord* r2 = server.Find(Key(2));
+  ASSERT_TRUE(r2->mode);
+  EXPECT_EQ(r2->mode->snapshot_slots.size(), 1u);
+  EXPECT_EQ(r2->mode->last_snapshot_at, 5);
+  EXPECT_EQ(r2->mode->subscribers, (std::vector<net::Ipv4Addr>{ip3}));
+  // Neither side used the lanes: still none.
+  ASSERT_NE(server.Find(Key(3)), nullptr);
+  EXPECT_FALSE(server.Find(Key(3))->mode);
+  EXPECT_FALSE(server.Find(Key(4))->mode);
 }
 
 TEST(StateStoreTest, InitializerSuppliesNewFlowState) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/rng.h"
@@ -27,6 +28,17 @@ struct TimerWheelTestPeer {
       }
     }
     return counts;
+  }
+
+  /// NextSlotTime computed from the bitmaps and the overflow minimum,
+  /// bypassing the cached answer.
+  static SimTime UncachedNextSlotTime(const TimerWheel& wheel) {
+    int level = 0;
+    std::uint32_t slot = 0;
+    std::uint64_t start_tick = UINT64_MAX;
+    wheel.EarliestSlot(&level, &slot, &start_tick);
+    start_tick = std::min(start_tick, wheel.overflow_min_tick_);
+    return static_cast<SimTime>(start_tick << TimerWheel::kTickShift);
   }
 };
 
@@ -170,7 +182,8 @@ TEST(TimerWheelTest, PerLevelCountsMatchABucketWalkUnderRandomOps) {
   // horizon into overflow), cancels (live and stale handles), slot pops
   // (which cascade higher levels down and refill from overflow) and the
   // occasional drain; after every operation the kept counts must equal a
-  // recount of the bucket lists and sum to Size().
+  // recount of the bucket lists and sum to Size(), and the cached
+  // NextSlotTime must equal one computed afresh.
   TimerWheel wheel;
   Rng rng(20261018);
   std::vector<std::pair<std::uint32_t, std::uint64_t>> handles;
@@ -219,6 +232,11 @@ TEST(TimerWheelTest, PerLevelCountsMatchABucketWalkUnderRandomOps) {
     std::size_t total = 0;
     for (std::size_t n : counts) total += n;
     ASSERT_EQ(total, wheel.Size()) << "op " << op;
+    if (!wheel.Empty()) {
+      ASSERT_EQ(wheel.NextSlotTime(),
+                TimerWheelTestPeer::UncachedNextSlotTime(wheel))
+          << "op " << op;
+    }
     overflow_seen += counts[TimerWheel::kLevels];
     for (int l = 2; l < TimerWheel::kLevels; ++l) {
       high_level_seen += counts[static_cast<std::size_t>(l)];
@@ -269,6 +287,52 @@ TEST(SimulatorWheelTest, WheelAndHeapFireInTheSameOrder) {
   std::vector<int> labels;
   for (const auto& [t, l] : with_wheel) labels.push_back(l);
   EXPECT_EQ(labels, expect_labels);
+}
+
+/// Timer churn around wheel slot edges: each of 16 timers, when it fires,
+/// cancels a peer and re-arms both itself and the peer at times one
+/// nanosecond before, at, or after a slot boundary, from the current slot
+/// to 1500 slots out, so cancels can hit timers parked in the wheel,
+/// timers already spilled into the heap and timers of the slot being
+/// drained.  Returns the firing order as (time, label) pairs.
+std::vector<std::pair<SimTime, int>> RunEdgeChurn(SimDuration threshold) {
+  Simulator sim;
+  sim.SetCoarseTimerThreshold(threshold);
+  constexpr SimTime kTick = SimTime(1) << TimerWheel::kTickShift;
+  constexpr int kTimers = 16;
+  std::vector<std::pair<SimTime, int>> fired;
+  std::vector<EventId> armed(kTimers, 0);
+  Rng rng(20261019);
+  std::function<void(int)> arm = [&](int i) {
+    // Half land near (heap or just past the coarse threshold), half far:
+    // a near re-arm then often files before the wheel's earliest slot.
+    const std::uint64_t ahead =
+        rng.NextBounded(2) == 0 ? rng.NextBounded(70) : rng.NextBounded(1500);
+    const SimTime edge =
+        (sim.Now() / kTick + static_cast<SimTime>(ahead)) * kTick;
+    const SimTime at = std::max(
+        sim.Now(), edge + static_cast<SimTime>(rng.NextBounded(3)) - 1);
+    armed[static_cast<std::size_t>(i)] = sim.Schedule(at - sim.Now(), [&, i] {
+      fired.emplace_back(sim.Now(), i);
+      if (fired.size() >= 4000) return;
+      const int peer = static_cast<int>(rng.NextBounded(kTimers));
+      if (peer != i) {
+        sim.Cancel(armed[static_cast<std::size_t>(peer)]);
+        arm(peer);
+      }
+      arm(i);
+    });
+  };
+  for (int i = 0; i < kTimers; ++i) arm(i);
+  sim.Run();
+  return fired;
+}
+
+TEST(SimulatorWheelTest, WheelAndHeapFireInTheSameOrderUnderEdgeChurn) {
+  const auto with_wheel = RunEdgeChurn(Simulator::kDefaultCoarseThreshold);
+  const auto heap_only = RunEdgeChurn(SimDuration{INT64_MAX});
+  ASSERT_GE(with_wheel.size(), 4000u);
+  EXPECT_EQ(with_wheel, heap_only);
 }
 
 TEST(SimulatorWheelTest, CancelAfterFireIsHarmless) {
