@@ -170,10 +170,9 @@ SampleSet RunHeavyHitter() {
   hh_config.vlans = {1};
   apps::HeavyHitterApp hh(hh_config);
   core::RedPlaneConfig rp;
-  rp.linearizable = false;
   rp.snapshot_period = Milliseconds(1);
   setup.deploy.DeployRedPlane(hh, rp);
-  setup.deploy.redplane(0)->StartSnapshotReplication(hh);
+  setup.deploy.redplane(0)->StartSnapshotReplication();
 
   RttProbe probe(setup.tb->rack_servers[0][0]);
   InstallEcho(setup.tb->external[0]);
@@ -204,14 +203,13 @@ SampleSet RunCounter(bool synchronous, int chain_size,
   // a small fraction of traffic, as in the paper's async configuration.
   apps::AsyncCounterApp async_app(256);
   core::RedPlaneConfig rp;
-  rp.linearizable = synchronous;
   rp.snapshot_period = Milliseconds(5);
   core::SwitchApp& app =
       synchronous ? static_cast<core::SwitchApp&>(sync_app)
                   : static_cast<core::SwitchApp&>(async_app);
   setup.deploy.DeployRedPlane(app, rp);
   if (!synchronous) {
-    setup.deploy.redplane(0)->StartSnapshotReplication(async_app);
+    setup.deploy.redplane(0)->StartSnapshotReplication();
   }
   if (obs != nullptr) {
     obs->AttachTracer(setup.deploy.sim());

@@ -172,10 +172,9 @@ BandwidthResult RunHeavyHitter() {
   cfg.vlans = {1};
   apps::HeavyHitterApp hh(cfg);
   core::RedPlaneConfig rp;
-  rp.linearizable = false;
   rp.snapshot_period = Milliseconds(1);
   h.deploy.DeployRedPlane(hh, rp);
-  h.deploy.redplane(0)->StartSnapshotReplication(hh);
+  h.deploy.redplane(0)->StartSnapshotReplication();
   // Write-centric traffic runs at high rate; snapshot bandwidth is fixed,
   // so its share is rate-dependent (the paper measures at ~Tbps-scale
   // injection).

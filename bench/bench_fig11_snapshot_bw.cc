@@ -27,11 +27,10 @@ double MeasureSnapshotBandwidth(int num_sketches, double frequency_hz,
   apps::HeavyHitterApp hh(hh_config);
 
   core::RedPlaneConfig rp_config;
-  rp_config.linearizable = false;
   rp_config.snapshot_period =
       static_cast<SimDuration>(1e9 / frequency_hz);
   deploy.DeployRedPlane(hh, rp_config);
-  deploy.redplane(0)->StartSnapshotReplication(hh);
+  deploy.redplane(0)->StartSnapshotReplication();
 
   const SimDuration duration = Milliseconds(200);
   if (obs != nullptr) {

@@ -88,7 +88,6 @@ KvModeResult KvModeRun(core::ConsistencyMode mode, double update_ratio,
   apps::KvStoreApp kv;
   core::RedPlaneConfig rp;
   rp.mode_override = mode;
-  rp.staleness_bound = Milliseconds(1);
   deploy.DeployRedPlane(kv, rp);
 
   KvModeResult r;

@@ -187,11 +187,10 @@ Impact HeavyHitterImpact() {
     cfg.threshold = 200;
     apps::HeavyHitterApp hh(cfg);
     core::RedPlaneConfig rp = s.RpConfig();
-    rp.linearizable = false;
     rp.snapshot_period = Milliseconds(1);
     if (redplane) {
       s.deploy.DeployRedPlane(hh, rp);
-      s.deploy.redplane(0)->StartSnapshotReplication(hh);
+      s.deploy.redplane(0)->StartSnapshotReplication();
     } else {
       s.deploy.DeployPlain(hh);
     }

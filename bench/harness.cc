@@ -28,6 +28,9 @@ void Deployment::DeployRedPlane(core::SwitchApp& app,
         *testbed_->agg[i], app, shard_for, config);
     testbed_->agg[i]->SetPipeline(redplane_[i].get());
   }
+  for (store::StateStoreServer* server : testbed_->store) {
+    server->SetSpec(redplane_[0]->spec());
+  }
 }
 
 void Deployment::DeployPlain(

@@ -55,7 +55,8 @@ class Deployment {
   /// Rebuilds the testbed with `store_config` merged in.
   void Build(routing::TestbedConfig config = {});
 
-  /// Deploys `app` RedPlane-enabled on both aggregation switches.
+  /// Deploys `app` RedPlane-enabled on both aggregation switches and hands
+  /// the resolved consistency spec to every store.
   void DeployRedPlane(core::SwitchApp& app, core::RedPlaneConfig config = {});
 
   /// Deploys `app` without fault tolerance (per-switch local state).

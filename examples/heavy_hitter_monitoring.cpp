@@ -32,12 +32,11 @@ int main() {
   apps::HeavyHitterApp hh(hh_config);
 
   core::RedPlaneConfig rp_config;
-  rp_config.linearizable = false;  // bounded-inconsistency mode
   rp_config.snapshot_period = Milliseconds(1);
   auto shard_for = [&](const net::PartitionKey&) { return tb.StoreHeadIp(); };
   core::RedPlaneSwitch rp0(*tb.agg[0], hh, shard_for, rp_config);
   tb.agg[0]->SetPipeline(&rp0);
-  rp0.StartSnapshotReplication(hh);
+  rp0.StartSnapshotReplication();
 
   // Tenant traffic: a zipf-skewed flow mix per VLAN.
   Rng rng(7);

@@ -38,9 +38,11 @@ class AsyncCounterApp : public core::SwitchApp, public core::Snapshottable {
   explicit AsyncCounterApp(std::size_t slots = 4096);
 
   std::string_view name() const override { return "async_counter"; }
-  /// Same lattice as the sync variant: per-slot monotone u64 counters.
+  /// Replicated by periodic snapshot; same lattice as the sync variant:
+  /// per-slot monotone u64 counters.
   core::StateTraits Traits() const override {
     core::StateTraits t;
+    t.mode = core::ConsistencyMode::kSnapshot;
     t.merge = core::MergeMaxU64;
     t.measure = core::MeasureU64;
     return t;

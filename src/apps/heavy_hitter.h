@@ -31,10 +31,12 @@ class HeavyHitterApp : public core::SwitchApp, public core::Snapshottable {
 
   // SwitchApp:
   std::string_view name() const override { return "heavy_hitter"; }
-  /// Sketch rows are lane-wise monotone u32 counters: the join is per-lane
-  /// max, which preserves the count-min overestimate guarantee.
+  /// Sketches are approximate, so the app declares snapshot mode.  Sketch
+  /// rows are lane-wise monotone u32 counters: the join is per-lane max,
+  /// which preserves the count-min overestimate guarantee.
   core::StateTraits Traits() const override {
     core::StateTraits t;
+    t.mode = core::ConsistencyMode::kSnapshot;
     t.merge = core::MergeMaxU32Lanes;
     t.measure = core::MeasureSumU32Lanes;
     return t;

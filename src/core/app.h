@@ -22,36 +22,6 @@
 
 namespace redplane::core {
 
-/// Defaults used when an app declares a weaker mode without tuning knobs.
-constexpr SimDuration kDefaultStalenessBound = Milliseconds(1);
-constexpr SimDuration kDefaultMergeInterval = Microseconds(100);
-
-/// An app's declared point on the consistency spectrum (DESIGN.md §14).
-///
-/// The default — single-owner, no merge — is the paper's base protocol and
-/// what every app gets unless it opts out.  Apps whose state forms a join-
-/// semilattice declare `merge`/`measure` (and may declare kMergeable as
-/// their native mode); read-heavy apps with a tolerable staleness window
-/// declare kReplicatedRead plus a bound.  Deployments can pin any mode via
-/// `RedPlaneConfig::mode_override` regardless of the declaration — the
-/// declaration says what the app *tolerates*, the deployment says what it
-/// *gets*.
-struct StateTraits {
-  ConsistencyMode mode = ConsistencyMode::kSingleOwner;
-  /// Join for mergeable state; must be commutative/associative/idempotent.
-  /// Required for kMergeable (declaring the mode without it falls back to
-  /// single-owner); harmless to declare alongside other modes — it marks
-  /// the app mergeable-*capable* for deployments that override the mode.
-  MergeFn merge = nullptr;
-  /// Monotone measure paired with `merge` (merge_convergence oracle).
-  MeasureFn measure = nullptr;
-  /// kReplicatedRead: max age of the local replica a read may observe.
-  /// 0 = kDefaultStalenessBound.
-  SimDuration staleness_bound = 0;
-  /// kMergeable: period between merge-delta pushes. 0 = default.
-  SimDuration merge_interval = 0;
-};
-
 /// Typed access helpers for POD state blobs.
 template <typename T>
 std::optional<T> StateAs(std::span<const std::byte> bytes) {
@@ -97,8 +67,8 @@ class SwitchApp {
   /// Default: the IP 5-tuple.
   virtual std::optional<net::PartitionKey> KeyOf(const net::Packet& pkt) const;
 
-  /// The app's declared consistency traits (see StateTraits).  Default:
-  /// single-owner, the paper's base protocol.
+  /// The app's declared consistency traits (see StateTraits in
+  /// core/consistency.h).  Default: single-owner, the paper's base protocol.
   virtual StateTraits Traits() const { return {}; }
 
   /// The transition function.  `state` is this partition's current state

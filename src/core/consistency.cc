@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "core/app.h"
 
 namespace redplane::core {
 
@@ -14,6 +13,7 @@ const char* ConsistencyModeName(ConsistencyMode mode) {
     case ConsistencyMode::kSingleOwner: return "single_owner";
     case ConsistencyMode::kReplicatedRead: return "replicated_read";
     case ConsistencyMode::kMergeable: return "mergeable";
+    case ConsistencyMode::kSnapshot: return "snapshot";
   }
   return "unknown";
 }
@@ -99,81 +99,30 @@ double MeasurePopcount(std::span<const std::byte> state) {
   return static_cast<double>(bits);
 }
 
-void ConsistencyPolicy::Merge(std::vector<std::byte>& into,
-                              std::span<const std::byte> delta) const {
-  into.assign(delta.begin(), delta.end());
-}
-
-namespace {
-
-class SingleOwnerPolicy final : public ConsistencyPolicy {
- public:
-  ConsistencyMode mode() const override {
-    return ConsistencyMode::kSingleOwner;
+StateTraits ResolveSpec(StateTraits spec, std::optional<ConsistencyMode> pin,
+                        bool snapshottable) {
+  if (pin.has_value()) spec.mode = *pin;
+  if (spec.mode == ConsistencyMode::kMergeable && spec.merge == nullptr) {
+    RP_LOG(kWarn) << "mergeable mode declared without a merge function; "
+                     "falling back to single-owner";
+    spec.mode = ConsistencyMode::kSingleOwner;
   }
-};
-
-class ReplicatedReadPolicy final : public ConsistencyPolicy {
- public:
-  explicit ReplicatedReadPolicy(SimDuration bound) : bound_(bound) {}
-
-  ConsistencyMode mode() const override {
-    return ConsistencyMode::kReplicatedRead;
+  if (spec.mode == ConsistencyMode::kSnapshot && !snapshottable) {
+    RP_LOG(kWarn) << "snapshot mode declared by an app that is not "
+                     "Snapshottable; falling back to single-owner";
+    spec.mode = ConsistencyMode::kSingleOwner;
   }
-  bool AllowLocalRead(SimDuration staleness) const override {
-    return staleness <= bound_;
+  if (spec.mode != ConsistencyMode::kReplicatedRead) {
+    spec.staleness_bound = 0;
+  } else if (spec.staleness_bound <= 0) {
+    spec.staleness_bound = kDefaultStalenessBound;
   }
-  SimDuration staleness_bound() const override { return bound_; }
-
- private:
-  SimDuration bound_;
-};
-
-class MergeablePolicy final : public ConsistencyPolicy {
- public:
-  MergeablePolicy(MergeFn merge, MeasureFn measure, SimDuration interval)
-      : merge_(merge), measure_(measure), interval_(interval) {}
-
-  ConsistencyMode mode() const override { return ConsistencyMode::kMergeable; }
-  bool LeaseRequired() const override { return false; }
-  SimDuration merge_interval() const override { return interval_; }
-  void Merge(std::vector<std::byte>& into,
-             std::span<const std::byte> delta) const override {
-    merge_(into, delta);
+  if (spec.mode != ConsistencyMode::kMergeable) {
+    spec.merge_interval = 0;
+  } else if (spec.merge_interval <= 0) {
+    spec.merge_interval = kDefaultMergeInterval;
   }
-  double Measure(std::span<const std::byte> state) const override {
-    return measure_ != nullptr ? measure_(state) : 0.0;
-  }
-
- private:
-  MergeFn merge_;
-  MeasureFn measure_;
-  SimDuration interval_;
-};
-
-}  // namespace
-
-std::unique_ptr<ConsistencyPolicy> ConsistencyPolicy::Make(
-    const StateTraits& traits) {
-  switch (traits.mode) {
-    case ConsistencyMode::kSingleOwner:
-      break;
-    case ConsistencyMode::kReplicatedRead:
-      return std::make_unique<ReplicatedReadPolicy>(
-          traits.staleness_bound > 0 ? traits.staleness_bound
-                                     : kDefaultStalenessBound);
-    case ConsistencyMode::kMergeable:
-      if (traits.merge == nullptr) {
-        RP_LOG(kWarn) << "mergeable mode declared without a merge function; "
-                         "falling back to single-owner";
-        break;
-      }
-      return std::make_unique<MergeablePolicy>(
-          traits.merge, traits.measure,
-          traits.merge_interval > 0 ? traits.merge_interval
-                                    : kDefaultMergeInterval);
-  }
-  return std::make_unique<SingleOwnerPolicy>();
+  return spec;
 }
 
 }  // namespace redplane::core

@@ -1,42 +1,33 @@
 // The consistency-mode spectrum (DESIGN.md §14).
 //
 // RedPlane's base protocol serializes every flow through one owner switch
-// behind a lease.  That is the strongest point on a spectrum the paper
-// itself opens in §4.4 (bounded-inconsistency snapshots): many in-switch
-// applications tolerate weaker guarantees in exchange for latency.  This
-// header names the spectrum and factors the per-mode decisions out of
-// `RedPlaneSwitch` into a small strategy object:
+// behind a lease: the strongest point on a spectrum the paper itself opens
+// in §4.4.  Weaker points buy latency with tolerance:
 //
-//   * kSingleOwner    — today's protocol, unchanged: lease-serialized
-//                       ownership, per-write sync replication, reads
-//                       buffered behind in-flight writes.  Selecting it
-//                       explicitly is bit-identical to the default path
-//                       (pinned by an A/B test in tests/consistency_test).
-//   * kReplicatedRead — writes stay lease-serialized, but reads that would
-//                       otherwise loop through the network buffer are
-//                       answered from local state as long as the local
-//                       replica's staleness (age of the oldest un-acked
-//                       write) is within the app's declared bound.  This is
-//                       ε-serializability: the `bounded_staleness` monitor
-//                       and modelcheck oracle enforce the bound live.
-//   * kMergeable      — multi-writer: no lease at all.  Every switch admits
-//                       the flow locally, applies writes at zero RTT, and
-//                       periodically ships its full local state to the
-//                       store as a merge delta.  The store joins deltas
-//                       with the app's declared merge function.  Merges
-//                       must be commutative, associative, and idempotent
-//                       (join-semilattice), which makes retransmission and
-//                       replay after failover safe by construction; the
-//                       `merge_convergence` monitor checks a declared
-//                       monotone measure never decreases at the store.
+//   * kSingleOwner    — the paper's protocol: lease-serialized ownership,
+//                       per-write sync replication, reads buffered behind
+//                       in-flight writes.
+//   * kReplicatedRead — writes as single-owner; a read that would buffer is
+//                       served from local state while the replica's
+//                       staleness (age of the oldest un-acked write) is
+//                       within the app's bound (ε-serializability, enforced
+//                       by the `bounded_staleness` monitor and oracle).
+//   * kMergeable      — no lease: every switch writes locally at zero RTT
+//                       and periodically ships its full state, which the
+//                       store joins with the app's merge.  Merges are joins
+//                       (commutative, associative, idempotent), so replay is
+//                       safe; `merge_convergence` checks a monotone measure.
+//   * kSnapshot       — leased flows whose writes stay local; the app's
+//                       Snapshottable structures replicate periodically
+//                       (bounded inconsistency, §5.4).
 //
-// Apps declare their point on the spectrum (plus merge/measure functions
-// where applicable) via `StateTraits` in core/app.h; deployments may pin a
-// different mode through `RedPlaneConfig::mode_override`.
+// An app declares its point as a `StateTraits`; `ResolveSpec` combines it
+// with the deployment's `RedPlaneConfig::mode_override` into the one spec
+// the switch, the store and the benches read.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -48,10 +39,11 @@ enum class ConsistencyMode : std::uint8_t {
   kSingleOwner = 0,
   kReplicatedRead = 1,
   kMergeable = 2,
+  kSnapshot = 3,
 };
 
 /// Number of modes; wire decoding rejects mode bytes >= this.
-constexpr std::uint8_t kNumConsistencyModes = 3;
+constexpr std::uint8_t kNumConsistencyModes = 4;
 
 const char* ConsistencyModeName(ConsistencyMode mode);
 
@@ -92,49 +84,35 @@ double MeasureU64(std::span<const std::byte> state);
 double MeasureSumU32Lanes(std::span<const std::byte> state);
 double MeasurePopcount(std::span<const std::byte> state);
 
-struct StateTraits;  // core/app.h
+/// Defaults used when an app declares a weaker mode without tuning knobs.
+constexpr SimDuration kDefaultStalenessBound = Milliseconds(1);
+constexpr SimDuration kDefaultMergeInterval = Microseconds(100);
 
-/// Per-mode protocol decisions, consulted by RedPlaneSwitch.  The single-
-/// owner implementation answers every question exactly as the pre-refactor
-/// hard-wired code did, so selecting it changes nothing (A/B-pinned).
-class ConsistencyPolicy {
- public:
-  virtual ~ConsistencyPolicy() = default;
-
-  virtual ConsistencyMode mode() const = 0;
-
-  /// Does flow admission require a store-granted lease?  False only for
-  /// mergeable mode, where every switch admits locally.
-  virtual bool LeaseRequired() const { return true; }
-
-  /// May a read be answered from local state that is `staleness` behind the
-  /// durable store view (oldest un-acked write age)?  Only replicated-read
-  /// answers yes, and only within the declared bound.
-  virtual bool AllowLocalRead(SimDuration staleness) const {
-    (void)staleness;
-    return false;
-  }
-
-  /// Staleness bound local reads must respect (0 = mode never reads
-  /// locally against a bound).
-  virtual SimDuration staleness_bound() const { return 0; }
-
-  /// Interval between merge-delta pushes to the store (mergeable only).
-  virtual SimDuration merge_interval() const { return 0; }
-
-  /// Joins `delta` into `into` (mergeable only; no-op overwrite otherwise).
-  virtual void Merge(std::vector<std::byte>& into,
-                     std::span<const std::byte> delta) const;
-
-  /// Monotone measure of `state` (mergeable only; 0 otherwise).
-  virtual double Measure(std::span<const std::byte> state) const {
-    (void)state;
-    return 0.0;
-  }
-
-  /// Builds the policy for `traits`.  A mergeable declaration without a
-  /// merge function is invalid and falls back to single-owner (warned).
-  static std::unique_ptr<ConsistencyPolicy> Make(const StateTraits& traits);
+/// An app's declared point on the spectrum (SwitchApp::Traits) and, once
+/// resolved, the spec one deployment runs.  The default is the paper's
+/// single-owner protocol.  The declaration says what the app *tolerates*;
+/// `RedPlaneConfig::mode_override` says what the deployment *gets*.
+struct StateTraits {
+  ConsistencyMode mode = ConsistencyMode::kSingleOwner;
+  /// Join for mergeable state (the store joins kMergeDelta writes with it).
+  /// Required for kMergeable; declared alongside another mode it marks the
+  /// app mergeable-*capable* for deployments that pin kMergeable.
+  MergeFn merge = nullptr;
+  /// Monotone measure paired with `merge` (merge_convergence oracle).
+  MeasureFn measure = nullptr;
+  /// kReplicatedRead: max age of the local replica a read may observe.
+  SimDuration staleness_bound = 0;
+  /// kMergeable: period between merge-delta pushes.
+  SimDuration merge_interval = 0;
 };
+
+/// Resolves the app's declared `spec` for a deployment.  `pin` (the
+/// deployment's mode_override) wins over the declared mode.  The staleness
+/// bound survives only under kReplicatedRead and the merge interval only
+/// under kMergeable, each defaulted when not positive.  An unrunnable mode
+/// falls back to single-owner with a warning: kMergeable without a merge
+/// function, and kSnapshot for an app that is not `snapshottable`.
+StateTraits ResolveSpec(StateTraits spec, std::optional<ConsistencyMode> pin,
+                        bool snapshottable);
 
 }  // namespace redplane::core

@@ -37,6 +37,8 @@ RedPlaneSwitch::RedPlaneSwitch(
       app_(app),
       shard_for_(std::move(shard_for)),
       config_(config),
+      spec_(ResolveSpec(app.Traits(), config.mode_override,
+                        dynamic_cast<Snapshottable*>(&app) != nullptr)),
       stats_(node.name() + "/rp"),
       trace_(node.name() + "/rp"),
       diag_(node.name() + "/rp lease table",
@@ -77,13 +79,6 @@ RedPlaneSwitch::RedPlaneSwitch(
   m_.replica_pushes_rx = stats_.RegisterCounter("replica_pushes_rx");
   m_.local_read_staleness_us =
       stats_.RegisterHistogram("local_read_staleness_us");
-  // Resolve the deployment's consistency policy: the app's declaration,
-  // with the deployment override winning (DESIGN.md §14).
-  StateTraits traits = app_.Traits();
-  if (config_.mode_override.has_value()) traits.mode = *config_.mode_override;
-  if (config_.staleness_bound > 0) traits.staleness_bound = config_.staleness_bound;
-  policy_ = ConsistencyPolicy::Make(traits);
-  mode_ = policy_->mode();
   stats_.AddCallbackGauge(
       "active_flows", [this] { return static_cast<double>(flows_.Size()); });
   stats_.AddCallbackGauge("mirror_occupancy_bytes", [this] {
@@ -143,7 +138,7 @@ void RedPlaneSwitch::HandleAppPacket(dp::SwitchContext& ctx, net::Packet pkt) {
   m_.app_pkts.Add();
   const SimTime now = ctx.Now();
 
-  if (mode_ == ConsistencyMode::kMergeable) {
+  if (spec_.mode == ConsistencyMode::kMergeable) {
     // Multi-writer mode: no lease machinery at all — the flow is admitted
     // locally and the single-owner protocol below never runs for it.
     HandleMergeablePacket(ctx, *key, std::move(pkt));
@@ -165,7 +160,7 @@ void RedPlaneSwitch::HandleAppPacket(dp::SwitchContext& ctx, net::Packet pkt) {
       renew.key = *key;
       renew.seq = flows_.cur_seq(slot);
       renew.reply_to = node_.ip();
-      renew.mode = mode_;
+      renew.mode = spec_.mode;
       renew.span_id = NewSpanId();
       cold.renew_in_flight = true;
       m_.renewals_sent.Add();
@@ -197,7 +192,7 @@ void RedPlaneSwitch::HandleAppPacket(dp::SwitchContext& ctx, net::Packet pkt) {
     buf.seq = 0;  // marks an unprocessed input looping pre-grant
     buf.snapshot_index = 0;
     buf.reply_to = node_.ip();
-    buf.mode = mode_;
+    buf.mode = spec_.mode;
     buf.piggyback = std::move(pkt);
     buf.span_id = NewSpanId();
     m_.init_loop_buffered.Add();
@@ -225,7 +220,7 @@ void RedPlaneSwitch::HandleAppPacket(dp::SwitchContext& ctx, net::Packet pkt) {
   init.key = *key;
   init.seq = 0;
   init.reply_to = node_.ip();
-  init.mode = mode_;
+  init.mode = spec_.mode;
   init.piggyback = std::move(pkt);
   init.span_id = NewSpanId();
   m_.inits_sent.Add();
@@ -248,7 +243,8 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
   ProcessResult result =
       app_.Process(actx, std::move(pkt), flows_.cold(slot).state);
 
-  if (result.state_modified && config_.linearizable) {
+  const bool sync_writes = spec_.mode != ConsistencyMode::kSnapshot;
+  if (result.state_modified && sync_writes) {
     // Synchronous replication: the write leaves as a replication request
     // carrying the new state; the output rides piggybacked and is released
     // by the ack (never before the update is durable).
@@ -258,7 +254,7 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
     repl.key = key;
     repl.seq = seq;
     repl.reply_to = node_.ip();
-    repl.mode = mode_;
+    repl.mode = spec_.mode;
     repl.state = flows_.cold(slot).state;
     if (!result.outputs.empty()) {
       if (result.outputs.size() > 1) {
@@ -286,17 +282,17 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
     return;
   }
 
-  if (config_.linearizable && flows_.WritesInFlight(slot)) {
+  if (sync_writes && flows_.WritesInFlight(slot)) {
     // Replicated-read mode (DESIGN.md §14): answer the read from local
     // state instead of looping it through the store, as long as the local
     // replica's staleness — how long the oldest un-acked write has been in
     // flight — is within the app's declared bound.  Beyond the bound the
     // read falls through to the buffering path below (ε-serializability is
     // preserved by waiting, never by serving stale).
-    if (mode_ == ConsistencyMode::kReplicatedRead) {
+    if (spec_.mode == ConsistencyMode::kReplicatedRead) {
       const SimTime oldest = flows_.OldestPendingSendTime(slot);
       const SimDuration staleness = oldest != 0 ? ctx.Now() - oldest : 0;
-      if (config_.mutation_stale_reads || policy_->AllowLocalRead(staleness)) {
+      if (config_.mutation_stale_reads || staleness <= spec_.staleness_bound) {
         for (auto& out : result.outputs) {
           m_.local_reads_served.Add();
           m_.local_read_staleness_us.Record(ToMicroseconds(staleness));
@@ -304,7 +300,7 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
             trace_.Emit(
                 obs::Ev::kLocalReadServed, net::HashPartitionKey(key),
                 flows_.cur_seq(slot), static_cast<double>(staleness), 0, 0,
-                static_cast<std::uint64_t>(policy_->staleness_bound()));
+                static_cast<std::uint64_t>(spec_.staleness_bound));
           }
           ReleaseOutput(ctx, key, std::move(out));
         }
@@ -320,7 +316,7 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
       buf.key = key;
       buf.seq = flows_.cur_seq(slot);
       buf.reply_to = node_.ip();
-      buf.mode = mode_;
+      buf.mode = spec_.mode;
       buf.piggyback = std::move(out);
       buf.span_id = NewSpanId();
       m_.reads_buffered.Add();
@@ -336,8 +332,8 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
     return;
   }
 
-  // Read with nothing in flight (or any packet in bounded-inconsistency
-  // mode): release immediately.
+  // Read with nothing in flight (or any packet in snapshot mode): release
+  // immediately.
   for (auto& out : result.outputs) {
     ReleaseOutput(ctx, key, std::move(out));
   }
@@ -355,7 +351,7 @@ void RedPlaneSwitch::HandleMergeablePacket(dp::SwitchContext& ctx,
     flows_.set_status(slot, FlowStatus::kActive);
     if (trace_.armed(obs::Ev::kFlowAdmitted)) {
       trace_.Emit(obs::Ev::kFlowAdmitted, net::HashPartitionKey(key), 0, 0.0, 0,
-                  0, static_cast<std::uint64_t>(mode_));
+                  0, static_cast<std::uint64_t>(spec_.mode));
     }
   }
   AppContext actx;
@@ -390,7 +386,7 @@ void RedPlaneSwitch::EnsureMergeTick() {
   if (merge_tick_armed_) return;
   merge_tick_armed_ = true;
   const std::uint64_t epoch = epoch_;
-  node_.sim().Schedule(policy_->merge_interval(),
+  node_.sim().Schedule(spec_.merge_interval,
                        [this, epoch]() { MergeTick(epoch); });
 }
 
@@ -413,7 +409,7 @@ void RedPlaneSwitch::MergeTick(std::uint64_t epoch) {
     delta.key = cold.key;
     delta.seq = seq;
     delta.reply_to = node_.ip();
-    delta.mode = mode_;
+    delta.mode = spec_.mode;
     delta.state = cold.state;
     delta.span_id = NewSpanId();
     flows_.NoteSend(slot, seq, now,
@@ -422,7 +418,7 @@ void RedPlaneSwitch::MergeTick(std::uint64_t epoch) {
     m_.merge_deltas_sent.Add();
     if (trace_.armed(obs::Ev::kMergeEmitted)) {
       trace_.Emit(obs::Ev::kMergeEmitted, net::HashPartitionKey(cold.key), seq,
-                  policy_->Measure(cold.state));
+                  spec_.measure != nullptr ? spec_.measure(cold.state) : 0.0);
     }
     if (trace_.armed(obs::Ev::kReplicationSent)) {
       trace_.Emit(obs::Ev::kReplicationSent, net::HashPartitionKey(cold.key),
@@ -502,13 +498,13 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
                       0.0, 0, 0,
                       static_cast<std::uint64_t>(flows_.lease_expiry(s)));
         }
-        if (mode_ == ConsistencyMode::kReplicatedRead) {
+        if (spec_.mode == ConsistencyMode::kReplicatedRead) {
           // Announce the weaker mode to the mode-aware monitors and
           // subscribe this switch to the store's replica pushes.  (Single-
           // owner flows announce nothing: their path stays bit-identical.)
           if (trace_.armed(obs::Ev::kFlowAdmitted)) {
             trace_.Emit(obs::Ev::kFlowAdmitted, net::HashPartitionKey(key), 0,
-                        0.0, 0, 0, static_cast<std::uint64_t>(mode_));
+                        0.0, 0, 0, static_cast<std::uint64_t>(spec_.mode));
           }
           FlowTable::Cold& cold = flows_.cold(s);
           if (!cold.replica_subscribed) {
@@ -517,7 +513,7 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
             sub.type = MsgType::kReplicaSubscribe;
             sub.key = key;
             sub.reply_to = node_.ip();
-            sub.mode = mode_;
+            sub.mode = spec_.mode;
             sub.span_id = NewSpanId();
             SendRequest(sub, /*mirror=*/false);
           }
@@ -695,8 +691,10 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
       if (slot != FlowTable::kNilSlot) {
         flows_.NoteAck(slot, seq, config_.lease_period);
         const net::BufferView merged = msg.state();
-        if (merged.size() > 0) {
-          policy_->Merge(flows_.cold(slot).state, merged.span());
+        // Only mergeable switches send deltas; a merge ack reaching any
+        // other switch carries no state it may adopt.
+        if (merged.size() > 0 && spec_.mode == ConsistencyMode::kMergeable) {
+          spec_.merge(flows_.cold(slot).state, merged.span());
         }
         m_.merge_acks.Add();
       }
@@ -932,8 +930,14 @@ void RedPlaneSwitch::CancelRenewTimer(std::uint32_t slot) {
   }
 }
 
-void RedPlaneSwitch::StartSnapshotReplication(Snapshottable& snap) {
-  snapshottable_ = &snap;
+void RedPlaneSwitch::StartSnapshotReplication() {
+  if (spec_.mode != ConsistencyMode::kSnapshot) {
+    RP_LOG(kWarn) << node_.name()
+                  << ": snapshot replication needs snapshot mode; not started";
+    return;
+  }
+  // ResolveSpec admitted kSnapshot only for a Snapshottable app.
+  snapshottable_ = dynamic_cast<Snapshottable*>(&app_);
   if (epsilon_ == nullptr) {
     epsilon_ = std::make_unique<EpsilonTracker>(
         kEpsilonBound, [this](const net::PartitionKey&) {
@@ -995,6 +999,7 @@ void RedPlaneSwitch::SnapshotBurstSlot(std::uint32_t index) {
     msg.seq = snapshot_round_;
     msg.snapshot_index = index;
     msg.reply_to = node_.ip();
+    msg.mode = spec_.mode;
     msg.state = snapshottable_->ReadSnapshotSlot(key, index);
     msg.span_id = NewSpanId();
     m_.snapshot_slots_sent.Add();
@@ -1072,9 +1077,7 @@ void RedPlaneSwitch::OnRecovery() {
   coalesce_.clear();
   merge_dirty_.clear();
   merge_tick_armed_ = false;
-  if (snapshottable_ != nullptr) {
-    StartSnapshotReplication(*snapshottable_);
-  }
+  if (snapshottable_ != nullptr) StartSnapshotReplication();
 }
 
 }  // namespace redplane::core

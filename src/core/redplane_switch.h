@@ -7,10 +7,10 @@
 //    triggers a kLeaseNewReq; the grant installs the flow's state (via the
 //    control plane when the app keeps state in match tables) and releases
 //    the piggybacked packet,
-//  * synchronous replication (linearizable mode) — a state-modifying packet
-//    increments the flow's sequence number and leaves as a kLeaseRenewReq
-//    carrying the new state and the output packet; the output is released
-//    only when the store's ack returns it,
+//  * synchronous replication (every mode but kSnapshot) — a state-modifying
+//    packet increments the flow's sequence number and leaves as a
+//    kLeaseRenewReq carrying the new state and the output packet; the output
+//    is released only when the store's ack returns it,
 //  * network buffering — reads that arrive while writes are in flight (and
 //    packets that arrive while the lease grant is pending) loop through the
 //    store as kReadBufferReq, using the network as buffer memory,
@@ -18,9 +18,13 @@
 //    (truncated to the replication header) into the switch's packet buffer
 //    and resent if unacknowledged within the timeout (§5.2),
 //  * lease renewal — read-centric flows renew every renew_interval,
-//  * periodic snapshot replication (bounded-inconsistency mode) — for apps
-//    implementing Snapshottable, the packet generator emits per-slot
-//    kSnapshotRepl bursts every snapshot_period (§5.4).
+//  * periodic snapshot replication (kSnapshot) — for apps implementing
+//    Snapshottable, the packet generator emits per-slot kSnapshotRepl
+//    bursts every snapshot_period (§5.4).
+//
+// Which of these run is decided by one value: the app's StateTraits,
+// resolved once at construction against RedPlaneConfig::mode_override
+// (core/consistency.h, DESIGN.md §14).
 #pragma once
 
 #include <functional>
@@ -57,11 +61,7 @@ struct RedPlaneConfig {
   /// Give up on a request after this many retransmissions (the flow entry
   /// is dropped and re-initialized by the next packet).
   std::uint32_t max_retransmissions = 50;
-  /// Linearizable mode: replicate every write synchronously.  When false,
-  /// writes stay local and the app's Snapshottable structures are
-  /// replicated periodically (bounded-inconsistency mode).
-  bool linearizable = true;
-  /// Snapshot period T_snap for bounded-inconsistency mode.
+  /// Snapshot period T_snap for kSnapshot mode.
   SimDuration snapshot_period = Milliseconds(1);
   /// Max loops through the network buffer while awaiting a lease grant
   /// before a packet is dropped (loss is permitted by the model).
@@ -88,8 +88,6 @@ struct RedPlaneConfig {
   /// declaration; pinning kSingleOwner explicitly is bit-identical to the
   /// default for single-owner apps (A/B-tested in tests/consistency_test).
   std::optional<ConsistencyMode> mode_override = std::nullopt;
-  /// Replicated-read: staleness-bound override (0 = app traits/default).
-  SimDuration staleness_bound = 0;
   /// TEST-ONLY protocol mutation: replicated-read serves local reads
   /// without checking the staleness bound (the served staleness is still
   /// honestly reported), so stale reads beyond the bound escape.  Proves the
@@ -112,18 +110,19 @@ class RedPlaneSwitch : public dp::PipelineHandler {
   void Reset() override;
   void OnRecovery() override;
 
-  /// Starts periodic snapshot replication (requires the app to implement
-  /// Snapshottable).  Normally called once after construction for apps in
-  /// bounded-inconsistency mode.
-  void StartSnapshotReplication(Snapshottable& snap);
+  /// Starts periodic snapshot replication of the app's Snapshottable
+  /// structures.  Call it once after construction, on the one switch that
+  /// snapshots, in kSnapshot mode only (otherwise it warns and does
+  /// nothing).
+  void StartSnapshotReplication();
 
   const FlowTable& flow_table() const { return flows_; }
   obs::MetricRegistry& stats() { return stats_; }
   EpsilonTracker* epsilon_tracker() { return epsilon_.get(); }
   const RedPlaneConfig& config() const { return config_; }
-  /// The resolved consistency mode this deployment runs under.
-  ConsistencyMode consistency_mode() const { return mode_; }
-  const ConsistencyPolicy& policy() const { return *policy_; }
+  /// The resolved consistency spec this deployment runs under; stores hand
+  /// its merge/measure to their kMergeDelta joins.
+  const StateTraits& spec() const { return spec_; }
 
   /// Bandwidth accounting: bytes of protocol requests/responses vs original
   /// packets seen, for the Fig. 10 bench.
@@ -186,7 +185,7 @@ class RedPlaneSwitch : public dp::PipelineHandler {
   /// Cancels the flow's pending renew timer, if any.
   void CancelRenewTimer(std::uint32_t slot);
 
-  /// Periodic ε-bound audit in bounded-inconsistency mode.
+  /// Periodic ε-bound audit in snapshot mode.
   void EpsilonAuditTick(std::uint64_t epoch);
 
   /// Emits one snapshot replication burst.
@@ -213,6 +212,8 @@ class RedPlaneSwitch : public dp::PipelineHandler {
   SwitchApp& app_;
   std::function<net::Ipv4Addr(const net::PartitionKey&)> shard_for_;
   RedPlaneConfig config_;
+  /// The app's StateTraits resolved against config_.mode_override.
+  const StateTraits spec_;
   FlowTable flows_;
   obs::MetricRegistry stats_;
   obs::TraceHandle trace_;
@@ -260,17 +261,13 @@ class RedPlaneSwitch : public dp::PipelineHandler {
   };
   Metrics m_;
 
-  /// Resolved consistency policy (app traits, possibly pinned by
-  /// config_.mode_override); mode_ caches policy_->mode() for the
-  /// per-packet branch.
-  std::unique_ptr<ConsistencyPolicy> policy_;
-  ConsistencyMode mode_ = ConsistencyMode::kSingleOwner;
   /// Mergeable mode: (slot, gen) of flows with un-pushed local writes, and
   /// whether the periodic push is scheduled.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> merge_dirty_;
   bool merge_tick_armed_ = false;
 
-  // Bounded-inconsistency mode.
+  // Snapshot mode: the app's snapshot interface, set once replication
+  // starts.
   Snapshottable* snapshottable_ = nullptr;
   std::unique_ptr<EpsilonTracker> epsilon_;
   std::uint64_t snapshot_round_ = 0;

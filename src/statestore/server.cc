@@ -600,10 +600,10 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
       rec.exists = true;
       rec.mergeable = true;
       if (config_.mutations.overwrite_instead_of_merge ||
-          config_.merger == nullptr) {
+          spec_.merge == nullptr) {
         rec.state = msg.state().ToVector();
       } else {
-        config_.merger(rec.state, msg.state().span());
+        spec_.merge(rec.state, msg.state().span());
       }
       if (trace().armed(obs::Ev::kStoreApplied)) {
         // Ring only: the subscribers' fact for a merge is kMergeApplied,
@@ -619,7 +619,7 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
         // monitor).  Overwrites under the mutation honestly report the
         // (possibly lower) measure and get caught.
         const double measure =
-            config_.measure != nullptr ? config_.measure(rec.state) : 0.0;
+            spec_.measure != nullptr ? spec_.measure(rec.state) : 0.0;
         trace().Emit(obs::Ev::kMergeApplied, net::HashPartitionKey(msg.key()),
                      msg.seq(), measure);
       }
@@ -792,11 +792,11 @@ void StateStoreServer::ImportFlows(
     FlowRecord& local = it->second;
     // The snapshot is resync_delay stale by the time it lands, so the
     // local record may already be ahead of it.
-    if ((local.mergeable || incoming.mergeable) && config_.merger != nullptr) {
+    if ((local.mergeable || incoming.mergeable) && spec_.merge != nullptr) {
       // Join-semilattice state: the join is idempotent and commutative, so
       // merging the snapshot in can only move up the lattice regardless of
       // which side is fresher.
-      config_.merger(local.state, incoming.state);
+      spec_.merge(local.state, incoming.state);
       local.mergeable = true;
     } else if (incoming.last_applied_seq > local.last_applied_seq) {
       local.state = std::move(incoming.state);

@@ -53,14 +53,6 @@ struct StoreConfig {
   /// flow (e.g. a NAT allocation from the shared port pool, §6).  When
   /// empty, new flows start with empty state.
   std::function<std::vector<std::byte>(const net::PartitionKey&)> initializer;
-  /// Mergeable-mode join (DESIGN.md §14): folds an incoming kMergeDelta into
-  /// the stored state.  Must match the app's StateTraits::merge; when null,
-  /// deltas overwrite (only safe with a single writer).
-  core::MergeFn merger = nullptr;
-  /// Monotone measure of merged state, reported on the kMergeApplied record so
-  /// the merge-convergence monitor can check the join never goes down the
-  /// lattice.  Null reports 0 (monitor sees a flat, trivially valid line).
-  core::MeasureFn measure = nullptr;
 
   /// TEST-ONLY protocol mutations: deliberately broken behaviors used to
   /// prove the audit monitors detect real protocol bugs.  All must stay
@@ -149,6 +141,12 @@ class StateStoreServer : public sim::Node {
 
   net::Ipv4Addr ip() const { return ip_; }
   const StoreConfig& config() const { return config_; }
+
+  /// Adopts the deployment's resolved consistency spec (DESIGN.md §14):
+  /// its `merge` joins kMergeDelta writes (without one they overwrite, only
+  /// safe with a single writer) and its `measure` is reported on every
+  /// kMergeApplied record (without one, 0).
+  void SetSpec(const core::StateTraits& spec) { spec_ = spec; }
 
   /// Configures this replica's successor in the chain (unset = tail).
   void SetChainSuccessor(net::Ipv4Addr next) { successor_ = next; }
@@ -325,6 +323,8 @@ class StateStoreServer : public sim::Node {
 
   net::Ipv4Addr ip_;
   StoreConfig config_;
+  /// The deployment's resolved consistency spec (SetSpec).
+  core::StateTraits spec_;
   std::optional<net::Ipv4Addr> successor_;
   bool is_head_ = true;
   std::unordered_map<net::PartitionKey, FlowRecord> flows_;

@@ -214,7 +214,7 @@ TEST_P(CodecFuzz, TruncatedMergeDeltasAreRejectedWhole) {
 TEST_P(CodecFuzz, MixedModeBatchEnvelopesRoundTrip) {
   Rng rng(GetParam() + 11000);
   for (int i = 0; i < 300; ++i) {
-    // One batch carrying sub-messages from all three consistency modes —
+    // One batch carrying sub-messages from every consistency mode —
     // the egress batcher does not segregate by mode, so the store must
     // recover each sub-message with its own mode byte intact.
     std::vector<core::Msg> msgs;
@@ -232,8 +232,12 @@ TEST_P(CodecFuzz, MixedModeBatchEnvelopesRoundTrip) {
           msg.type = rng.Bernoulli(0.5) ? core::MsgType::kReplicaSubscribe
                                         : core::MsgType::kLeaseRenewReq;
           break;
-        default:
+        case core::ConsistencyMode::kSnapshot:
+          msg.type = core::MsgType::kSnapshotRepl;
+          break;
+        case core::ConsistencyMode::kSingleOwner:
           msg.type = core::MsgType::kLeaseRenewReq;
+          break;
       }
       msg.seq = rng.Next();
       msg.key = net::PartitionKey::OfObject(rng.Next());

@@ -1,11 +1,11 @@
 // Consistency-mode spectrum tests (DESIGN.md §14).
 //
-// Covers the pluggable ConsistencyPolicy layer end to end:
-//  * policy resolution from StateTraits (and the safe fallback when an app
-//    elects mergeable mode without declaring a join),
+// Covers the consistency spec end to end:
+//  * spec resolution from StateTraits and the deployment's pin (and the safe
+//    fallbacks when an app elects a mode it cannot run),
 //  * the offline per-mode oracles (bounded staleness, merge convergence),
 //  * the A/B pin: selecting single-owner explicitly produces byte-identical
-//    traces to the default path — the policy layer must not perturb the
+//    traces to the default path — resolving the spec must not perturb the
 //    paper's protocol,
 //  * replicated-read end to end: reads served locally within the staleness
 //    bound while writes are in flight, replica subscription at grant, and
@@ -18,12 +18,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "apps/counter.h"
 #include "apps/kv_store.h"
 #include "audit/auditor.h"
+#include "bench/harness.h"
 #include "core/consistency.h"
 #include "core/redplane_switch.h"
 #include "modelcheck/linearizability.h"
@@ -34,7 +36,6 @@ namespace redplane {
 namespace {
 
 using core::ConsistencyMode;
-using core::ConsistencyPolicy;
 using core::StateTraits;
 
 using testing::kDstIp;
@@ -42,25 +43,29 @@ using testing::kSrcIp;
 using testing::kSw2Ip;
 using testing::Rig;
 
-// ------------------------------------------------ policy resolution ------
+// ------------------------------------------------ spec resolution --------
 
 TEST(ConsistencyPolicyTest, DefaultTraitsResolveToSingleOwner) {
-  auto policy = ConsistencyPolicy::Make(StateTraits{});
-  EXPECT_EQ(policy->mode(), ConsistencyMode::kSingleOwner);
-  EXPECT_TRUE(policy->LeaseRequired());
-  EXPECT_FALSE(policy->AllowLocalRead(0));
+  const StateTraits spec = core::ResolveSpec(StateTraits{}, std::nullopt,
+                                             /*snapshottable=*/false);
+  EXPECT_EQ(spec.mode, ConsistencyMode::kSingleOwner);
+  // No local reads under single-owner: the bound is zero.
+  EXPECT_EQ(spec.staleness_bound, 0);
+  EXPECT_EQ(spec.merge_interval, 0);
 }
 
 TEST(ConsistencyPolicyTest, ReplicatedReadAllowsReadsWithinBound) {
   StateTraits traits;
   traits.mode = ConsistencyMode::kReplicatedRead;
   traits.staleness_bound = Microseconds(500);
-  auto policy = ConsistencyPolicy::Make(traits);
-  EXPECT_EQ(policy->mode(), ConsistencyMode::kReplicatedRead);
-  EXPECT_TRUE(policy->LeaseRequired());  // writes stay lease-serialized
-  EXPECT_TRUE(policy->AllowLocalRead(Microseconds(499)));
-  EXPECT_TRUE(policy->AllowLocalRead(Microseconds(500)));
-  EXPECT_FALSE(policy->AllowLocalRead(Microseconds(501)));
+  const StateTraits spec = core::ResolveSpec(traits, std::nullopt,
+                                             /*snapshottable=*/false);
+  EXPECT_EQ(spec.mode, ConsistencyMode::kReplicatedRead);
+  // The switch serves a read locally iff staleness <= the resolved bound.
+  EXPECT_EQ(spec.staleness_bound, Microseconds(500));
+  EXPECT_LE(Microseconds(499), spec.staleness_bound);
+  EXPECT_LE(Microseconds(500), spec.staleness_bound);
+  EXPECT_GT(Microseconds(501), spec.staleness_bound);
 }
 
 TEST(ConsistencyPolicyTest, MergeableUsesDeclaredJoin) {
@@ -69,27 +74,109 @@ TEST(ConsistencyPolicyTest, MergeableUsesDeclaredJoin) {
   traits.merge = core::MergeMaxU64;
   traits.measure = core::MeasureU64;
   traits.merge_interval = Microseconds(50);
-  auto policy = ConsistencyPolicy::Make(traits);
-  EXPECT_EQ(policy->mode(), ConsistencyMode::kMergeable);
-  EXPECT_FALSE(policy->LeaseRequired());
-  EXPECT_EQ(policy->merge_interval(), Microseconds(50));
+  const StateTraits spec = core::ResolveSpec(traits, std::nullopt,
+                                             /*snapshottable=*/false);
+  EXPECT_EQ(spec.mode, ConsistencyMode::kMergeable);
+  EXPECT_EQ(spec.merge_interval, Microseconds(50));
+  ASSERT_EQ(spec.merge, core::MergeMaxU64);
+  ASSERT_EQ(spec.measure, core::MeasureU64);
   // States use the apps' native encoding (core::SetState).
   std::vector<std::byte> into, delta;
   core::SetState(into, std::uint64_t{3});
   core::SetState(delta, std::uint64_t{7});
-  policy->Merge(into, std::span<const std::byte>(delta));
+  spec.merge(into, std::span<const std::byte>(delta));
   EXPECT_EQ(core::StateAs<std::uint64_t>(into).value_or(0), 7u);
-  EXPECT_EQ(policy->Measure(std::span<const std::byte>(into)), 7.0);
+  EXPECT_EQ(spec.measure(std::span<const std::byte>(into)), 7.0);
 }
 
 TEST(ConsistencyPolicyTest, MergeableWithoutJoinFallsBackToSingleOwner) {
   // Electing multi-writer mode without saying how writes merge would lose
-  // updates silently; the factory refuses and keeps the strong mode.
+  // updates silently; the resolver refuses and keeps the strong mode.
   StateTraits traits;
   traits.mode = ConsistencyMode::kMergeable;
-  auto policy = ConsistencyPolicy::Make(traits);
-  EXPECT_EQ(policy->mode(), ConsistencyMode::kSingleOwner);
-  EXPECT_TRUE(policy->LeaseRequired());
+  const StateTraits spec = core::ResolveSpec(traits, std::nullopt,
+                                             /*snapshottable=*/false);
+  EXPECT_EQ(spec.mode, ConsistencyMode::kSingleOwner);
+  EXPECT_EQ(spec.merge_interval, 0);
+}
+
+TEST(ConsistencySpecTest, ResolvesEveryModeDeclaredAndPinned) {
+  using Mode = ConsistencyMode;
+  constexpr SimDuration kBound = Microseconds(500);
+  constexpr SimDuration kInterval = Microseconds(50);
+  struct Case {
+    const char* what;
+    StateTraits declared;
+    std::optional<Mode> pin;
+    bool snapshottable;
+    Mode mode;
+    SimDuration bound;     // resolved staleness_bound
+    SimDuration interval;  // resolved merge_interval
+  };
+  const StateTraits join{.merge = core::MergeMaxU64,
+                         .measure = core::MeasureU64};
+  // Every declaration carries a bound and an interval: only the mode they
+  // belong to keeps them.  The bound is read into kLocalReadServed's aux,
+  // so it must be zero outside replicated-read.
+  const auto with = [&](Mode mode, SimDuration bound, SimDuration interval) {
+    StateTraits t = join;
+    t.mode = mode;
+    t.staleness_bound = bound;
+    t.merge_interval = interval;
+    return t;
+  };
+  const Case cases[] = {
+      {"default", {}, std::nullopt, false, Mode::kSingleOwner, 0, 0},
+      {"single-owner declared", with(Mode::kSingleOwner, kBound, kInterval),
+       std::nullopt, false, Mode::kSingleOwner, 0, 0},
+      {"replicated-read declared",
+       with(Mode::kReplicatedRead, kBound, kInterval), std::nullopt, false,
+       Mode::kReplicatedRead, kBound, 0},
+      {"replicated-read, default bound", with(Mode::kReplicatedRead, 0, 0),
+       std::nullopt, false, Mode::kReplicatedRead,
+       core::kDefaultStalenessBound, 0},
+      {"mergeable declared", with(Mode::kMergeable, kBound, kInterval),
+       std::nullopt, false, Mode::kMergeable, 0, kInterval},
+      {"mergeable, default interval", with(Mode::kMergeable, 0, 0),
+       std::nullopt, false, Mode::kMergeable, 0, core::kDefaultMergeInterval},
+      {"snapshot declared", with(Mode::kSnapshot, kBound, kInterval),
+       std::nullopt, true, Mode::kSnapshot, 0, 0},
+      {"pinned single-owner over replicated-read",
+       with(Mode::kReplicatedRead, kBound, kInterval), Mode::kSingleOwner,
+       false, Mode::kSingleOwner, 0, 0},
+      {"pinned replicated-read over single-owner",
+       with(Mode::kSingleOwner, 0, kInterval), Mode::kReplicatedRead, false,
+       Mode::kReplicatedRead, core::kDefaultStalenessBound, 0},
+      {"pinned mergeable over snapshot", with(Mode::kSnapshot, kBound, 0),
+       Mode::kMergeable, true, Mode::kMergeable, 0,
+       core::kDefaultMergeInterval},
+      {"pinned snapshot over single-owner", with(Mode::kSingleOwner, 0, 0),
+       Mode::kSnapshot, true, Mode::kSnapshot, 0, 0},
+      // Electing multi-writer mode without saying how writes merge would
+      // lose updates silently: the resolver keeps the strong mode.
+      {"mergeable without a join falls back",
+       {.mode = Mode::kMergeable, .merge_interval = kInterval}, std::nullopt,
+       false, Mode::kSingleOwner, 0, 0},
+      {"pinned mergeable without a join falls back", {}, Mode::kMergeable,
+       false, Mode::kSingleOwner, 0, 0},
+      // Snapshot replication needs the app's snapshot interface.
+      {"snapshot without Snapshottable falls back",
+       with(Mode::kSnapshot, kBound, kInterval), std::nullopt, false,
+       Mode::kSingleOwner, 0, 0},
+      {"pinned snapshot without Snapshottable falls back", {}, Mode::kSnapshot,
+       false, Mode::kSingleOwner, 0, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const StateTraits spec = core::ResolveSpec(c.declared, c.pin,
+                                               c.snapshottable);
+    EXPECT_EQ(spec.mode, c.mode);
+    EXPECT_EQ(spec.staleness_bound, c.bound);
+    EXPECT_EQ(spec.merge_interval, c.interval);
+    // The join travels unchanged: the store reads it from the spec.
+    EXPECT_EQ(spec.merge, c.declared.merge);
+    EXPECT_EQ(spec.measure, c.declared.measure);
+  }
 }
 
 // ------------------------------------------------ offline oracles --------
@@ -156,8 +243,8 @@ std::string RunSingleOwnerScenario(bool explicit_override) {
 }
 
 TEST(ConsistencyAbTest, SingleOwnerTracesBitIdenticalUnderExplicitSelection) {
-  // The refactor's pin: routing the legacy protocol through the policy
-  // layer must not change a single emitted event.  Default resolution (the
+  // Pinning the mode a deployment would resolve anyway must not change a
+  // single emitted event.  Default resolution (the
   // app declares single-owner) and explicit selection run the identical
   // deterministic scenario; their trace exports must match byte for byte.
   const std::string default_trace = RunSingleOwnerScenario(false);
@@ -185,7 +272,7 @@ TEST(ReplicatedReadTest, ReadsServedLocallyWhileWritesInFlight) {
     last_reply = pkt.payload.ToVector();
   });
 
-  ASSERT_EQ(h.rp[0]->consistency_mode(), ConsistencyMode::kReplicatedRead);
+  ASSERT_EQ(h.rp[0]->spec().mode, ConsistencyMode::kReplicatedRead);
 
   // Warm up: one write acquires the lease and installs state.
   h.src->SendTo(0, apps::MakeKvPacket(KvFlow(), {apps::KvOp::kUpdate, 7, 1}));
@@ -194,7 +281,7 @@ TEST(ReplicatedReadTest, ReadsServedLocallyWhileWritesInFlight) {
 
   // A write immediately followed by reads: the write's replication is in
   // flight, so single-owner would loop the reads through the store.  The
-  // replicated-read policy serves them locally (staleness is a few µs,
+  // replicated-read mode serves them locally (staleness is a few µs,
   // far under the 1 ms default bound) and releases them at once.
   h.src->SendTo(0, apps::MakeKvPacket(KvFlow(), {apps::KvOp::kUpdate, 7, 2}));
   h.src->SendTo(0, apps::MakeKvPacket(KvFlow(), {apps::KvOp::kRead, 7, 0}));
@@ -248,12 +335,9 @@ TEST(MergeableTest, ZeroRttWritesOnTwoSwitchesConvergeAtStore) {
   apps::SyncCounterApp app;
   core::RedPlaneConfig rp_cfg;
   rp_cfg.mode_override = ConsistencyMode::kMergeable;
-  store::StoreConfig store_cfg;
-  store_cfg.merger = app.Traits().merge;
-  store_cfg.measure = app.Traits().measure;
-  Rig h(app, {.seed = 7, .rp = rp_cfg, .store = store_cfg, .audit = true});
+  Rig h(app, {.seed = 7, .rp = rp_cfg, .audit = true});
 
-  ASSERT_EQ(h.rp[0]->consistency_mode(), ConsistencyMode::kMergeable);
+  ASSERT_EQ(h.rp[0]->spec().mode, ConsistencyMode::kMergeable);
 
   // Both switches carry the same flow concurrently — illegal under a lease,
   // the design point here.  Every packet must release without any store
@@ -285,16 +369,47 @@ TEST(MergeableTest, ZeroRttWritesOnTwoSwitchesConvergeAtStore) {
   EXPECT_EQ(h.auditor.violations().size(), 0u);
 }
 
+TEST(MergeableTest, DeploymentStoresJoinWithTheAppsDeclaredMerge) {
+  // A figure-bench deployment pins mergeable mode and sets no store
+  // option: every replica must still join deltas with the app's merge.
+  // agg0 counts 7 packets and pushes; later agg1, which never saw the
+  // flow, counts 3 and pushes.  A store that overwrote would end at 3.
+  apps::SyncCounterApp app;
+  bench::Deployment d;
+  d.Build();
+  core::RedPlaneConfig rp_cfg;
+  rp_cfg.mode_override = ConsistencyMode::kMergeable;
+  d.DeployRedPlane(app, rp_cfg);
+  sim::Simulator& sim = d.sim();
+  routing::Testbed& tb = d.testbed();
+  const net::FlowKey flow{routing::ExternalHostIp(0),
+                          routing::RackServerIp(0, 0), 1234, 80,
+                          net::IpProto::kUdp};
+  const auto inject = [&](int agg, int packets) {
+    for (int i = 0; i < packets; ++i) {
+      tb.agg[agg]->HandlePacket(net::MakeUdpPacket(flow, 0), 0);
+      sim.RunUntil(sim.Now() + Microseconds(5));
+    }
+    sim.RunUntil(sim.Now() + Milliseconds(1));  // merge tick + chain + ack
+  };
+  inject(0, 7);
+  inject(1, 3);
+  EXPECT_GE(d.redplane(1)->stats().Get("merge_deltas_sent"), 1.0);
+  ASSERT_EQ(tb.store.size(), 3u);
+  for (const store::StateStoreServer* replica : tb.store) {
+    SCOPED_TRACE(replica->name());
+    const auto* rec = replica->Find(net::PartitionKey::OfFlow(flow));
+    ASSERT_NE(rec, nullptr);
+    EXPECT_EQ(core::StateAs<std::uint64_t>(rec->state).value_or(0), 7u);
+  }
+}
+
 TEST(MergeableTest, OverwriteMutationTripsMergeConvergenceMonitor) {
   apps::SyncCounterApp app;
   core::RedPlaneConfig rp_cfg;
   rp_cfg.mode_override = ConsistencyMode::kMergeable;
-  store::StoreConfig store_cfg;
-  store_cfg.merger = app.Traits().merge;
-  store_cfg.measure = app.Traits().measure;
   Rig h(app, {.seed = 7,
               .rp = rp_cfg,
-              .store = store_cfg,
               .head_mutations = {.overwrite_instead_of_merge = true},
               .audit = true});
 
@@ -311,12 +426,21 @@ TEST(MergeableTest, OverwriteMutationTripsMergeConvergenceMonitor) {
 
 // ------------------------------------------------ staleness mutation -----
 
+/// The KV store with a tight, honest 50 µs staleness contract.
+class TightKvStoreApp : public apps::KvStoreApp {
+ public:
+  core::StateTraits Traits() const override {
+    core::StateTraits t = KvStoreApp::Traits();
+    t.staleness_bound = Microseconds(50);
+    return t;
+  }
+};
+
 TEST(ReplicatedReadTest, StaleReadMutationTripsBoundedStalenessMonitor) {
-  apps::KvStoreApp app;
+  TightKvStoreApp app;
   core::RedPlaneConfig rp_cfg;
   rp_cfg.lease_period = Milliseconds(5);
-  rp_cfg.staleness_bound = Microseconds(50);  // tight, honest contract
-  rp_cfg.mutation_stale_reads = true;         // ...which the switch ignores
+  rp_cfg.mutation_stale_reads = true;  // the switch ignores the contract
   rp_cfg.request_timeout = Milliseconds(2);
   store::StoreConfig store_cfg;
   // Slow the store so write acks lag and local reads grow stale.

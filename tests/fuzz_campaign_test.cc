@@ -510,5 +510,69 @@ TEST(CommittedSchedules, OnlyFailingRunsLeaveArtifacts) {
   EXPECT_EQ(header.rfind("t_ns,", 0), 0u);
 }
 
+// --- pending suspects -------------------------------------------------------
+
+/// The phase an incomplete episode is stuck in: its last phase that ran.
+/// (A phase never reached reports zero duration.)
+std::string OpenPhase(const EpisodeOut& e) {
+  int open = 0;
+  for (int p = 0; p < obs::kNumRecoveryPhases; ++p) {
+    if (e.phase[static_cast<std::size_t>(p)] > 0) open = p;
+  }
+  return obs::RecoveryPhaseName(static_cast<obs::RecoveryPhase>(open));
+}
+
+TEST(PendingSchedules, ReplayTheirDocumentedFailures) {
+  // Fuzz-sweep failures not yet fixed, saved under tests/schedules/pending/
+  // (which the committed-schedule replay does not read).  Each replays in
+  // the mode it failed in, with its documented failure and its trace hash;
+  // a fix flips its expectation and moves it up to tests/schedules/.
+  struct Pending {
+    const char* file;
+    core::ConsistencyMode mode;
+    std::uint64_t trace_hash;
+    int sent;
+    int delivered;
+    const char* violation;   // substring of the first violation, or null
+    const char* open_phase;  // phase of the one open episode, or null
+  };
+  const Pending pending[] = {
+      {"fuzz_s1370.json", core::ConsistencyMode::kReplicatedRead,
+       1458847117700188063ull, 440, 402, "two packets share counter value",
+       nullptr},
+      {"fuzz_s1078.json", core::ConsistencyMode::kSingleOwner,
+       408866336126569346ull, 160, 156, nullptr, "first_packet_served"},
+      {"fuzz_s1249.json", core::ConsistencyMode::kSingleOwner,
+       5579130251717966469ull, 264, 116, nullptr, "route_reconvergence"},
+  };
+  const std::string out_dir = TempOutDir("fuzz_pending");
+  const LogLevel prev_level = SetLogLevel(LogLevel::kOff);
+  for (const Pending& p : pending) {
+    SCOPED_TRACE(p.file);
+    const auto schedule = LoadSchedule(SchedulesDir() / "pending" / p.file);
+    ASSERT_TRUE(schedule.has_value());
+    const RunResult r = RunSchedule(*schedule, p.mode, {}, out_dir,
+                                    std::filesystem::path(p.file).stem());
+    EXPECT_EQ(r.trace_hash, p.trace_hash);
+    EXPECT_EQ(r.sent, p.sent);
+    EXPECT_EQ(r.delivered, p.delivered);
+    EXPECT_FALSE(r.Failure(/*require_recovery=*/true).empty());
+    if (p.violation != nullptr) {
+      ASSERT_FALSE(r.violations.empty());
+      EXPECT_NE(r.violations[0].detail.find(p.violation), std::string::npos)
+          << r.violations[0].detail;
+      for (const EpisodeOut& e : r.episodes) EXPECT_TRUE(e.complete);
+    } else {
+      EXPECT_EQ(r.NumViolations(), 0u);
+      std::vector<std::string> open;
+      for (const EpisodeOut& e : r.episodes) {
+        if (!e.complete) open.push_back(OpenPhase(e));
+      }
+      EXPECT_EQ(open, std::vector<std::string>{p.open_phase});
+    }
+  }
+  SetLogLevel(prev_level);
+}
+
 }  // namespace
 }  // namespace redplane::campaign

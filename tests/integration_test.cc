@@ -13,6 +13,7 @@
 #include "apps/nat.h"
 #include "baselines/plain_pipeline.h"
 #include "bench/harness.h"
+#include "common/hash.h"
 #include "core/redplane_switch.h"
 #include "obs/tracer.h"
 #include "routing/failure.h"
@@ -225,6 +226,9 @@ TEST(IntegrationTest, EpcSgwWithoutRedPlaneBreaksSessionsOnFailure) {
 }
 
 TEST(IntegrationTest, HeavyHitterSnapshotsReachStoreWithinEpsilon) {
+  net::ResetPacketIds();
+  obs::Tracer tracer;
+  testing::GlobalTracerGuard tracer_guard(&tracer);
   apps::HeavyHitterConfig hh_cfg;
   hh_cfg.vlans = {1};
   apps::HeavyHitterApp hh(hh_cfg);
@@ -232,11 +236,16 @@ TEST(IntegrationTest, HeavyHitterSnapshotsReachStoreWithinEpsilon) {
   d.Build();
   sim::Simulator& sim = d.sim();
   Testbed& tb = d.testbed();
+  tracer.SetClock([&sim] { return sim.Now(); });
+  tracer.SetEnabled(true);
+  int delivered = 0;
+  tb.rack_servers[0][0]->SetHandler(
+      [&delivered](sim::HostNode&, net::Packet) { ++delivered; });
   core::RedPlaneConfig rp_cfg;
-  rp_cfg.linearizable = false;  // bounded-inconsistency mode
   rp_cfg.snapshot_period = Milliseconds(1);
   d.DeployRedPlane(hh, rp_cfg);
-  d.redplane(0)->StartSnapshotReplication(hh);
+  ASSERT_EQ(d.redplane(0)->spec().mode, core::ConsistencyMode::kSnapshot);
+  d.redplane(0)->StartSnapshotReplication();
 
   // Tagged tenant traffic through agg0 (inject directly at the switch so
   // the sketch on agg0 sees it regardless of ECMP).
@@ -271,6 +280,12 @@ TEST(IntegrationTest, HeavyHitterSnapshotsReachStoreWithinEpsilon) {
   EXPECT_GE(staleness, 0);
   EXPECT_LE(staleness, Milliseconds(10));
   EXPECT_DOUBLE_EQ(d.redplane(0)->stats().Get("epsilon_violations"), 0.0);
+
+  // Pinned: the snapshot-mode run's event count, deliveries and Chrome
+  // trace.  A change that moves any of them must update them on purpose.
+  EXPECT_EQ(tracer.emitted(), 13112u);
+  EXPECT_EQ(delivered, 300);
+  EXPECT_EQ(Fnv1a64(tracer.ChromeTraceJson()), 17980021451334238438ull);
 }
 
 TEST(IntegrationTest, TcpThroughNatSurvivesSwitchFailure) {

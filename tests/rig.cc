@@ -78,6 +78,9 @@ Rig::Rig(core::SwitchApp& app, RigOptions opt) : net(sim, opt.seed) {
         std::make_unique<core::RedPlaneSwitch>(*node, app, lookup, opt.rp));
     node->SetPipeline(rp.back().get());
   }
+  for (store::StateStoreServer* server : stores) {
+    server->SetSpec(rp.front()->spec());
+  }
   dst->SetHandler([this](sim::HostNode&, net::Packet pkt) {
     ++delivered;
     if (on_deliver) on_deliver(pkt);

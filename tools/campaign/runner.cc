@@ -71,11 +71,14 @@ class StampedCounterApp : public core::SwitchApp {
   }
   /// Mergeable-capable: per-flow counts only grow, so replicas join by max.
   /// The app still defaults to single-owner; the campaign's --consistency
-  /// axis picks the weaker mode via RedPlaneConfig::mode_override.
+  /// axis picks the weaker mode via RedPlaneConfig::mode_override.  Under
+  /// replicated-read its reads tolerate 50 µs of staleness: tight enough
+  /// that serving locally or waiting is a real decision.
   core::StateTraits Traits() const override {
     core::StateTraits t;
     t.merge = core::MergeMaxU64;
     t.measure = core::MeasureU64;
+    t.staleness_bound = Microseconds(50);
     return t;
   }
 };
@@ -135,14 +138,10 @@ RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
   cfg.store.mutations.disable_seq_filter = mut.seq;
   cfg.store.mutations.early_chain_ack = mut.chain;
   cfg.store.mutations.overwrite_instead_of_merge = mut.merge;
-  // The store joins merge deltas with the app's declared CRDT join and
-  // reports the monotone measure on the kMergeApplied record.
-  cfg.store.merger = core::MergeMaxU64;
-  cfg.store.measure = core::MeasureU64;
   if (replicated) {
     // Stretch the store's service time so write acks stay in flight long
     // enough that "serve this read locally or wait?" is a real decision
-    // against the tightened 50 µs bound below — but not so long that the
+    // against the app's tight 50 µs bound — but not so long that the
     // store queue saturates (4 writes + buffered reads per 800 µs round).
     cfg.store.service_time = Microseconds(40);
   }
@@ -216,7 +215,6 @@ RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
   rp_cfg.coalesce_delay = coalesce_delay;
   rp_cfg.mode_override = mode;
   rp_cfg.mutation_stale_reads = mut.stale;
-  if (replicated) rp_cfg.staleness_bound = Microseconds(50);
   if (mut.lease) rp_cfg.mutation_lease_extension = Seconds(10);
   auto shard_for = [&mgr](const net::PartitionKey&) { return mgr.HeadIp(); };
   std::array<std::unique_ptr<core::RedPlaneSwitch>, 2> rp;
@@ -224,6 +222,11 @@ RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
     rp[i] = std::make_unique<core::RedPlaneSwitch>(*tb.agg[i], app, shard_for,
                                                    rp_cfg);
     tb.agg[i]->SetPipeline(rp[i].get());
+  }
+  // The store joins merge deltas with the app's declared CRDT join and
+  // reports the monotone measure on the kMergeApplied record.
+  for (store::StateStoreServer* server : tb.store) {
+    server->SetSpec(rp[0]->spec());
   }
   routing::FailureInjector injector(sim, *tb.fabric);
 
