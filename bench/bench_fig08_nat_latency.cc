@@ -162,10 +162,9 @@ SampleSet RunNatVariant(Variant variant, ObsSession* obs) {
   sim.Run();
   if (obs != nullptr && variant == Variant::kRedPlaneNat) {
     obs->SampleOnce(sim.Now());
-    // The hub and tracer hold non-owning references into this run's
-    // deployment; release them before it is destroyed.
+    // The hub holds non-owning references into this run's deployment;
+    // release them before it is destroyed.
     obs->UnwatchAll();
-    obs->DetachTracer();
   }
   return std::move(probe.rtt_us());
 }

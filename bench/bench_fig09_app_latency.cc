@@ -221,7 +221,6 @@ SampleSet RunCounter(bool synchronous, int chain_size,
   if (obs != nullptr) {
     obs->SampleOnce(setup.deploy.sim().Now());
     obs->UnwatchAll();
-    obs->DetachTracer();
   }
   return out;
 }

@@ -201,7 +201,6 @@ BandwidthResult RunSyncCounter(ObsSession* obs) {
   if (obs != nullptr) {
     obs->SampleOnce(h.deploy.sim().Now());
     obs->UnwatchAll();
-    obs->DetachTracer();
   }
   return r;
 }

@@ -43,10 +43,7 @@ double MeasureSnapshotBandwidth(int num_sketches, double frequency_hz,
   // Count replication requests (the paper's replication-message bandwidth;
   // acks are accounted by the Fig. 10 experiment).
   const double bytes = deploy.redplane(0)->protocol_request_bytes();
-  if (obs != nullptr) {
-    obs->UnwatchAll();
-    obs->DetachTracer();
-  }
+  if (obs != nullptr) obs->UnwatchAll();
   return bytes * 8.0 / ToSeconds(duration) / 1e6;
 }
 

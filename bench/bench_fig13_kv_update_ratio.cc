@@ -57,7 +57,6 @@ double PacketLevelGoodput(double update_ratio, SimDuration store_service,
   if (obs != nullptr) {
     obs->SampleOnce(deploy.sim().Now());
     obs->UnwatchAll();
-    obs->DetachTracer();
   }
   return static_cast<double>(replies) / ToSeconds(last) / 1e6;  // Mops/s
 }

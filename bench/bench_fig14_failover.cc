@@ -41,6 +41,7 @@ enum class Mode { kBaseline, kFailureNoRedPlane, kFailureRedPlane };
 std::vector<double> RunTimeline(Mode mode, ObsSession* obs = nullptr,
                                 obs::RecoveryTracker* tracker = nullptr,
                                 const std::string& fleet_out = {}) {
+  obs::Tracer local_tracer;  // outlives the deployment's simulator
   Deployment deploy;
   auto store_pool = std::make_shared<apps::NatGlobalState>(
       kNatIp, 5000, 128, kInternalPrefix, kInternalMask);
@@ -98,21 +99,16 @@ std::vector<double> RunTimeline(Mode mode, ObsSession* obs = nullptr,
   // stream (fault injected, routes rebuilt, lease re-acquired, first
   // output), which replaces the old "first bucket above 50% goodput"
   // recovery estimate with a causal phase decomposition.  The stream is
-  // the ObsSession's tracer, or a bench-local one whose ring stays
+  // the ObsSession's tracer, or the bench-local one whose ring stays
   // disabled.
-  obs::Tracer local_tracer;
   obs::Tracer* bus = nullptr;
-  obs::Tracer* prev_tracer = nullptr;
   std::uint64_t subscription = 0;
   obs::MetricRegistry wheel_reg("wheel");
   obs::MetricsHub fleet_hub;
   std::unique_ptr<obs::FleetSampler> fleet;
   if (tracker != nullptr && mode == Mode::kFailureRedPlane) {
     bus = obs != nullptr ? &obs->tracer() : &local_tracer;
-    if (obs == nullptr) {
-      local_tracer.SetClock([&sim] { return sim.Now(); });
-      prev_tracer = obs::SetGlobalTracer(&local_tracer);
-    }
+    if (obs == nullptr) sim.AttachTracer(local_tracer);
     subscription = bus->Subscribe(
         [tracker](const obs::TraceRecord& r) { tracker->OnRecord(r); });
     if (!fleet_out.empty()) {
@@ -172,11 +168,9 @@ std::vector<double> RunTimeline(Mode mode, ObsSession* obs = nullptr,
   if (obs != nullptr && mode == Mode::kFailureRedPlane) {
     obs->SampleOnce(sim.Now());
     obs->UnwatchAll();
-    obs->DetachTracer();
   }
   if (tracker != nullptr && mode == Mode::kFailureRedPlane) {
     bus->Unsubscribe(subscription);
-    if (obs == nullptr) obs::SetGlobalTracer(prev_tracer);
     tracker->Finalize(sim.Now());
     if (fleet != nullptr && !fleet_out.empty()) {
       std::ofstream csv(fleet_out);

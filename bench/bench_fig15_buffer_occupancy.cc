@@ -85,7 +85,6 @@ double MeasurePeakOccupancy(double rate_gbps, double loss,
   if (obs != nullptr) {
     obs->SampleOnce(sim.Now());
     obs->UnwatchAll();
-    obs->DetachTracer();
   }
   return static_cast<double>(tb.agg[0]->mirror().PeakOccupancyBytes()) /
          1024.0;

@@ -176,14 +176,16 @@ core::Msg SampleChainMsg() {
 // A chain replica's per-hop work, zero-copy style: parse a view over the
 // received bytes, patch the mutable header field in place, hand the same
 // buffer to the successor.
+inline void ChainHopForward(net::BufferView& payload) {
+  auto v = core::MsgView::Parse(std::move(payload));
+  v->SetChainHop(static_cast<std::uint8_t>(v->chain_hop() + 1));
+  payload = v->bytes();  // "send": the buffer moves on unchanged
+  benchmark::DoNotOptimize(payload.data());
+}
+
 void BM_ChainHopForwardZeroCopy(benchmark::State& state) {
   net::BufferView payload{core::EncodeMsg(SampleChainMsg())};
-  for (auto _ : state) {
-    auto v = core::MsgView::Parse(std::move(payload));
-    v->SetChainHop(static_cast<std::uint8_t>(v->chain_hop() + 1));
-    payload = v->bytes();  // "send": the buffer moves on unchanged
-    benchmark::DoNotOptimize(payload.data());
-  }
+  for (auto _ : state) ChainHopForward(payload);
 }
 BENCHMARK(BM_ChainHopForwardZeroCopy);
 
@@ -469,6 +471,39 @@ double Median(std::vector<double> v) {
   return *mid;
 }
 
+/// An A/B pair measured in one benchmark: each iteration is one round in
+/// which `step(twin, i)` runs for items i of the round, 2048 times with
+/// twin 0 (the base) and 2048 times with twin 1, base first on even rounds
+/// and twin first on odd ones, each side timed on its own, so a slow spell
+/// of the host falls on both alike.  Counters: the median per-item time of
+/// each (base_ns, twin_ns), and the median over rounds of
+/// twin / (base * (1 + slack) + eps_ns) — the gate's budget, met while it
+/// stays at or below 1.
+template <typename Step>
+void RunAlternatingRounds(benchmark::State& state, Step step, double slack,
+                          double eps_ns) {
+  constexpr std::uint64_t kRoundItems = 2048;
+  std::vector<double> ns[2];  // per-round ns per item: base, twin
+  std::vector<double> budget_ratio;
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    const int first = static_cast<int>(budget_ratio.size() & 1);
+    for (const int twin : {first, 1 - first}) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (std::uint64_t n = 0; n < kRoundItems; ++n) step(twin, i + n);
+      const std::chrono::duration<double, std::nano> spent =
+          std::chrono::steady_clock::now() - t0;
+      ns[twin].push_back(spent.count() / static_cast<double>(kRoundItems));
+    }
+    budget_ratio.push_back(ns[1].back() /
+                           (ns[0].back() * (1.0 + slack) + eps_ns));
+    i += kRoundItems;
+  }
+  state.counters["base_ns"] = Median(ns[0]);
+  state.counters["twin_ns"] = Median(ns[1]);
+  state.counters["budget_ratio"] = Median(budget_ratio);
+}
+
 }  // namespace
 
 /// Runs one twin, one packet per iteration.
@@ -500,44 +535,25 @@ void BM_SingleOwnerSequencingSpec(benchmark::State& state) {
 }
 BENCHMARK(BM_SingleOwnerSequencingSpec);
 
-/// Each iteration is one round: the same packets through each twin, inline
-/// first on even rounds and spec first on odd ones, each side timed on its
-/// own.  Counters: the median per-packet time of each twin, and the median
-/// over rounds of spec / (inline * 1.02 + 0.5 ns) — the gate's budget, met
-/// while it stays at or below 1.
+/// The inline twin (base) against the spec twin, the same packets through
+/// each per round; budget 2% + 0.5 ns.
 void BM_SingleOwnerSequencingAB(benchmark::State& state) {
-  constexpr std::uint64_t kRoundPackets = 2048;
   core::FlowTable table;
   FillSequencingTable(table);
   const core::StateTraits spec =
       core::ResolveSpec({}, std::nullopt, /*snapshottable=*/false);
-  std::vector<double> ns[2];  // per-round ns per packet: inline, spec
-  std::vector<double> budget_ratio;
-  std::uint64_t i = 0;
   std::uint64_t acc = 0;
-  for (auto _ : state) {
-    const int first = static_cast<int>(budget_ratio.size() & 1);
-    for (const int twin : {first, 1 - first}) {
-      const auto t0 = std::chrono::steady_clock::now();
-      std::uint64_t k = i;
-      for (std::uint64_t n = 0; n < kRoundPackets; ++n, k += kSeqStride) {
+  RunAlternatingRounds(
+      state,
+      [&](int twin, std::uint64_t i) {
         if (twin == 0) {
-          InlineSequencingStep(table, k, acc);
+          InlineSequencingStep(table, i * kSeqStride, acc);
         } else {
-          SpecSequencingStep(table, spec, k, acc);
+          SpecSequencingStep(table, spec, i * kSeqStride, acc);
         }
-      }
-      const std::chrono::duration<double, std::nano> spent =
-          std::chrono::steady_clock::now() - t0;
-      ns[twin].push_back(spent.count() / static_cast<double>(kRoundPackets));
-    }
-    budget_ratio.push_back(ns[1].back() / (ns[0].back() * 1.02 + 0.5));
-    i += kRoundPackets * kSeqStride;
-  }
+      },
+      0.02, 0.5);
   benchmark::DoNotOptimize(acc);
-  state.counters["inline_ns"] = Median(ns[0]);
-  state.counters["spec_ns"] = Median(ns[1]);
-  state.counters["budget_ratio"] = Median(budget_ratio);
 }
 BENCHMARK(BM_SingleOwnerSequencingAB);
 
@@ -559,7 +575,8 @@ void FillMirror(dp::MirrorTable& mirror, std::uint64_t n) {
 // each entry's last-send time against the timeout — O(table size) even when
 // nothing is due.  Kept as the before-twin of BM_MirrorDueScan.
 void BM_MirrorFullScan(benchmark::State& state) {
-  dp::MirrorTable mirror("bench", 128);
+  sim::Simulator sim;
+  dp::MirrorTable mirror(sim, "bench", 128);
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   FillMirror(mirror, n);
   const SimTime now = static_cast<SimTime>(n / 2);
@@ -614,16 +631,16 @@ BENCHMARK(BM_MirrorDueScan)->Arg(10240)->Arg(1 << 20);
 // --- Online auditor overhead -----------------------------------------------
 
 /// The armed-audit state of a campaign run, minus the ring: the standard
-/// monitors subscribed to a global tracer whose ring stays disabled.
+/// monitors subscribed to a simulator's tracer whose ring stays disabled.
 struct ArmedAuditor {
-  ArmedAuditor() : prev(obs::SetGlobalTracer(&tracer)) {
+  ArmedAuditor() {
     auditor.ArmStandardMonitors();
     auditor.Attach(&tracer);
+    sim.AttachTracer(tracer);
   }
-  ~ArmedAuditor() { obs::SetGlobalTracer(prev); }
   obs::Tracer tracer{1};  // the ring stays disabled
-  obs::Tracer* prev;
   audit::Auditor auditor;
+  sim::Simulator sim;
 };
 
 // Hop forwarding with the auditor armed (standard monitors subscribed, no
@@ -634,7 +651,7 @@ struct ArmedAuditor {
 // BM_LinkHopForward.
 void BM_LinkHopForwardAuditorArmed(benchmark::State& state) {
   ArmedAuditor armed;
-  obs::TraceHandle handle("bench-hop");
+  obs::TraceHandle handle(armed.sim.tracer_slot(), "bench-hop");
   net::Packet pkt = SamplePacket();
   std::vector<std::byte> body(512, std::byte{0xAB});
   pkt.payload = std::move(body);
@@ -649,23 +666,38 @@ void BM_LinkHopForwardAuditorArmed(benchmark::State& state) {
 BENCHMARK(BM_LinkHopForwardAuditorArmed);
 
 // Chain-replica hop with the auditor armed: same in-place patch-and-forward
-// as BM_ChainHopForwardZeroCopy plus the armed guard.  Held within 5% of the
-// unarmed bench by ci/perf_smoke.py.
+// as BM_ChainHopForwardZeroCopy plus the armed guard.  Its relative gate is
+// BM_ChainHopAuditorAB below.
 void BM_ChainHopForwardAuditorArmed(benchmark::State& state) {
   ArmedAuditor armed;
-  obs::TraceHandle handle("bench-chain");
+  obs::TraceHandle handle(armed.sim.tracer_slot(), "bench-chain");
   net::BufferView payload{core::EncodeMsg(SampleChainMsg())};
   for (auto _ : state) {
-    auto v = core::MsgView::Parse(std::move(payload));
-    v->SetChainHop(static_cast<std::uint8_t>(v->chain_hop() + 1));
-    payload = v->bytes();
+    ChainHopForward(payload);
     if (handle.armed(obs::Ev::kLeaseAcquired)) {
       benchmark::DoNotOptimize(&handle);
     }
-    benchmark::DoNotOptimize(payload.data());
   }
 }
 BENCHMARK(BM_ChainHopForwardAuditorArmed);
+
+// The chain-hop pair ci/perf_smoke.py gates: the unarmed hop (base) against
+// the auditor-armed one in alternating rounds; budget 5% + 0.5 ns.
+void BM_ChainHopAuditorAB(benchmark::State& state) {
+  ArmedAuditor armed;
+  obs::TraceHandle handle(armed.sim.tracer_slot(), "bench-chain");
+  net::BufferView payload{core::EncodeMsg(SampleChainMsg())};
+  RunAlternatingRounds(
+      state,
+      [&](int twin, std::uint64_t) {
+        ChainHopForward(payload);
+        if (twin == 1 && handle.armed(obs::Ev::kLeaseAcquired)) {
+          benchmark::DoNotOptimize(&handle);
+        }
+      },
+      0.05, 0.5);
+}
+BENCHMARK(BM_ChainHopAuditorAB);
 
 // Hop forwarding with the profiler armed: a stride-256 ProfScope on the hop
 // (the discipline per-packet sites like net.serialize use), so 255 of 256
@@ -688,25 +720,29 @@ void BM_LinkHopForwardProfilerArmed(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkHopForwardProfilerArmed);
 
-// Chain-replica hop with the profiler armed: same patch-and-forward as
-// BM_ChainHopForwardZeroCopy under a sampled ProfScope.  Held within 5% of
-// the unarmed bench by ci/perf_smoke.py.
-void BM_ChainHopForwardProfilerArmed(benchmark::State& state) {
+// Chain-replica hop with the profiler armed: the unarmed hop (base) against
+// the same patch-and-forward under a sampled ProfScope, in alternating
+// rounds.  ci/perf_smoke.py holds the median round within 5% + 3 ns.
+void BM_ChainHopProfilerAB(benchmark::State& state) {
   obs::Profiler profiler;
   profiler.SetEnabled(true);
   obs::Profiler* prev = obs::SetGlobalProfiler(&profiler);
   static obs::ProfSite site("bench.chain_hop", /*stride=*/256);
   net::BufferView payload{core::EncodeMsg(SampleChainMsg())};
-  for (auto _ : state) {
-    obs::ProfScope prof(site);
-    auto v = core::MsgView::Parse(std::move(payload));
-    v->SetChainHop(static_cast<std::uint8_t>(v->chain_hop() + 1));
-    payload = v->bytes();
-    benchmark::DoNotOptimize(payload.data());
-  }
+  RunAlternatingRounds(
+      state,
+      [&](int twin, std::uint64_t) {
+        if (twin == 1) {
+          obs::ProfScope prof(site);
+          ChainHopForward(payload);
+        } else {
+          ChainHopForward(payload);
+        }
+      },
+      0.05, 3.0);
   obs::SetGlobalProfiler(prev);
 }
-BENCHMARK(BM_ChainHopForwardProfilerArmed);
+BENCHMARK(BM_ChainHopProfilerAB);
 
 // A full milestone publish: one Emit dispatched synchronously through the
 // tracer's subscriber list to all standard monitors.  Same-component lease
@@ -714,7 +750,7 @@ BENCHMARK(BM_ChainHopForwardProfilerArmed);
 // per-milestone cost.
 void BM_AuditTapDispatch(benchmark::State& state) {
   ArmedAuditor armed;
-  obs::TraceHandle handle("bench-switch");
+  obs::TraceHandle handle(armed.sim.tracer_slot(), "bench-switch");
   for (auto _ : state) {
     if (handle.armed(obs::Ev::kLeaseAcquired)) {
       handle.Emit(obs::Ev::kLeaseAcquired, 0xabcdef0123456789ull, 0, 0.0, 0,
@@ -730,7 +766,8 @@ BENCHMARK(BM_AuditTapDispatch);
 // The default state: no tracer attached / tracing disabled.  A TraceHandle
 // emit must cost no more than a couple of loads and a predictable branch.
 void BM_TraceEmitDisabled(benchmark::State& state) {
-  obs::TraceHandle handle("bench");
+  sim::Simulator sim;
+  obs::TraceHandle handle(sim.tracer_slot(), "bench");
   for (auto _ : state) {
     if (handle.armed(obs::Ev::kIngress)) {
       handle.Emit(obs::Ev::kIngress, 0x1234, 1, 64.0);
@@ -743,8 +780,9 @@ BENCHMARK(BM_TraceEmitDisabled);
 void BM_TraceEmitEnabled(benchmark::State& state) {
   obs::Tracer tracer(1u << 12);
   tracer.SetEnabled(true);
-  obs::Tracer* prev = obs::SetGlobalTracer(&tracer);
-  obs::TraceHandle handle("bench");
+  sim::Simulator sim;
+  sim.AttachTracer(tracer);
+  obs::TraceHandle handle(sim.tracer_slot(), "bench");
   std::uint64_t seq = 0;
   for (auto _ : state) {
     if (handle.armed(obs::Ev::kIngress)) {
@@ -752,7 +790,6 @@ void BM_TraceEmitEnabled(benchmark::State& state) {
     }
   }
   benchmark::DoNotOptimize(tracer.size());
-  obs::SetGlobalTracer(prev);
 }
 BENCHMARK(BM_TraceEmitEnabled);
 

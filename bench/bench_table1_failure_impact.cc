@@ -26,18 +26,13 @@ struct Impact {
 };
 
 struct FailureRig {
+  /// Carries the record stream into the tracker; its ring stays disabled.
+  /// Declared before the deployment, whose simulator detaches it.
+  obs::Tracer tracer;
+  obs::RecoveryTracker tracker;
   Deployment deploy;
   routing::Testbed* tb = nullptr;
   std::unique_ptr<routing::FailureInjector> injector;
-  /// Carries the record stream into the tracker; its ring stays disabled.
-  obs::Tracer tracer;
-  obs::Tracer* prev_tracer = nullptr;
-  bool forensics_armed = false;
-  obs::RecoveryTracker tracker;
-
-  ~FailureRig() {
-    if (forensics_armed) obs::SetGlobalTracer(prev_tracer);
-  }
 
   void Build(std::function<std::vector<std::byte>(const net::PartitionKey&)>
                  initializer = nullptr) {
@@ -78,12 +73,9 @@ struct FailureRig {
   /// before FailOver() — PinToAgg0's deliberate agg1 failure would
   /// otherwise open a bogus episode.
   void ArmForensics() {
-    auto& sim = deploy.sim();
-    tracer.SetClock([&sim] { return sim.Now(); });
     tracer.Subscribe(
         [this](const obs::TraceRecord& r) { tracker.OnRecord(r); });
-    prev_tracer = obs::SetGlobalTracer(&tracer);
-    forensics_armed = true;
+    deploy.sim().AttachTracer(tracer);
   }
 
   /// Finalizes the tracker and renders the per-phase timeline.

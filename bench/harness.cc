@@ -223,7 +223,6 @@ ObsSession::ObsSession(int& argc, char** argv) : tracer_(1u << 18) {
 
 ObsSession::~ObsSession() {
   Finish();
-  DetachTracer();
   if (profiler_installed_) {
     profiler_.SetEnabled(false);
     obs::SetGlobalProfiler(prev_profiler_);
@@ -234,21 +233,8 @@ ObsSession::~ObsSession() {
 
 void ObsSession::AttachTracer(sim::Simulator& sim) {
   if (!enabled()) return;
-  tracer_.SetClock([&sim]() { return sim.Now(); });
-  if (!attached_) {
-    prev_tracer_ = obs::SetGlobalTracer(&tracer_);
-    attached_ = true;
-  }
+  sim.AttachTracer(tracer_);
   tracer_.SetEnabled(trace_enabled() || spans_enabled());
-}
-
-void ObsSession::DetachTracer() {
-  if (!attached_) return;
-  tracer_.SetEnabled(false);
-  tracer_.ClearClock();
-  obs::SetGlobalTracer(prev_tracer_);
-  prev_tracer_ = nullptr;
-  attached_ = false;
 }
 
 void ObsSession::Watch(const obs::MetricRegistry& registry) {

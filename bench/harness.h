@@ -131,15 +131,15 @@ void ShapeFlowChurn(std::vector<trace::TracePacket>& packets,
 /// When no flag is given the session is inert and adds no overhead.
 ///
 /// Lifecycle per experiment run:
-///   AttachTracer(sim)  — clock the tracer off the simulator, install it as
-///                        the process-global tracer and enable recording
+///   AttachTracer(sim)  — attach the tracer to the simulator, which detaches
+///                        it when destroyed, and enable recording
 ///   Watch(registry)    — include a component's metrics in snapshots
 ///   StartSampling(...) — pre-schedule periodic MetricsHub snapshots up to a
 ///                        bounded horizon (the simulator runs until its
 ///                        queue drains, so sampling must not self-reschedule)
 ///   SampleOnce(t)      — take one extra snapshot (e.g. after sim.Run())
-///   UnwatchAll() + DetachTracer() — BEFORE the watched components are
-///                        destroyed (the hub holds non-owning pointers)
+///   UnwatchAll()       — BEFORE the watched components are destroyed (the
+///                        hub holds non-owning pointers)
 ///   Finish()           — write the trace / metrics JSON files and print the
 ///                        per-phase latency breakdown
 class ObsSession {
@@ -161,7 +161,6 @@ class ObsSession {
   SimDuration metrics_period() const { return metrics_period_; }
 
   void AttachTracer(sim::Simulator& sim);
-  void DetachTracer();
 
   void Watch(const obs::MetricRegistry& registry);
   void UnwatchAll();
@@ -185,9 +184,7 @@ class ObsSession {
   obs::MetricsHub hub_;
   obs::TimeSeriesLog series_;
   obs::Profiler profiler_;
-  obs::Tracer* prev_tracer_ = nullptr;
   obs::Profiler* prev_profiler_ = nullptr;
-  bool attached_ = false;
   bool profiler_installed_ = false;
   bool finished_ = false;
 };

@@ -61,6 +61,12 @@ are still caught.
     case runs once: the scenarios' cases belong to gates 1 and 4, so gate 6
     replays them only where --skip-modes skipped gate 4.
 
+Gates 1, 4 and 6 replay committed schedules unmutated, so each of their
+runs must also reproduce its trace_hash in golden_replays.csv, the table
+next to the schedules that tests/fuzz_campaign_test.cc checks too.  A
+differing or missing hash fails the gate and names the (schedule, mode,
+batching) case.
+
 Usage:
   ci/campaign.py --campaign build/tools/campaign --out-dir campaign-out
                  [--packets 40] [--fuzz N] [--fuzz-seed BASE]
@@ -70,6 +76,7 @@ Usage:
 
 import argparse
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -101,15 +108,51 @@ FUZZ_CLASS_MUTATIONS = [
 ]
 
 
+# One replayed run's progress line (tools/campaign/main.cc).
+REPLAY_LINE = re.compile(r"replay_(\S+) seed=\d+ events=\d+ "
+                         r"consistency=(\w+)(?: batching=on)? \.\.\. .*"
+                         r"trace_hash=(\d+)$", re.MULTILINE)
+
+
 def schedule_args(paths):
     return [f"--schedule={p}" for p in paths]
 
 
 def run(campaign, out_dir, extra, label):
+    """Runs the campaign binary, echoing its output; returns the exit code
+    and the output."""
     cmd = [campaign, f"--out-dir={out_dir}"] + extra
     print(f"\n=== {label}: {' '.join(cmd)}", flush=True)
-    proc = subprocess.run(cmd)
-    return proc.returncode
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True)
+    print(proc.stdout, end="", flush=True)
+    return proc.returncode, proc.stdout
+
+
+def load_golden(path):
+    """(schedule, mode, batching_us) -> trace_hash from golden_replays.csv."""
+    golden = {}
+    for line in path.read_text().splitlines():
+        if line and not line.startswith("#"):
+            schedule, mode, batching_us, trace_hash = line.split(",")[:4]
+            golden[(schedule, mode, int(batching_us))] = trace_hash
+    return golden
+
+
+def hash_mismatches(output, schedules, batching_us, golden):
+    """Every replayed case of `output` whose trace_hash is not its golden
+    one, plus a note when the output does not show one run per schedule."""
+    bad = []
+    found = REPLAY_LINE.findall(output)
+    for stem, mode, got in found:
+        want = golden.get((stem, mode, batching_us))
+        if got != want:
+            bad.append(f"{stem} consistency={mode} batching={batching_us}: "
+                       f"trace_hash {got} != golden {want}")
+    if len(found) != len(schedules):
+        bad.append(f"expected {len(schedules)} replay lines, parsed "
+                   f"{len(found)}")
+    return bad
 
 
 def main():
@@ -143,11 +186,10 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     failures = []
 
-    batch_axes = [("", [])]
-    if not args.skip_batching:
-        batch_axes.append(("-batched", ["--batching=16"]))
+    batch_axes = [0] if args.skip_batching else [0, 16]  # batching, µs
 
     schedules_dir = pathlib.Path(args.schedules_dir)
+    golden = load_golden(schedules_dir / "golden_replays.csv")
     scenarios = sorted(p for sc in SCENARIOS
                        for p in schedules_dir.glob(f"{sc}_s*.json"))
     selftest = schedule_args(schedules_dir / f"{sc}_s42.json"
@@ -155,24 +197,29 @@ def main():
     if not scenarios:
         failures.append(f"no scenario schedules under {schedules_dir}")
 
-    for suffix, batch_args in batch_axes:
-        axis = "batching on" if batch_args else "per-packet"
+    for batching_us in batch_axes:
+        batch_args = [f"--batching={batching_us}"] if batching_us else []
+        suffix = "-batched" if batching_us else ""
+        axis = "batching on" if batching_us else "per-packet"
 
         # Gate 1: clean scenarios, auditor armed, must be silent.
-        rc = run(args.campaign, out / f"clean{suffix}",
-                 schedule_args(scenarios) + batch_args,
-                 f"clean scenarios ({len(scenarios)} schedules, {axis})")
+        rc, output = run(args.campaign, out / f"clean{suffix}",
+                         schedule_args(scenarios) + batch_args,
+                         f"clean scenarios ({len(scenarios)} schedules, "
+                         f"{axis})")
         if rc != EXIT_CLEAN_OR_DETECTED:
             failures.append(
                 f"clean scenarios ({axis}) exited {rc}: violations or a "
                 f"failed recovery gate (see {out / f'clean{suffix}'})")
+        failures += [f"clean scenarios ({axis}): {m}" for m in
+                     hash_mismatches(output, scenarios, batching_us, golden)]
 
         # Gate 2: each seeded protocol mutation must trip its monitor.
         if not args.skip_selftest:
             for mut in MUTATIONS:
-                rc = run(args.campaign, out / f"mutate-{mut}{suffix}",
-                         selftest + [f"--mutate={mut}"] + batch_args,
-                         f"oracle self-test (mutate={mut}, {axis})")
+                rc, _ = run(args.campaign, out / f"mutate-{mut}{suffix}",
+                            selftest + [f"--mutate={mut}"] + batch_args,
+                            f"oracle self-test (mutate={mut}, {axis})")
                 if rc == EXIT_MUTATION_SILENT:
                     failures.append(
                         f"mutate={mut} ({axis}): auditor stayed silent — "
@@ -184,21 +231,25 @@ def main():
     # Gate 4: the consistency-mode spectrum, per-packet.
     if not args.skip_modes:
         for mode in ["replicated", "mergeable"]:
-            rc = run(args.campaign, out / f"clean-{mode}",
-                     schedule_args(scenarios) + [f"--consistency={mode}"],
-                     f"clean scenarios (consistency={mode})")
+            rc, output = run(
+                args.campaign, out / f"clean-{mode}",
+                schedule_args(scenarios) + [f"--consistency={mode}"],
+                f"clean scenarios (consistency={mode})")
             if rc != EXIT_CLEAN_OR_DETECTED:
                 failures.append(
                     f"clean scenarios (consistency={mode}) exited {rc}: "
                     f"violations or oracle failures under the weaker mode "
                     f"(see {out / f'clean-{mode}'})")
+            failures += [f"clean scenarios (consistency={mode}): {m}"
+                         for m in hash_mismatches(output, scenarios, 0,
+                                                  golden)]
         if not args.skip_selftest:
             for mut, mode, expectation in MODE_MUTATIONS:
-                rc = run(args.campaign, out / f"mutate-{mut}-{mode}",
-                         selftest + [f"--mutate={mut}",
-                                     f"--consistency={mode}"],
-                         f"mode-aware oracle self-test "
-                         f"(mutate={mut}, consistency={mode})")
+                rc, _ = run(args.campaign, out / f"mutate-{mut}-{mode}",
+                            selftest + [f"--mutate={mut}",
+                                        f"--consistency={mode}"],
+                            f"mode-aware oracle self-test "
+                            f"(mutate={mut}, consistency={mode})")
                 if rc == EXIT_MUTATION_SILENT:
                     failures.append(
                         f"mutate={mut} consistency={mode}: expected monitor "
@@ -212,13 +263,13 @@ def main():
     if args.fuzz > 0:
         per_mode = max(1, args.fuzz // 3)
         for i, mode in enumerate(["single", "replicated", "mergeable"]):
-            rc = run(args.campaign, out / f"fuzz-{mode}",
-                     [f"--fuzz={per_mode}", "--fuzz-class=mixed",
-                      f"--fuzz-seed={args.fuzz_seed + 10000 * i}",
-                      f"--packets={args.packets}",
-                      f"--consistency={mode}"],
-                     f"adversarial fuzz ({per_mode} schedules, "
-                     f"consistency={mode})")
+            rc, _ = run(args.campaign, out / f"fuzz-{mode}",
+                        [f"--fuzz={per_mode}", "--fuzz-class=mixed",
+                         f"--fuzz-seed={args.fuzz_seed + 10000 * i}",
+                         f"--packets={args.packets}",
+                         f"--consistency={mode}"],
+                        f"adversarial fuzz ({per_mode} schedules, "
+                        f"consistency={mode})")
             if rc != EXIT_CLEAN_OR_DETECTED:
                 failures.append(
                     f"fuzz (consistency={mode}) exited {rc}: a randomized "
@@ -229,11 +280,12 @@ def main():
         # the monitors cannot see.
         if not args.skip_selftest:
             for cls, mut, monitor in FUZZ_CLASS_MUTATIONS:
-                rc = run(args.campaign, out / f"fuzz-{cls}-{mut}",
-                         ["--fuzz=2", f"--fuzz-class={cls}",
-                          f"--fuzz-seed={args.fuzz_seed}",
-                          f"--packets={args.packets}", f"--mutate={mut}"],
-                         f"fuzz-class oracle self-test ({cls} + mutate={mut})")
+                rc, _ = run(args.campaign, out / f"fuzz-{cls}-{mut}",
+                            ["--fuzz=2", f"--fuzz-class={cls}",
+                             f"--fuzz-seed={args.fuzz_seed}",
+                             f"--packets={args.packets}", f"--mutate={mut}"],
+                            f"fuzz-class oracle self-test "
+                            f"({cls} + mutate={mut})")
                 if rc == EXIT_MUTATION_SILENT:
                     failures.append(
                         f"fuzz class {cls} + mutate={mut}: {monitor} stayed "
@@ -252,25 +304,29 @@ def main():
     # only when --skip-modes skipped the matching gate-4 run.
     repros = sorted(p for p in schedules_dir.glob("*.json")
                     if p not in scenarios)
-    passes = [("single", [], False),
-              ("replicated", [], args.skip_modes),
-              ("mergeable", [], args.skip_modes)]
+    passes = [("single", 0, False),
+              ("replicated", 0, args.skip_modes),
+              ("mergeable", 0, args.skip_modes)]
     if not args.skip_batching:
-        passes.append(("single", ["--batching=16"], False))
-    for mode, batch_args, with_scenarios in passes:
+        passes.append(("single", 16, False))
+    for mode, batching_us, with_scenarios in passes:
+        batch_args = [f"--batching={batching_us}"] if batching_us else []
         tag = mode + ("-batched" if batch_args else "")
         committed = repros + (scenarios if with_scenarios else [])
         if not committed:
             continue
-        rc = run(args.campaign, out / f"committed-{tag}",
-                 schedule_args(committed) + [f"--consistency={mode}"]
-                 + batch_args,
-                 f"committed schedules ({len(committed)} schedules, {tag})")
+        rc, output = run(args.campaign, out / f"committed-{tag}",
+                         schedule_args(committed) + [f"--consistency={mode}"]
+                         + batch_args,
+                         f"committed schedules ({len(committed)} schedules, "
+                         f"{tag})")
         if rc != EXIT_CLEAN_OR_DETECTED:
             failures.append(
                 f"committed schedules ({tag}) exited {rc}: a failover "
                 f"scenario or a previously fixed fuzz-found bug regressed "
                 f"(see {out / f'committed-{tag}'})")
+        failures += [f"committed schedules ({tag}): {m}" for m in
+                     hash_mismatches(output, committed, batching_us, golden)]
 
     if failures:
         print("\nFAULT CAMPAIGN FAILED:")

@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "obs/events.h"
-#include "obs/tracer.h"
 
 namespace redplane::audit {
 
@@ -35,26 +34,24 @@ void DiagRegistry::DumpAll(std::ostream& os) const {
 
 std::size_t DiagRegistry::Size() const { return entries_.size(); }
 
-void DumpDiagnostics(std::ostream& os, std::size_t last_n) {
-  os << "======== redplane diagnostics ========\n";
-
-  if (const obs::Tracer* tracer = obs::GlobalTracer(); tracer != nullptr) {
-    const auto records = tracer->Records();
-    const std::size_t n = std::min(last_n, records.size());
-    os << "---- tracer tail (" << n << " of " << records.size()
-       << " ring events, " << tracer->evicted() << " evicted) ----\n";
-    for (std::size_t i = records.size() - n; i < records.size(); ++i) {
-      const auto& r = records[i];
-      os << "  t=" << r.t << "ns  " << tracer->ComponentName(r.component)
-         << "  " << obs::EvName(r.ev) << "  flow=0x" << std::hex << r.flow
-         << std::dec << " seq=" << r.seq;
-      if (r.arg != 0.0) os << " arg=" << r.arg;
-      os << "\n";
-    }
-  } else {
-    os << "---- no global tracer installed ----\n";
+void DumpTracerTail(std::ostream& os, const obs::Tracer& tracer,
+                    std::size_t last_n) {
+  const auto records = tracer.Records();
+  const std::size_t n = std::min(last_n, records.size());
+  os << "last " << n << " of " << records.size() << " ring events, "
+     << tracer.evicted() << " evicted\n";
+  for (std::size_t i = records.size() - n; i < records.size(); ++i) {
+    const auto& r = records[i];
+    os << "  t=" << r.t << "ns  " << tracer.ComponentName(r.component) << "  "
+       << obs::EvName(r.ev) << "  flow=0x" << std::hex << r.flow << std::dec
+       << " seq=" << r.seq;
+    if (r.arg != 0.0) os << " arg=" << r.arg;
+    os << "\n";
   }
+}
 
+void DumpDiagnostics(std::ostream& os) {
+  os << "======== redplane diagnostics ========\n";
   DiagRegistry::Instance().DumpAll(os);
   os << "======================================\n";
 }

@@ -3,8 +3,8 @@
 //
 // Components register a dump callback (their lease table, flow records,
 // ...) through a RAII DiagToken; DumpDiagnostics() renders every registered
-// dump (each auditor registers its violations) plus the tail of the global
-// tracer ring.
+// dump (each auditor registers its violations; an audited test rig
+// registers its tracer's tail through DumpTracerTail).
 // The gtest listener in tests/audit_diag.h calls it on test failure.
 #pragma once
 
@@ -14,6 +14,8 @@
 #include <iosfwd>
 #include <string>
 #include <vector>
+
+#include "obs/tracer.h"
 
 namespace redplane::audit {
 
@@ -72,9 +74,13 @@ class DiagToken {
   std::uint64_t id_ = 0;
 };
 
-/// Dumps, to `os`: the last `last_n` events of the global tracer ring (when
-/// one is installed) and every DiagRegistry dump (lease tables, flow
-/// records, auditor violations).
-void DumpDiagnostics(std::ostream& os, std::size_t last_n = 64);
+/// Renders the last `last_n` ring records of `tracer`: the body of a
+/// "tracer tail" dump a tracer's owner registers.
+void DumpTracerTail(std::ostream& os, const obs::Tracer& tracer,
+                    std::size_t last_n);
+
+/// Dumps every DiagRegistry dump (tracer tails, lease tables, flow records,
+/// auditor violations) to `os`.
+void DumpDiagnostics(std::ostream& os);
 
 }  // namespace redplane::audit

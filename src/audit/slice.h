@@ -1,7 +1,7 @@
 // Causal trace slices: the flight-recorder half of the auditor.
 //
 // When a monitor reports a violation the auditor cuts a *causal slice* out
-// of the global tracer ring: the smallest happens-before-closed window of
+// of the tracer ring: the smallest happens-before-closed window of
 // trace events that explains the violation.  The happens-before relation
 // used here is deliberately restricted to what the tracer can witness:
 //

@@ -40,7 +40,7 @@ RedPlaneSwitch::RedPlaneSwitch(
       spec_(ResolveSpec(app.Traits(), config.mode_override,
                         dynamic_cast<Snapshottable*>(&app) != nullptr)),
       stats_(node.name() + "/rp"),
-      trace_(node.name() + "/rp"),
+      trace_(node.sim().tracer_slot(), node.name() + "/rp"),
       diag_(node.name() + "/rp lease table",
             [this](std::ostream& os) { DumpLeaseTable(os); }) {
   assert(shard_for_);

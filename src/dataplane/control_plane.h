@@ -32,11 +32,12 @@ struct ControlPlaneConfig {
 /// the PCIe link, processed by the CPU, and completed back on the ASIC side.
 class ControlPlane {
  public:
-  ControlPlane(sim::Simulator& sim, ControlPlaneConfig config)
-      : sim_(sim), config_(config) {}
-
-  /// Names this channel in trace exports (set by the owning switch).
-  void SetTraceName(std::string name) { trace_.SetName(std::move(name)); }
+  /// `trace_name` names this channel in trace exports.
+  ControlPlane(sim::Simulator& sim, ControlPlaneConfig config,
+               std::string trace_name)
+      : sim_(sim),
+        config_(config),
+        trace_(sim.tracer_slot(), std::move(trace_name)) {}
 
   /// Submits a data-to-CPU operation carrying `bytes` of data; `on_complete`
   /// runs when the CPU has processed it and the completion has crossed back

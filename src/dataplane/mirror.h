@@ -28,6 +28,7 @@
 #include "net/buffer.h"
 #include "net/flow.h"
 #include "obs/tracer.h"
+#include "sim/simulator.h"
 
 namespace redplane::dp {
 
@@ -43,13 +44,12 @@ class MirrorTable {
     std::uint32_t gen = 0;
   };
 
-  /// `truncate_to` caps the bytes retained per mirrored packet, modeling the
-  /// ASIC's mirror truncation; Tofino supports truncating to the first N
-  /// bytes, which RedPlane sets to cover only the replication header.
-  MirrorTable(std::string name, std::size_t truncate_to)
-      : name_(std::move(name)), truncate_to_(truncate_to), trace_(name_) {}
-
-  const std::string& name() const { return name_; }
+  /// `name` names the table in trace exports.  `truncate_to` caps the
+  /// bytes retained per mirrored packet, modeling the ASIC's mirror
+  /// truncation; Tofino supports truncating to the first N bytes, which
+  /// RedPlane sets to cover only the replication header.
+  MirrorTable(sim::Simulator& sim, std::string name, std::size_t truncate_to)
+      : truncate_to_(truncate_to), trace_(sim.tracer_slot(), std::move(name)) {}
 
   /// Reconfigures the truncation length (set once at program install).
   void set_truncate_to(std::size_t n) { truncate_to_ = n; }
@@ -176,7 +176,6 @@ class MirrorTable {
   void EraseCell(std::size_t cell);
   void GrowIndex();
 
-  std::string name_;
   std::size_t truncate_to_;
   obs::TraceHandle trace_;
 

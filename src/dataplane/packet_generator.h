@@ -18,10 +18,9 @@ namespace redplane::dp {
 
 class PacketGenerator {
  public:
-  explicit PacketGenerator(sim::Simulator& sim) : sim_(sim) {}
-
-  /// Names this generator in trace exports (set by the owning switch).
-  void SetTraceName(std::string name) { trace_.SetName(std::move(name)); }
+  /// `trace_name` names this generator in trace exports.
+  PacketGenerator(sim::Simulator& sim, std::string trace_name)
+      : sim_(sim), trace_(sim.tracer_slot(), std::move(trace_name)) {}
 
   /// Starts generating: every `period`, emit a batch of `batch_size`
   /// generated packets by invoking `fn(index)` for index in [0, batch_size).

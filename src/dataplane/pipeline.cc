@@ -23,14 +23,11 @@ SwitchNode::SwitchNode(sim::Simulator& sim, NodeId id, std::string name,
                        SwitchConfig config)
     : Node(sim, id, std::move(name)),
       config_(config),
-      control_plane_(sim, config.control_plane),
-      pktgen_(sim),
+      control_plane_(sim, config.control_plane, this->name() + "/cp"),
+      pktgen_(sim, this->name() + "/pktgen"),
       // RedPlane truncates mirrored requests to the replication header; 64
       // bytes comfortably covers Ethernet+IP+UDP+RedPlane header.
-      mirror_(this->name() + "/mirror", 64) {
-  control_plane_.SetTraceName(this->name() + "/cp");
-  pktgen_.SetTraceName(this->name() + "/pktgen");
-}
+      mirror_(sim, this->name() + "/mirror", 64) {}
 
 SwitchNode::~SwitchNode() = default;
 

@@ -12,16 +12,6 @@
 
 namespace redplane::obs {
 
-namespace internal {
-Tracer* g_tracer = nullptr;
-}  // namespace internal
-
-Tracer* SetGlobalTracer(Tracer* tracer) {
-  Tracer* prev = internal::g_tracer;
-  internal::g_tracer = tracer;
-  return prev;
-}
-
 bool TraceFilter::Matches(const TraceRecord& r, const Tracer& tracer) const {
   if (flow != 0 && r.flow != flow) return false;
   if (!component.empty() && tracer.ComponentName(r.component) != component) {

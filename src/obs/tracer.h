@@ -1,16 +1,18 @@
 // Deterministic event bus: one record stream for tracing and auditing.
 //
 // Components emit every fact through a `TraceHandle`, which caches its
-// interned component id.  The Tracer routes each record by its kind's row in
-// obs/events.h: ring kinds go to a bounded ring buffer (Chrome export,
-// latency breakdown, causal slices), subscriber kinds go synchronously to
-// the subscribers (the auditor's monitors, the recovery tracker), and a few
-// kinds go to both.  The ring and the subscribers are armed independently:
-// an auditor can subscribe to a tracer whose ring stays disabled.  A handle
-// whose kind reaches no armed sink compiles down to two loads and a branch,
-// cheap enough to leave in every hot path.
+// interned component id and reaches the tracer attached to its own
+// simulation (`sim::Simulator::AttachTracer`), so two simulations in one
+// process record two separate streams.  The Tracer routes each record by
+// its kind's row in obs/events.h: ring kinds go to a bounded ring buffer
+// (Chrome export, latency breakdown, causal slices), subscriber kinds go
+// synchronously to the subscribers (the auditor's monitors, the recovery
+// tracker), and a few kinds go to both.  The ring and the subscribers are
+// armed independently: an auditor can subscribe to a tracer whose ring
+// stays disabled.  A handle whose kind reaches no armed sink compiles down
+// to three loads and a branch, cheap enough to leave in every hot path.
 //
-// Timestamps come from an injected clock (the simulator registers
+// Timestamps come from an injected clock (attaching to a simulator registers
 // `Simulator::Now`), so identical seeds produce byte-identical trace
 // exports and identical subscriber streams.
 //
@@ -113,7 +115,6 @@ class Tracer {
 
   // --- configuration ---
   void SetClock(std::function<SimTime()> clock) { clock_ = std::move(clock); }
-  void ClearClock() { clock_ = nullptr; }
   /// Arms the ring (subscribers are armed by subscribing).
   void SetEnabled(bool enabled) {
     enabled_ = enabled;
@@ -208,45 +209,32 @@ class Tracer {
   MetricRegistry metrics_;  // callback gauges over ring state; see metrics()
 };
 
-namespace internal {
-extern Tracer* g_tracer;
-}  // namespace internal
-
-/// Process-global tracer (null when none installed). Single-threaded, like
-/// the simulator.
-inline Tracer* GlobalTracer() { return internal::g_tracer; }
-
-/// Installs `tracer` as the global tracer; returns the previous one.
-Tracer* SetGlobalTracer(Tracer* tracer);
-
-/// Cached per-component emitter.  Copyable; re-resolves its interned id when
-/// the global tracer or its generation changes.
+/// Cached per-component emitter bound to one simulation's tracer slot (the
+/// pointer a `sim::Simulator` holds for its attached tracer; null = none).
+/// Copyable; re-resolves its interned id when the slot's tracer or its
+/// generation changes.  The slot must outlive the handle.
 class TraceHandle {
  public:
-  TraceHandle() = default;
-  explicit TraceHandle(std::string name) : name_(std::move(name)) {}
-
-  void SetName(std::string name) {
-    name_ = std::move(name);
-    cached_tracer_ = nullptr;  // force re-intern
-  }
-  const std::string& name() const { return name_; }
+  TraceHandle(Tracer* const& slot, std::string name)
+      : slot_(&slot), name_(std::move(name)) {}
+  /// A temporary pointer is no slot: the handle would dangle.
+  TraceHandle(Tracer* const&& slot, std::string name) = delete;
 
   /// True when emitting `ev` would reach an armed sink — callers guard any
   /// expensive argument computation (flow hashing, byte counting) behind
   /// this.
   bool armed(Ev ev) const {
-    const Tracer* t = internal::g_tracer;
+    const Tracer* t = *slot_;
     return t != nullptr && (t->sinks() & EvSinks(ev)) != 0;
   }
 
-  /// Emits one record to the global tracer.  `sinks` narrows the kind's
+  /// Emits one record to the slot's tracer.  `sinks` narrows the kind's
   /// routing (for a site whose subscriber fact is a different kind).
   void Emit(Ev ev, std::uint64_t flow = 0, std::uint64_t seq = 0,
             double arg = 0.0, std::uint64_t span = 0,
             std::uint64_t parent_span = 0, std::uint64_t aux = 0,
             std::uint8_t sinks = kBoth) const {
-    Tracer* t = internal::g_tracer;
+    Tracer* t = *slot_;
     if (t == nullptr || (t->sinks() & EvSinks(ev) & sinks) == 0) return;
     if (cached_tracer_ != t || cached_generation_ != t->generation()) {
       cached_tracer_ = t;
@@ -257,6 +245,7 @@ class TraceHandle {
   }
 
  private:
+  Tracer* const* slot_;
   std::string name_;
   mutable Tracer* cached_tracer_ = nullptr;
   mutable std::uint64_t cached_generation_ = 0;

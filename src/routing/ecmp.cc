@@ -6,7 +6,6 @@
 #include "common/hash.h"
 #include "common/logging.h"
 #include "net/flow.h"
-#include "obs/tracer.h"
 
 namespace redplane::routing {
 
@@ -62,10 +61,9 @@ void RoutingFabric::RecomputeNow() { Rebuild(); }
 void RoutingFabric::Rebuild() {
   // Recovery forensics: route re-convergence closes the failure-detection
   // phase of an episode (obs/recovery.h).
-  static obs::TraceHandle trace("fabric");
-  if (trace.armed(obs::Ev::kReroute)) {
-    trace.Emit(obs::Ev::kReroute, 0, 0,
-               static_cast<double>(network_.NumNodes()));
+  if (trace_.armed(obs::Ev::kReroute)) {
+    trace_.Emit(obs::Ev::kReroute, 0, 0,
+                static_cast<double>(network_.NumNodes()));
   }
   const std::size_t n = network_.NumNodes();
   num_nodes_ = n;

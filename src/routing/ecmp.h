@@ -16,6 +16,7 @@
 
 #include "dataplane/pipeline.h"
 #include "net/headers.h"
+#include "obs/tracer.h"
 #include "sim/network.h"
 
 namespace redplane::routing {
@@ -81,6 +82,7 @@ class RoutingFabric {
 
   sim::Network& network_;
   FabricConfig config_;
+  obs::TraceHandle trace_{network_.sim().tracer_slot(), "fabric"};
   /// (ip, owner) sorted by ip; AssignAddress keeps it sorted, so a lookup
   /// is a binary search and a re-assignment takes effect immediately.
   std::vector<std::pair<std::uint32_t, sim::Node*>> by_ip_;

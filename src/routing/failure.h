@@ -83,7 +83,7 @@ class FailureInjector {
   std::map<std::pair<const sim::Link*, NodeId>, DirLoss> dir_loss_;
   /// Injected faults are reported as environment events so the recovery
   /// tracker can open episodes and the auditor can see them.
-  obs::TraceHandle trace_{"failure_injector"};
+  obs::TraceHandle trace_{sim_.tracer_slot(), "failure_injector"};
 };
 
 }  // namespace redplane::routing

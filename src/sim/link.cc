@@ -21,7 +21,8 @@ void Link::Connect(Node* a, PortId port_a, Node* b, PortId port_b) {
   port_b_ = port_b;
   a->AttachLink(port_a, this);
   b->AttachLink(port_b, this);
-  trace_.SetName("link:" + a->name() + "-" + b->name());
+  trace_ = obs::TraceHandle(sim_.tracer_slot(),
+                            "link:" + a->name() + "-" + b->name());
 }
 
 void Link::SetUp(bool up) {

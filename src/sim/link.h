@@ -93,7 +93,7 @@ class Link {
   std::uint64_t epoch_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
-  obs::TraceHandle trace_;  // named "link:a-b" once connected
+  obs::TraceHandle trace_{sim_.tracer_slot(), {}};  // named by Connect
 };
 
 }  // namespace redplane::sim

@@ -5,7 +5,8 @@
 namespace redplane::sim {
 
 Node::Node(Simulator& sim, NodeId id, std::string name)
-    : sim_(sim), id_(id), name_(std::move(name)), metrics_(name_), trace_(name_) {
+    : sim_(sim), id_(id), name_(std::move(name)), metrics_(name_),
+      trace_(sim.tracer_slot(), name_) {
   tx_pkts_ = metrics_.RegisterCounter("tx_pkts");
   tx_bytes_ = metrics_.RegisterCounter("tx_bytes");
   rx_pkts_ = metrics_.RegisterCounter("rx_pkts");

@@ -19,6 +19,7 @@ Simulator::Simulator() {
 }
 
 Simulator::~Simulator() {
+  DetachTracer();
   ClearLogClock(this);
   // Destroy the callables of events still queued (cancelled-and-popped
   // slots are already back on the free list and not in the queue).

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "obs/tracer.h"
 #include "sim/timer_wheel.h"
 
 namespace redplane::sim {
@@ -72,6 +73,22 @@ class Simulator {
 
   /// Current simulated time.
   SimTime Now() const { return now_; }
+
+  /// Records this simulation into `tracer` (its clock becomes Now()) until
+  /// DetachTracer or destruction, which clear the clock again.  A tracer
+  /// serves one simulator at a time and must outlive it or be detached.
+  void AttachTracer(obs::Tracer& tracer) {
+    DetachTracer();
+    tracer_ = &tracer;
+    tracer.SetClock([this] { return now_; });
+  }
+  void DetachTracer() {
+    if (tracer_ != nullptr) tracer_->SetClock(nullptr);
+    tracer_ = nullptr;
+  }
+  /// The slot every component's obs::TraceHandle reads: the attached
+  /// tracer, or null.
+  obs::Tracer* const& tracer_slot() const { return tracer_; }
 
   /// Schedules `fn` to run `delay` from now (delay may be 0; negative delays
   /// are clamped to 0).  Returns an id usable with Cancel().
@@ -318,6 +335,7 @@ class Simulator {
   /// replaced, but the underlying vector stays scannable for tombstone
   /// purging.
   std::vector<QueuedEvent> queue_;
+  obs::Tracer* tracer_ = nullptr;  // beside the slab every Schedule touches
   Slab<kSmallCallableSize> small_slab_;
   Slab<kInlineCallableSize> large_slab_;
   /// Tombstones for cancelled-but-not-yet-popped events (O(1) insert/erase;

@@ -72,7 +72,7 @@ class ChainManager {
 
   sim::Simulator& sim_;
   ChainManagerConfig config_;
-  obs::TraceHandle trace_{"chain_mgr"};
+  obs::TraceHandle trace_{sim_.tracer_slot(), "chain_mgr"};
   std::vector<StateStoreServer*> all_;
   std::vector<StateStoreServer*> active_;
   std::uint64_t reconfigurations_ = 0;

@@ -1,6 +1,6 @@
-// On-failure diagnostics for simulation tests: when a test fails, dump the
-// tail of the global tracer ring, every registered diagnostic source (e.g.
-// each RedPlane switch's live lease table), and any auditor findings to
+// On-failure diagnostics for simulation tests: when a test fails, dump
+// every registered diagnostic source (the tracer tail of each audited rig,
+// each RedPlane switch's live lease table, each auditor's findings) to
 // stderr — the flight-recorder readout that turns "EXPECT_EQ(delivered, 2)
 // failed" into a debuggable protocol timeline.
 //
@@ -23,7 +23,7 @@ class DiagnosticsOnFailureListener : public ::testing::EmptyTestEventListener {
     if (dumped_this_test_) return;  // one dump per test is plenty
     dumped_this_test_ = true;
     std::cerr << "[audit_diag] test failure — dumping protocol diagnostics\n";
-    audit::DumpDiagnostics(std::cerr, /*last_n=*/64);
+    audit::DumpDiagnostics(std::cerr);
   }
   void OnTestStart(const ::testing::TestInfo&) override {
     dumped_this_test_ = false;

@@ -6,6 +6,7 @@
 // clean configuration stays silent.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -457,7 +458,7 @@ TEST(LinFeedTest, FlowsAreIndependent) {
 // End-to-end mutation detection.
 //
 // Harness: two RedPlane switches in front of a (possibly chained) state
-// store, global tracer + auditor armed, protocol mutations injectable via
+// store, the rig's tracer + auditor armed, protocol mutations injectable via
 // the test-only config hooks.  Clean twins of every mutated scenario run
 // the same traffic and must stay silent.
 
@@ -603,12 +604,69 @@ TEST(DiagnosticsTest, DumpIncludesTracerTailLeaseTableAndViolations) {
   // Seed one synthetic violation so the dump has findings to show.
   h.tracer.Emit(h.tracer.Intern("synthetic"), Ev::kAckReleased, 0x99, 5);
   std::ostringstream os;
-  audit::DumpDiagnostics(os, /*last_n=*/16);
+  audit::DumpDiagnostics(os);
   const std::string text = os.str();
   EXPECT_NE(text.find("redplane diagnostics"), std::string::npos);
   EXPECT_NE(text.find("sw1/rp lease table"), std::string::npos);
   EXPECT_NE(text.find("chain_commit"), std::string::npos);
   EXPECT_NE(text.find("ack_released"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// One tracer per simulation.
+
+/// `tracer`'s Chrome export with packet ids (the seq of ingress, pipeline
+/// and host-receive records) renumbered by first appearance.  Packet ids
+/// come from one process-wide counter, so rigs that run interleaved draw
+/// other ids than each draws alone; every other field must match.
+std::string ExportWithPacketIdsRenumbered(const obs::Tracer& tracer) {
+  std::vector<obs::TraceRecord> records = tracer.Records();
+  std::map<std::uint64_t, std::uint64_t> renumbered;
+  for (obs::TraceRecord& r : records) {
+    if (r.ev == Ev::kIngress || r.ev == Ev::kPipeline ||
+        r.ev == Ev::kHostRecv) {
+      r.seq = renumbered.emplace(r.seq, renumbered.size() + 1).first->second;
+    }
+  }
+  std::vector<std::string> components;
+  for (std::size_t i = 0; i < tracer.NumComponents(); ++i) {
+    components.push_back(tracer.ComponentName(static_cast<std::uint16_t>(i)));
+  }
+  std::ostringstream os;
+  obs::WriteChromeTraceRecords(os, records, components);
+  return os.str();
+}
+
+TEST(PerSimulationTracerTest, InterleavedRigsRecordWhatEachRecordsAlone) {
+  const RigOptions options[2] = {Audited(),
+                                 Audited({.stores = 3, .chain = true})};
+  constexpr int kSteps = 8;
+  const auto step = [](Rig& h, int i) {
+    h.src->SendTo(static_cast<PortId>(i % 2),
+                  net::MakeUdpPacket(TheFlow(), 20));
+    h.Run(Milliseconds(1));
+  };
+  std::string solo_trace[2];
+  std::uint64_t solo_events[2];
+  for (int r = 0; r < 2; ++r) {
+    Rig h(options[r]);
+    for (int i = 0; i < kSteps; ++i) step(h, i);
+    solo_trace[r] = ExportWithPacketIdsRenumbered(h.tracer);
+    solo_events[r] = h.auditor.events_seen();
+  }
+  EXPECT_GT(solo_events[0], 0u);
+  EXPECT_NE(solo_trace[0], solo_trace[1]);
+
+  Rig a(options[0]);
+  Rig b(options[1]);
+  for (int i = 0; i < kSteps; ++i) {
+    step(a, i);
+    step(b, i);
+  }
+  EXPECT_EQ(ExportWithPacketIdsRenumbered(a.tracer), solo_trace[0]);
+  EXPECT_EQ(ExportWithPacketIdsRenumbered(b.tracer), solo_trace[1]);
+  EXPECT_EQ(a.auditor.events_seen(), solo_events[0]);
+  EXPECT_EQ(b.auditor.events_seen(), solo_events[1]);
 }
 
 }  // namespace

@@ -70,7 +70,8 @@ TEST(MatchTableTest, InsertLookupEraseCapacity) {
 }
 
 TEST(MirrorTest, OccupancyTracksEntriesAndAcks) {
-  MirrorTable mirror("m", 64);
+  sim::Simulator sim;
+  MirrorTable mirror(sim, "m", 64);
   const auto key = net::PartitionKey::OfObject(1);
   mirror.Mirror(key, 1, std::vector<std::byte>(40), 0);
   mirror.Mirror(key, 2, std::vector<std::byte>(40), 0);
@@ -85,14 +86,16 @@ TEST(MirrorTest, OccupancyTracksEntriesAndAcks) {
 }
 
 TEST(MirrorTest, TruncationCapsStoredBytes) {
-  MirrorTable mirror("m", 64);
+  sim::Simulator sim;
+  MirrorTable mirror(sim, "m", 64);
   mirror.Mirror(net::PartitionKey::OfObject(1), 1,
                 std::vector<std::byte>(1500), 0);
   EXPECT_EQ(mirror.OccupancyBytes(), 64u);
 }
 
 TEST(MirrorTest, AckOnlyAffectsMatchingKey) {
-  MirrorTable mirror("m", 64);
+  sim::Simulator sim;
+  MirrorTable mirror(sim, "m", 64);
   mirror.Mirror(net::PartitionKey::OfObject(1), 5, std::vector<std::byte>(10),
                 0);
   mirror.Mirror(net::PartitionKey::OfObject(2), 5, std::vector<std::byte>(10),
@@ -107,7 +110,7 @@ TEST(ControlPlaneTest, OperationsSerializeFifo) {
   cfg.pcie_latency = Microseconds(4);
   cfg.pcie_bandwidth_bps = 8e9;
   cfg.table_op_cpu_time = Microseconds(50);
-  ControlPlane cp(sim, cfg);
+  ControlPlane cp(sim, cfg, "cp");
 
   std::vector<SimTime> completions;
   cp.Submit(1000, [&]() { completions.push_back(sim.Now()); });
@@ -122,7 +125,7 @@ TEST(ControlPlaneTest, OperationsSerializeFifo) {
 
 TEST(ControlPlaneTest, ResetDropsQueuedWork) {
   sim::Simulator sim;
-  ControlPlane cp(sim, {});
+  ControlPlane cp(sim, {}, "cp");
   bool fired = false;
   cp.Submit(100, [&]() { fired = true; });
   cp.Reset();
@@ -133,7 +136,7 @@ TEST(ControlPlaneTest, ResetDropsQueuedWork) {
 
 TEST(PacketGeneratorTest, EmitsBatchesPeriodically) {
   sim::Simulator sim;
-  PacketGenerator gen(sim);
+  PacketGenerator gen(sim, "pktgen");
   std::vector<std::pair<SimTime, std::uint32_t>> emissions;
   gen.Start(Milliseconds(1), 4, Nanoseconds(100), [&](std::uint32_t i) {
     emissions.emplace_back(sim.Now(), i);
@@ -149,7 +152,7 @@ TEST(PacketGeneratorTest, EmitsBatchesPeriodically) {
 
 TEST(PacketGeneratorTest, StopHaltsEmission) {
   sim::Simulator sim;
-  PacketGenerator gen(sim);
+  PacketGenerator gen(sim, "pktgen");
   int count = 0;
   gen.Start(Milliseconds(1), 1, 0, [&](std::uint32_t) { ++count; });
   sim.RunUntil(Milliseconds(2) + 1);

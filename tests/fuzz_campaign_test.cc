@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -316,11 +317,48 @@ std::optional<Schedule> LoadSchedule(const std::filesystem::path& path) {
   return ScheduleFromJson(buf.str());
 }
 
+// One row of tests/schedules/golden_replays.csv, keyed by
+// "schedule,mode,batching_us": the replay's fingerprint, taken from an
+// earlier build.  audit_events is what catches a component whose records
+// stop reaching the tracer; the delivery hash cannot.
+struct GoldenReplay {
+  std::uint64_t trace_hash = 0;
+  int sent = 0;
+  int delivered = 0;
+  std::uint64_t audit_events = 0;
+};
+
+std::map<std::string, GoldenReplay> LoadGoldenReplays() {
+  std::ifstream in(SchedulesDir() / "golden_replays.csv");
+  std::map<std::string, GoldenReplay> table;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream row(line);
+    std::string schedule, mode, batching_us, field;
+    std::getline(row, schedule, ',');
+    std::getline(row, mode, ',');
+    std::getline(row, batching_us, ',');
+    GoldenReplay& g = table[schedule + "," + mode + "," + batching_us];
+    std::getline(row, field, ',');
+    g.trace_hash = std::stoull(field);
+    std::getline(row, field, ',');
+    g.sent = std::stoi(field);
+    std::getline(row, field, ',');
+    g.delivered = std::stoi(field);
+    std::getline(row, field, ',');
+    g.audit_events = std::stoull(field);
+  }
+  return table;
+}
+
 TEST(CommittedSchedules, EveryReproParsesAndReplaysClean) {
   const std::filesystem::path dir = SchedulesDir();
   ASSERT_TRUE(std::filesystem::is_directory(dir));
+  const std::map<std::string, GoldenReplay> golden = LoadGoldenReplays();
   const std::string out_dir = TempOutDir("fuzz_repro");
   std::size_t count = 0;
+  std::size_t checked = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() != ".json") continue;
     ++count;
@@ -333,23 +371,43 @@ TEST(CommittedSchedules, EveryReproParsesAndReplaysClean) {
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(ToJson(*again), ToJson(*schedule));
     // Replay as a regression: failover scenarios and minimized repros of
-    // fixed bugs, so a clean run is the pass condition.  The schedule does
-    // not pin a
-    // consistency mode and some bugs only reproduce under a weaker one
-    // (the tail-crash commit gap needs replicated buffered reads; the
-    // stale-resync rollback needs mergeable deltas), so replay all three.
-    for (const core::ConsistencyMode mode :
-         {core::ConsistencyMode::kSingleOwner,
-          core::ConsistencyMode::kReplicatedRead,
-          core::ConsistencyMode::kMergeable}) {
-      SCOPED_TRACE(static_cast<int>(mode));
-      const RunResult result = RunSchedule(*schedule, mode, {}, out_dir,
-                                           entry.path().stem().string());
+    // fixed bugs, so a clean run that reproduces its golden row is the pass
+    // condition.  The schedule does not pin a consistency mode and some
+    // bugs only reproduce under a weaker one (the tail-crash commit gap
+    // needs replicated buffered reads; the stale-resync rollback needs
+    // mergeable deltas), so replay all three, plus single-owner with the
+    // 16 µs replication batching of CI's batched passes.
+    struct Pass {
+      core::ConsistencyMode mode;
+      const char* name;  // the campaign's --consistency value
+      int batching_us;
+    };
+    constexpr Pass kPasses[] = {
+        {core::ConsistencyMode::kSingleOwner, "single", 0},
+        {core::ConsistencyMode::kReplicatedRead, "replicated", 0},
+        {core::ConsistencyMode::kMergeable, "mergeable", 0},
+        {core::ConsistencyMode::kSingleOwner, "single", 16},
+    };
+    for (const Pass& p : kPasses) {
+      const std::string stem = entry.path().stem().string();
+      const std::string key =
+          stem + "," + p.name + "," + std::to_string(p.batching_us);
+      SCOPED_TRACE(key);
+      const RunResult result = RunSchedule(*schedule, p.mode, {}, out_dir,
+                                           stem, Microseconds(p.batching_us));
       EXPECT_TRUE(result.Clean())
           << result.oracle_why << " violations=" << result.violations.size();
+      const auto row = golden.find(key);
+      ASSERT_NE(row, golden.end()) << "no golden_replays.csv row";
+      EXPECT_EQ(result.trace_hash, row->second.trace_hash);
+      EXPECT_EQ(result.sent, row->second.sent);
+      EXPECT_EQ(result.delivered, row->second.delivered);
+      EXPECT_EQ(result.audit_events, row->second.audit_events);
+      ++checked;
     }
   }
   EXPECT_GE(count, 26u);
+  EXPECT_EQ(checked, golden.size()) << "golden rows without a schedule";
 }
 
 TEST(CommittedSchedules, FailoverScenariosRecoverInOneEpisode) {

@@ -20,7 +20,6 @@
 #include "routing/topology.h"
 #include "statestore/partition.h"
 #include "tcp/tcp.h"
-#include "tests/rig.h"
 #include "trace/workload.h"
 
 namespace redplane {
@@ -228,7 +227,6 @@ TEST(IntegrationTest, EpcSgwWithoutRedPlaneBreaksSessionsOnFailure) {
 TEST(IntegrationTest, HeavyHitterSnapshotsReachStoreWithinEpsilon) {
   net::ResetPacketIds();
   obs::Tracer tracer;
-  testing::GlobalTracerGuard tracer_guard(&tracer);
   apps::HeavyHitterConfig hh_cfg;
   hh_cfg.vlans = {1};
   apps::HeavyHitterApp hh(hh_cfg);
@@ -236,7 +234,7 @@ TEST(IntegrationTest, HeavyHitterSnapshotsReachStoreWithinEpsilon) {
   d.Build();
   sim::Simulator& sim = d.sim();
   Testbed& tb = d.testbed();
-  tracer.SetClock([&sim] { return sim.Now(); });
+  sim.AttachTracer(tracer);
   tracer.SetEnabled(true);
   int delivered = 0;
   tb.rack_servers[0][0]->SetHandler(
@@ -404,15 +402,13 @@ TEST(IntegrationTest, TracedNatFailoverEmitsRehomeSequence) {
   cfg.store.initializer = [&nat_global](const net::PartitionKey& key) {
     return nat_global.InitializeFlow(key);
   };
+  obs::Tracer tracer;
   bench::Deployment d;
   d.Build(cfg);
   sim::Simulator& sim = d.sim();
   Testbed& tb = d.testbed();
-
-  obs::Tracer tracer;
-  tracer.SetClock([&sim]() { return sim.Now(); });
+  sim.AttachTracer(tracer);
   tracer.SetEnabled(true);
-  testing::GlobalTracerGuard guard(&tracer);
 
   core::RedPlaneConfig rp_cfg;
   rp_cfg.lease_period = Milliseconds(50);

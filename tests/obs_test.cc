@@ -20,7 +20,6 @@
 #include "obs/tracer.h"
 #include "routing/topology.h"
 #include "sim/simulator.h"
-#include "tests/rig.h"
 
 namespace redplane {
 namespace {
@@ -29,8 +28,6 @@ using obs::Ev;
 using obs::TraceFilter;
 using obs::TraceRecord;
 using obs::Tracer;
-
-using testing::GlobalTracerGuard;
 
 TEST(TracerTest, RingBufferEvictsOldest) {
   Tracer tracer(4);
@@ -128,8 +125,9 @@ TEST(TracerTest, QueryFilterSelectsByFlowAndComponent) {
 TEST(TracerTest, TraceHandleRevalidatesAfterReset) {
   Tracer tracer;
   tracer.SetEnabled(true);
-  GlobalTracerGuard guard(&tracer);
-  obs::TraceHandle handle("widget");
+  sim::Simulator sim;
+  sim.AttachTracer(tracer);
+  obs::TraceHandle handle(sim.tracer_slot(), "widget");
   EXPECT_TRUE(handle.armed(Ev::kIngress));
   handle.Emit(Ev::kIngress);
   tracer.Reset();  // drops names, bumps generation
@@ -141,8 +139,9 @@ TEST(TracerTest, TraceHandleRevalidatesAfterReset) {
 
 TEST(TracerTest, DisabledTracerRecordsNothing) {
   Tracer tracer;
-  GlobalTracerGuard guard(&tracer);
-  obs::TraceHandle handle("c");
+  sim::Simulator sim;
+  sim.AttachTracer(tracer);
+  obs::TraceHandle handle(sim.tracer_slot(), "c");
   EXPECT_FALSE(handle.armed(Ev::kIngress));
   handle.Emit(Ev::kIngress, 1, 2, 3.0);
   EXPECT_EQ(tracer.size(), 0u);
@@ -637,9 +636,8 @@ std::string RunTracedNat(Tracer& tracer) {
   sim::Simulator& sim = d.sim();
   routing::Testbed& tb = d.testbed();
 
-  tracer.SetClock([&sim]() { return sim.Now(); });
+  sim.AttachTracer(tracer);
   tracer.SetEnabled(true);
-  GlobalTracerGuard guard(&tracer);
 
   d.DeployRedPlane(nat);
   d.AnycastToAgg(kNatIp, 0);
@@ -657,7 +655,6 @@ std::string RunTracedNat(Tracer& tracer) {
     sim.RunUntil(sim.Now() + Milliseconds(1));
   }
   sim.Run();
-  tracer.ClearClock();
   tracer.SetEnabled(false);
   return tracer.ChromeTraceJson();
 }

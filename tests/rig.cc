@@ -1,5 +1,6 @@
 #include "tests/rig.h"
 
+#include <ostream>
 #include <string>
 
 #include "net/codec.h"
@@ -87,15 +88,17 @@ Rig::Rig(core::SwitchApp& app, RigOptions opt) : net(sim, opt.seed) {
   });
 
   if (opt.audit) {
-    tracer.SetClock([this] { return sim.Now(); });
+    sim.AttachTracer(tracer);
     tracer.SetEnabled(true);
-    tracer_guard_.emplace(&tracer);
     auditor.ArmStandardMonitors();
     auditor.Attach(&tracer);
+    tracer_tail_ = audit::DiagToken("tracer tail", [this](std::ostream& os) {
+      audit::DumpTracerTail(os, tracer, /*last_n=*/64);
+    });
   }
 }
 
-// The auditor detaches from the tracer on destruction.
+// The simulator detaches the tracer, then the auditor unsubscribes from it.
 Rig::~Rig() = default;
 
 core::ProcessResult CountingEchoApp::Process(core::AppContext&,

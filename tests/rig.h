@@ -20,6 +20,7 @@
 
 #include "apps/counter.h"
 #include "audit/auditor.h"
+#include "audit/diag.h"
 #include "core/redplane_switch.h"
 #include "dataplane/pipeline.h"
 #include "obs/tracer.h"
@@ -36,15 +37,6 @@ constexpr net::Ipv4Addr kSw1Ip(172, 16, 0, 1);
 constexpr net::Ipv4Addr kSw2Ip(172, 16, 0, 2);
 constexpr net::Ipv4Addr kStoreIp(172, 16, 1, 1);
 
-/// Installs a tracer as the process-global one for the guard's lifetime.
-struct GlobalTracerGuard {
-  explicit GlobalTracerGuard(obs::Tracer* t) : prev(obs::SetGlobalTracer(t)) {}
-  ~GlobalTracerGuard() { obs::SetGlobalTracer(prev); }
-  GlobalTracerGuard(const GlobalTracerGuard&) = delete;
-  GlobalTracerGuard& operator=(const GlobalTracerGuard&) = delete;
-  obs::Tracer* prev;
-};
-
 struct RigOptions {
   std::uint64_t seed = 1;
   int switches = 2;
@@ -59,8 +51,9 @@ struct RigOptions {
   store::StoreConfig::ProtocolMutations head_mutations{};
   /// The switch↔hub links.
   sim::LinkConfig switch_link{};
-  /// Arms `tracer` as the process-global tracer (restored when the rig is
-  /// destroyed) with `auditor` subscribed to it.
+  /// Attaches `tracer` to the rig's simulator, ring enabled, with `auditor`
+  /// subscribed to it and the tracer's tail in the on-failure diagnostics.
+  /// Each rig records its own stream, so rigs may run side by side.
   bool audit = false;
 };
 
@@ -78,6 +71,10 @@ class Rig {
   ~Rig();
 
   void Run(SimDuration d) { sim.RunUntil(sim.Now() + d); }
+
+  // Declared before the simulator, which detaches the tracer when it dies.
+  obs::Tracer tracer;
+  audit::Auditor auditor;
 
   sim::Simulator sim;
   sim::Network net;
@@ -97,11 +94,8 @@ class Rig {
   std::function<bool(const net::Packet&)> hub_drop;
   std::function<void(const net::Packet&)> on_deliver;
 
-  obs::Tracer tracer;
-  audit::Auditor auditor;
-
  private:
-  std::optional<GlobalTracerGuard> tracer_guard_;
+  audit::DiagToken tracer_tail_;
 };
 
 /// Per-flow counter whose output carries (original packet id, count), so a

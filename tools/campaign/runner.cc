@@ -131,6 +131,10 @@ RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
   const bool mergeable = mode == core::ConsistencyMode::kMergeable;
 
   net::ResetPacketIds();
+  // Declared before the simulator, which detaches it when the run ends.
+  obs::Tracer local_tracer;
+  obs::Tracer& tracer = tracer_override != nullptr ? *tracer_override
+                                                   : local_tracer;
   sim::Simulator sim;
   TestbedConfig cfg;
   cfg.seed = schedule.seed;
@@ -147,13 +151,8 @@ RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
   }
   cfg.fabric.failure_detection_delay = Milliseconds(2);
   Testbed tb = BuildTestbed(sim, cfg);
-
-  obs::Tracer local_tracer;
-  obs::Tracer& tracer = tracer_override != nullptr ? *tracer_override
-                                                   : local_tracer;
-  tracer.SetClock([&sim] { return sim.Now(); });
+  sim.AttachTracer(tracer);
   tracer.SetEnabled(true);
-  obs::Tracer* prev_tracer = obs::SetGlobalTracer(&tracer);
 
   // Recovery forensics: every subscriber record feeds the episode tracker,
   // which decomposes the injected fault's recovery into causally ordered
@@ -590,11 +589,9 @@ RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
     fleet.WriteCsv(fleet_csv);
   }
 
-  // A caller's tracer outlives this run's subscribers and clock.
-  auditor.Attach(nullptr);
+  // A caller's tracer outlives this run's subscribers (the auditor
+  // unsubscribes itself).
   tracer.Unsubscribe(forensics);
-  tracer.ClearClock();
-  obs::SetGlobalTracer(prev_tracer);
   return out;
 }
 
