@@ -8,7 +8,7 @@
 namespace redplane::audit {
 
 DiagRegistry& DiagRegistry::Instance() {
-  static DiagRegistry instance;
+  thread_local DiagRegistry instance;
   return instance;
 }
 

@@ -19,7 +19,7 @@
 
 namespace redplane::audit {
 
-/// Process-global registry of diagnostic dump callbacks.
+/// Registry of diagnostic dump callbacks, one per thread (DESIGN.md §8).
 class DiagRegistry {
  public:
   static DiagRegistry& Instance();

@@ -8,8 +8,8 @@ namespace redplane {
 
 namespace {
 LogLevel g_level = LogLevel::kWarn;
-const void* g_clock_owner = nullptr;
-std::function<SimTime()> g_clock;
+thread_local const void* g_clock_owner = nullptr;
+thread_local std::function<SimTime()> g_clock;
 
 const char* LevelName(LogLevel level) {
   switch (level) {

@@ -1,9 +1,9 @@
 // Minimal leveled logger.
 //
-// The simulator is deterministic and single-threaded, so the logger is
-// deliberately simple: a global level, a global sink (stderr by default),
-// and printf-free streaming macros that evaluate their arguments only when
-// the level is enabled.
+// The simulator is deterministic and each simulation runs on one thread, so
+// the logger is deliberately simple: a global level, a global sink (stderr),
+// a per-thread simulated clock, and printf-free streaming macros that
+// evaluate their arguments only when the level is enabled.
 #pragma once
 
 #include <functional>
@@ -36,9 +36,9 @@ LogLevel SetLogLevel(LogLevel level);
 /// unrecognized input.
 bool ParseLogLevel(std::string_view text, LogLevel* out);
 
-/// Registers a simulated-time source so log lines carry a `[t=1.234ms]`
-/// prefix.  `owner` identifies the registrant (typically the simulator);
-/// the last registration wins.
+/// Registers a simulated-time source so log lines written on this thread
+/// carry a `[t=1.234ms]` prefix.  `owner` identifies the registrant
+/// (typically the simulator); the thread's last registration wins.
 void SetLogClock(const void* owner, std::function<SimTime()> clock);
 
 /// Removes the clock iff `owner` is the current registrant (so a destroyed

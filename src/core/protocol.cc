@@ -178,7 +178,6 @@ net::Packet MakeProtocolPacket(net::Ipv4Addr src_ip, net::Ipv4Addr dst_ip,
 net::Packet MakeProtocolPacketRaw(net::Ipv4Addr src_ip, net::Ipv4Addr dst_ip,
                                   net::BufferView payload) {
   net::Packet p;
-  p.id = net::NextPacketId();
   p.eth = net::EthernetHeader{};
   net::Ipv4Header ip;
   ip.src = src_ip;

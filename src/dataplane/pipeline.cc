@@ -33,6 +33,7 @@ SwitchNode::~SwitchNode() = default;
 
 void SwitchNode::HandlePacket(net::Packet pkt, PortId in_port) {
   if (!IsUp()) return;
+  sim_.StampPacketId(pkt.id);
   const std::uint64_t epoch = epoch_;
   // One traversal of parser + match-action stages + deparser.
   sim_.Schedule(config_.pipeline_latency, [this, epoch, in_port,

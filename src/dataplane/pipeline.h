@@ -87,6 +87,8 @@ class SwitchNode : public sim::Node {
              SwitchConfig config = {});
   ~SwitchNode() override;
 
+  /// Stamps a packet injected here rather than over a link, then runs the
+  /// pipeline.
   void HandlePacket(net::Packet pkt, PortId in_port) override;
 
   /// Fails or recovers the switch.  Failure clears the pipeline handler's

@@ -20,14 +20,14 @@ namespace redplane::dp {
 
 /// Identifies one packet's traversal of a pipeline.  A fresh pass is minted
 /// per packet by the switch pipeline; register arrays use it to enforce the
-/// one-access-per-array rule.
+/// one-access-per-array rule.  Ids are unique per thread (DESIGN.md §8).
 class PipelinePass {
  public:
   PipelinePass() : id_(++counter_) {}
   std::uint64_t id() const { return id_; }
 
  private:
-  static inline std::uint64_t counter_ = 0;
+  static inline thread_local std::uint64_t counter_ = 0;
   std::uint64_t id_;
 };
 

@@ -194,7 +194,6 @@ std::optional<Packet> Parse(std::span<const std::byte> wire) {
   obs::ProfScope prof(g_prof_parse);
   ByteReader r(wire);
   Packet p;
-  p.id = NextPacketId();
 
   EthernetHeader eth;
   auto dst = r.Bytes(6);

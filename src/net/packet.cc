@@ -1,20 +1,8 @@
 #include "net/packet.h"
 
-#include <atomic>
-
 namespace redplane::net {
 
-namespace {
-std::atomic<PacketId> g_next_packet_id{1};
-}  // namespace
-
-PacketId NextPacketId() {
-  return g_next_packet_id.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ResetPacketIds() {
-  g_next_packet_id.store(1, std::memory_order_relaxed);
-}
+void ResetPacketIds() {}
 
 std::optional<FlowKey> Packet::Flow() const {
   if (!ip) return std::nullopt;
@@ -36,7 +24,6 @@ std::optional<FlowKey> Packet::Flow() const {
 
 Packet MakeUdpPacket(const FlowKey& flow, std::uint32_t pad_bytes) {
   Packet p;
-  p.id = NextPacketId();
   p.eth = EthernetHeader{};
   Ipv4Header ip;
   ip.src = flow.src_ip;
@@ -55,7 +42,6 @@ Packet MakeTcpPacket(const FlowKey& flow, std::uint8_t flags,
                      std::uint32_t seq, std::uint32_t ack,
                      std::uint32_t pad_bytes) {
   Packet p;
-  p.id = NextPacketId();
   p.eth = EthernetHeader{};
   Ipv4Header ip;
   ip.src = flow.src_ip;

@@ -22,8 +22,10 @@
 
 namespace redplane::net {
 
-/// Monotonic id assigned at packet creation; used for tracing and for the
-/// linearizability checker's input/output event matching.
+/// A packet's id within its simulation, used for tracing: 0 until the
+/// packet first enters the network, when the simulator's counter stamps it
+/// (sim::Node::SendTo).  Copies keep the id; a packet built afresh (a
+/// re-injected or decapsulated one) gets a new one when it is sent.
 using PacketId = std::uint64_t;
 
 struct Packet {
@@ -72,13 +74,8 @@ struct Packet {
   }
 };
 
-/// Allocates a fresh packet id (process-wide monotonic counter).
-PacketId NextPacketId();
-
-/// Restarts the packet id counter at 1.  Only for tests that run several
-/// simulations in one process and compare their traces byte-for-byte:
-/// packet ids appear in trace exports, so each "run" must start from the
-/// same counter state.
+/// Does nothing: packet ids are per simulation now.  Kept only because
+/// perfbench/packet_workloads.cc still calls it.
 void ResetPacketIds();
 
 /// Convenience builders used throughout tests and workloads.

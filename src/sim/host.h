@@ -26,8 +26,10 @@ class HostNode : public Node {
     handler_ = std::move(handler);
   }
 
-  /// Transmits out of the host's single uplink.
+  /// Transmits out of the host's single uplink; the ingress record
+  /// carries the packet id.
   void Send(net::Packet pkt) {
+    sim_.StampPacketId(pkt.id);
     if (trace().armed(obs::Ev::kIngress)) {
       const auto flow = pkt.Flow();
       trace().Emit(obs::Ev::kIngress, flow ? net::HashFlowKey(*flow) : 0, pkt.id,

@@ -45,6 +45,7 @@ void Node::SendTo(PortId port, net::Packet pkt) {
   }
   tx_pkts_.Add();
   tx_bytes_.Add(static_cast<double>(pkt.WireSize()));
+  sim_.StampPacketId(pkt.id);
   link->Transmit(id_, std::move(pkt));
 }
 

@@ -44,7 +44,7 @@ class Node {
   std::size_t NumPorts() const { return links_.size(); }
 
   /// Transmits `pkt` out of `port`.  Drops silently (with a counter) if the
-  /// port has no link or the node is down.
+  /// port has no link or the node is down.  Stamps the packet id.
   void SendTo(PortId port, net::Packet pkt);
 
   /// Per-node metric registry ("tx_pkts", "rx_pkts", "drop_no_link", ...).

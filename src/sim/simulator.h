@@ -2,7 +2,8 @@
 //
 // Single-threaded, deterministic: events at equal timestamps fire in
 // scheduling order (a monotonic tiebreak sequence), so a given seed always
-// produces an identical run.
+// produces an identical run.  A simulation runs on one thread and shares no
+// mutable state with another (DESIGN.md §8).
 //
 // Event storage is allocation-free in steady state: callables live in slabs
 // of fixed-size slots recycled through free lists (heap fallback only for
@@ -65,7 +66,7 @@ class Simulator {
 
   /// Construction registers this simulator's clock with the logger, so
   /// RP_LOG lines carry simulated time (`[t=1.234ms]`); destruction
-  /// unregisters it (last simulator constructed wins).
+  /// unregisters it (the last simulator constructed on this thread wins).
   Simulator();
   ~Simulator();
   Simulator(const Simulator&) = delete;
@@ -73,6 +74,12 @@ class Simulator {
 
   /// Current simulated time.
   SimTime Now() const { return now_; }
+
+  /// Gives a packet entering the network (id 0) this simulation's next
+  /// packet id: 1, 2, ...
+  void StampPacketId(std::uint64_t& id) {
+    if (id == 0) id = next_packet_id_++;
+  }
 
   /// Records this simulation into `tracer` (its clock becomes Now()) until
   /// DetachTracer or destruction, which clear the clock again.  A tracer
@@ -330,6 +337,7 @@ class Simulator {
   SimDuration coarse_threshold_ = kDefaultCoarseThreshold;
   std::uint64_t processed_ = 0;
   std::size_t pending_ = 0;
+  std::uint64_t next_packet_id_ = 1;
   /// Binary min-heap on (time, seq), maintained with std::push_heap /
   /// std::pop_heap — identical pop order to the std::priority_queue it
   /// replaced, but the underlying vector stays scannable for tombstone

@@ -6,7 +6,6 @@
 // clean configuration stays silent.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -615,25 +614,11 @@ TEST(DiagnosticsTest, DumpIncludesTracerTailLeaseTableAndViolations) {
 // ---------------------------------------------------------------------------
 // One tracer per simulation.
 
-/// `tracer`'s Chrome export with packet ids (the seq of ingress, pipeline
-/// and host-receive records) renumbered by first appearance.  Packet ids
-/// come from one process-wide counter, so rigs that run interleaved draw
-/// other ids than each draws alone; every other field must match.
-std::string ExportWithPacketIdsRenumbered(const obs::Tracer& tracer) {
-  std::vector<obs::TraceRecord> records = tracer.Records();
-  std::map<std::uint64_t, std::uint64_t> renumbered;
-  for (obs::TraceRecord& r : records) {
-    if (r.ev == Ev::kIngress || r.ev == Ev::kPipeline ||
-        r.ev == Ev::kHostRecv) {
-      r.seq = renumbered.emplace(r.seq, renumbered.size() + 1).first->second;
-    }
-  }
-  std::vector<std::string> components;
-  for (std::size_t i = 0; i < tracer.NumComponents(); ++i) {
-    components.push_back(tracer.ComponentName(static_cast<std::uint16_t>(i)));
-  }
+/// `tracer`'s Chrome export.  Packet ids are per simulation, so rigs that
+/// run interleaved export what each exports alone, ids included.
+std::string Export(const obs::Tracer& tracer) {
   std::ostringstream os;
-  obs::WriteChromeTraceRecords(os, records, components);
+  tracer.WriteChromeTrace(os);
   return os.str();
 }
 
@@ -651,7 +636,7 @@ TEST(PerSimulationTracerTest, InterleavedRigsRecordWhatEachRecordsAlone) {
   for (int r = 0; r < 2; ++r) {
     Rig h(options[r]);
     for (int i = 0; i < kSteps; ++i) step(h, i);
-    solo_trace[r] = ExportWithPacketIdsRenumbered(h.tracer);
+    solo_trace[r] = Export(h.tracer);
     solo_events[r] = h.auditor.events_seen();
   }
   EXPECT_GT(solo_events[0], 0u);
@@ -663,8 +648,8 @@ TEST(PerSimulationTracerTest, InterleavedRigsRecordWhatEachRecordsAlone) {
     step(a, i);
     step(b, i);
   }
-  EXPECT_EQ(ExportWithPacketIdsRenumbered(a.tracer), solo_trace[0]);
-  EXPECT_EQ(ExportWithPacketIdsRenumbered(b.tracer), solo_trace[1]);
+  EXPECT_EQ(Export(a.tracer), solo_trace[0]);
+  EXPECT_EQ(Export(b.tracer), solo_trace[1]);
   EXPECT_EQ(a.auditor.events_seen(), solo_events[0]);
   EXPECT_EQ(b.auditor.events_seen(), solo_events[1]);
 }

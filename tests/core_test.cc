@@ -24,7 +24,7 @@ net::FlowKey TestFlow(std::uint16_t src_port = 1000) {
 
 /// The two-switch rig (seed 17); the source chooses which switch carries
 /// its traffic (modeling an ECMP decision / reroute), and every arrival is
-/// recorded with the (original id, count) the counting app echoes.
+/// recorded with the (marker, count) the counting app echoes.
 struct EchoRig : testing::Rig {
   explicit EchoRig(SwitchApp& app, RedPlaneConfig config = {},
                    sim::LinkConfig store_link = {})
@@ -33,30 +33,30 @@ struct EchoRig : testing::Rig {
       Arrival a;
       a.time = sim.Now();
       if (auto echo = testing::ParseEcho(pkt)) {
-        a.original_id = echo->id;
+        a.marker = echo->marker;
         a.count = echo->count;
       }
       arrivals.push_back(a);
     };
   }
 
-  /// Sends one flow packet via the chosen switch; returns the packet id.
-  net::PacketId SendVia(int via, const net::FlowKey& flow = TestFlow()) {
-    net::Packet pkt = testing::StampedPacket(flow);
-    const net::PacketId id = pkt.id;
-    src->SendTo(via == 1 ? 0 : 1, std::move(pkt));
-    history.Input(id, sim.Now());
-    return id;
+  /// Sends one flow packet, marked with the next marker, via the chosen
+  /// switch.
+  void SendVia(int via, const net::FlowKey& flow = TestFlow()) {
+    const std::uint64_t marker = ++last_marker;
+    src->SendTo(via == 1 ? 0 : 1, testing::StampedPacket(flow, marker));
+    history.Input(marker, sim.Now());
   }
 
   struct Arrival {
     SimTime time = 0;
-    std::uint64_t original_id = 0;
+    std::uint64_t marker = 0;
     std::uint64_t count = 0;
   };
 
   std::vector<Arrival> arrivals;
   modelcheck::HistoryRecorder history;
+  std::uint64_t last_marker = 0;
 };
 
 TEST(RedPlaneSwitchTest, FirstPacketAcquiresLeaseAndIsReleased) {
@@ -234,7 +234,7 @@ TEST(RedPlaneSwitchTest, FailoverPreservesLinearizability) {
 
   // Record outputs into the history and check Definition 3.
   for (const auto& a : h.arrivals) {
-    h.history.Output(a.original_id, a.time, a.count);
+    h.history.Output(a.marker, a.time, a.count);
   }
   std::string why;
   EXPECT_TRUE(

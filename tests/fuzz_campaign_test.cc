@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -12,6 +13,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.h"
@@ -352,62 +354,120 @@ std::map<std::string, GoldenReplay> LoadGoldenReplays() {
   return table;
 }
 
+// Every committed schedule replays in these four cells.  The schedule does
+// not pin a consistency mode and some bugs only reproduce under a weaker one
+// (the tail-crash commit gap needs replicated buffered reads; the
+// stale-resync rollback needs mergeable deltas), so replay all three, plus
+// single-owner with the 16 µs replication batching of CI's batched passes.
+struct Pass {
+  core::ConsistencyMode mode;
+  const char* name;  // the campaign's --consistency value
+  int batching_us;
+};
+constexpr Pass kPasses[] = {
+    {core::ConsistencyMode::kSingleOwner, "single", 0},
+    {core::ConsistencyMode::kReplicatedRead, "replicated", 0},
+    {core::ConsistencyMode::kMergeable, "mergeable", 0},
+    {core::ConsistencyMode::kSingleOwner, "single", 16},
+};
+
+/// The golden_replays.csv key of `stem` replayed in `p`.
+std::string GoldenKey(const std::string& stem, const Pass& p) {
+  return stem + "," + p.name + "," + std::to_string(p.batching_us);
+}
+
+/// The committed schedules (tests/schedules/*.json), in file-name order.
+std::vector<std::filesystem::path> CommittedSchedulePaths() {
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(SchedulesDir())) {
+    if (entry.path().extension() == ".json") paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+/// A replay of committed repros and failover scenarios passes when it is
+/// clean and reproduces its golden row.
+void ExpectCleanAndGolden(const RunResult& result,
+                          const std::map<std::string, GoldenReplay>& golden,
+                          const std::string& key) {
+  SCOPED_TRACE(key);
+  EXPECT_TRUE(result.Clean())
+      << result.oracle_why << " violations=" << result.violations.size();
+  const auto row = golden.find(key);
+  ASSERT_NE(row, golden.end()) << "no golden_replays.csv row";
+  EXPECT_EQ(result.trace_hash, row->second.trace_hash);
+  EXPECT_EQ(result.sent, row->second.sent);
+  EXPECT_EQ(result.delivered, row->second.delivered);
+  EXPECT_EQ(result.audit_events, row->second.audit_events);
+}
+
 TEST(CommittedSchedules, EveryReproParsesAndReplaysClean) {
-  const std::filesystem::path dir = SchedulesDir();
-  ASSERT_TRUE(std::filesystem::is_directory(dir));
+  ASSERT_TRUE(std::filesystem::is_directory(SchedulesDir()));
   const std::map<std::string, GoldenReplay> golden = LoadGoldenReplays();
   const std::string out_dir = TempOutDir("fuzz_repro");
-  std::size_t count = 0;
+  const std::vector<std::filesystem::path> paths = CommittedSchedulePaths();
   std::size_t checked = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() != ".json") continue;
-    ++count;
-    SCOPED_TRACE(entry.path().filename().string());
-    const auto schedule = LoadSchedule(entry.path());
+  for (const std::filesystem::path& path : paths) {
+    SCOPED_TRACE(path.filename().string());
+    const auto schedule = LoadSchedule(path);
     ASSERT_TRUE(schedule.has_value());
     EXPECT_FALSE(schedule->Empty());
     // Round-trip stability keeps the committed artifacts diff-friendly.
     const auto again = ScheduleFromJson(ToJson(*schedule));
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(ToJson(*again), ToJson(*schedule));
-    // Replay as a regression: failover scenarios and minimized repros of
-    // fixed bugs, so a clean run that reproduces its golden row is the pass
-    // condition.  The schedule does not pin a consistency mode and some
-    // bugs only reproduce under a weaker one (the tail-crash commit gap
-    // needs replicated buffered reads; the stale-resync rollback needs
-    // mergeable deltas), so replay all three, plus single-owner with the
-    // 16 µs replication batching of CI's batched passes.
-    struct Pass {
-      core::ConsistencyMode mode;
-      const char* name;  // the campaign's --consistency value
-      int batching_us;
-    };
-    constexpr Pass kPasses[] = {
-        {core::ConsistencyMode::kSingleOwner, "single", 0},
-        {core::ConsistencyMode::kReplicatedRead, "replicated", 0},
-        {core::ConsistencyMode::kMergeable, "mergeable", 0},
-        {core::ConsistencyMode::kSingleOwner, "single", 16},
-    };
+    const std::string stem = path.stem().string();
     for (const Pass& p : kPasses) {
-      const std::string stem = entry.path().stem().string();
-      const std::string key =
-          stem + "," + p.name + "," + std::to_string(p.batching_us);
-      SCOPED_TRACE(key);
       const RunResult result = RunSchedule(*schedule, p.mode, {}, out_dir,
                                            stem, Microseconds(p.batching_us));
-      EXPECT_TRUE(result.Clean())
-          << result.oracle_why << " violations=" << result.violations.size();
-      const auto row = golden.find(key);
-      ASSERT_NE(row, golden.end()) << "no golden_replays.csv row";
-      EXPECT_EQ(result.trace_hash, row->second.trace_hash);
-      EXPECT_EQ(result.sent, row->second.sent);
-      EXPECT_EQ(result.delivered, row->second.delivered);
-      EXPECT_EQ(result.audit_events, row->second.audit_events);
+      ExpectCleanAndGolden(result, golden, GoldenKey(stem, p));
       ++checked;
     }
   }
-  EXPECT_GE(count, 26u);
+  EXPECT_GE(paths.size(), 26u);
   EXPECT_EQ(checked, golden.size()) << "golden rows without a schedule";
+}
+
+TEST(CommittedSchedules, ConcurrentReplaysMatchGoldenTable) {
+  // A simulation shares no mutable state with another (DESIGN.md §8), so
+  // replays spread over threads reproduce the golden table exactly.
+  struct Cell {
+    Schedule schedule;
+    Pass pass;
+    std::string key;
+    std::string label;  // one per cell: failing cells never share artifacts
+    RunResult result;
+  };
+  std::vector<Cell> cells;
+  for (const std::filesystem::path& path : CommittedSchedulePaths()) {
+    const auto schedule = LoadSchedule(path);
+    ASSERT_TRUE(schedule.has_value()) << path;
+    const std::string stem = path.stem().string();
+    for (const Pass& p : kPasses) {
+      cells.push_back({*schedule, p, GoldenKey(stem, p),
+                       stem + "_" + p.name + "_" +
+                           std::to_string(p.batching_us),
+                       {}});
+    }
+  }
+  const std::string out_dir = TempOutDir("fuzz_concurrent");
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&] {
+      for (std::size_t i = next++; i < cells.size(); i = next++) {
+        Cell& c = cells[i];
+        c.result = RunSchedule(c.schedule, c.pass.mode, {}, out_dir, c.label,
+                               Microseconds(c.pass.batching_us));
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  const std::map<std::string, GoldenReplay> golden = LoadGoldenReplays();
+  for (const Cell& c : cells) ExpectCleanAndGolden(c.result, golden, c.key);
+  EXPECT_EQ(cells.size(), golden.size()) << "golden rows without a schedule";
 }
 
 TEST(CommittedSchedules, FailoverScenariosRecoverInOneEpisode) {
@@ -597,6 +657,9 @@ TEST(PendingSchedules, ReplayTheirDocumentedFailures) {
   const Pending pending[] = {
       {"fuzz_s1370.json", core::ConsistencyMode::kReplicatedRead,
        1458847117700188063ull, 440, 402, "two packets share counter value",
+       nullptr},
+      {"fuzz_s1153.json", core::ConsistencyMode::kReplicatedRead,
+       9000545088360887977ull, 516, 509, "two packets share counter value",
        nullptr},
       {"fuzz_s1078.json", core::ConsistencyMode::kSingleOwner,
        408866336126569346ull, 160, 156, nullptr, "first_packet_served"},

@@ -225,7 +225,6 @@ TEST(IntegrationTest, EpcSgwWithoutRedPlaneBreaksSessionsOnFailure) {
 }
 
 TEST(IntegrationTest, HeavyHitterSnapshotsReachStoreWithinEpsilon) {
-  net::ResetPacketIds();
   obs::Tracer tracer;
   apps::HeavyHitterConfig hh_cfg;
   hh_cfg.vlans = {1};

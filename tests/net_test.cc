@@ -90,13 +90,6 @@ TEST(PacketTest, FlowExtraction) {
   EXPECT_FALSE(p.tcp->ack_flag());
 }
 
-TEST(PacketTest, UniqueIds) {
-  FlowKey f{Ipv4Addr(1, 1, 1, 1), Ipv4Addr(2, 2, 2, 2), 1, 2, IpProto::kUdp};
-  Packet a = MakeUdpPacket(f, 0);
-  Packet b = MakeUdpPacket(f, 0);
-  EXPECT_NE(a.id, b.id);
-}
-
 struct CodecCase {
   const char* name;
   IpProto proto;

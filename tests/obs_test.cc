@@ -619,7 +619,6 @@ TEST(LoggingTest, ParseLogLevelAcceptsNamesAndDigits) {
 /// Runs a small NAT workload on the full testbed with tracing enabled and
 /// returns the Chrome-trace export.
 std::string RunTracedNat(Tracer& tracer) {
-  net::ResetPacketIds();  // packet ids appear in the trace export
   constexpr net::Ipv4Addr kInternalPrefix(192, 168, 0, 0);
   constexpr std::uint32_t kInternalMask = 0xffff0000;
   constexpr net::Ipv4Addr kNatIp(100, 100, 0, 1);

@@ -70,12 +70,12 @@ TEST_P(ProtocolFuzz, AdversarialScheduleStaysLinearizable) {
                        .switch_link = lossy});
 
   modelcheck::HistoryRecorder history;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> outputs;  // id, count
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> outputs;  // marker, count
   h.on_deliver = [&](const net::Packet& pkt) {
     const auto echo = testing::ParseEcho(pkt);
     if (!echo.has_value()) return;
-    history.Output(echo->id, h.sim.Now(), echo->count);
-    outputs.emplace_back(echo->id, echo->count);
+    history.Output(echo->marker, h.sim.Now(), echo->count);
+    outputs.emplace_back(echo->marker, echo->count);
   };
 
   // The adversarial schedule: 150 packets with random pacing and switch
@@ -101,9 +101,9 @@ TEST_P(ProtocolFuzz, AdversarialScheduleStaysLinearizable) {
     const int use = sw_down[current_switch] ? current_switch ^ 1
                                             : current_switch;
     if (sw_down[use]) continue;  // both down is excluded above
-    net::Packet pkt = testing::StampedPacket(TheFlow());
-    history.Input(pkt.id, h.sim.Now());
-    h.src->SendTo(use == 0 ? 0 : 1, std::move(pkt));
+    const auto marker = static_cast<std::uint64_t>(i + 1);
+    history.Input(marker, h.sim.Now());
+    h.src->SendTo(use == 0 ? 0 : 1, testing::StampedPacket(TheFlow(), marker));
   }
 
   // Recover everything and let the system quiesce (retransmissions drain).

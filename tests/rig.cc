@@ -10,7 +10,6 @@ namespace redplane::testing {
 Rig::Rig(RigOptions opt) : Rig(counter_, std::move(opt)) {}
 
 Rig::Rig(core::SwitchApp& app, RigOptions opt) : net(sim, opt.seed) {
-  net::ResetPacketIds();
   src = net.AddNode<sim::HostNode>("src", kSrcIp);
   dst = net.AddNode<sim::HostNode>("dst", kDstIp);
   for (int i = 0; i < opt.switches; ++i) {
@@ -109,25 +108,25 @@ core::ProcessResult CountingEchoApp::Process(core::AppContext&,
       core::StateAs<std::uint64_t>(state).value_or(0) + 1;
   core::SetState(state, count);
   result.state_modified = true;
-  std::uint64_t original_id = pkt.id;
+  std::uint64_t marker = 0;
   if (pkt.payload.size() >= 8) {
     net::ByteReader r(pkt.payload);
-    original_id = r.U64();
+    marker = r.U64();
   }
   std::vector<std::byte> buf;
   net::ByteWriter w(buf);
-  w.U64(original_id);
+  w.U64(marker);
   w.U64(count);
   pkt.payload = std::move(buf);
   result.outputs.push_back(std::move(pkt));
   return result;
 }
 
-net::Packet StampedPacket(const net::FlowKey& flow) {
+net::Packet StampedPacket(const net::FlowKey& flow, std::uint64_t marker) {
   net::Packet pkt = net::MakeUdpPacket(flow, 20);
   std::vector<std::byte> buf;
   net::ByteWriter w(buf);
-  w.U64(pkt.id);
+  w.U64(marker);
   pkt.payload = std::move(buf);
   return pkt;
 }
@@ -136,7 +135,7 @@ std::optional<Echo> ParseEcho(const net::Packet& pkt) {
   if (pkt.payload.size() < 16) return std::nullopt;
   net::ByteReader r(pkt.payload);
   Echo echo;
-  echo.id = r.U64();
+  echo.marker = r.U64();
   echo.count = r.U64();
   return echo;
 }

@@ -57,8 +57,8 @@ struct RigOptions {
   bool audit = false;
 };
 
-/// Constructing a rig resets the process-wide packet ids, so each rig's
-/// trace export is the same whatever ran before it in the process.
+/// Each rig's simulator numbers its own packets, so a rig's trace export is
+/// the same whatever ran before it in the process.
 class Rig {
   // The app deployed when the caller supplies none; declared first so it
   // outlives the switches that hold it.
@@ -98,7 +98,7 @@ class Rig {
   audit::DiagToken tracer_tail_;
 };
 
-/// Per-flow counter whose output carries (original packet id, count), so a
+/// Per-flow counter whose output carries (the input's marker, count), so a
 /// receiver can rebuild the history for linearizability checks.  Pair with
 /// StampedPacket and ParseEcho.
 class CountingEchoApp : public core::SwitchApp {
@@ -121,11 +121,13 @@ class ReadEchoApp : public core::SwitchApp {
   }
 };
 
-/// A UDP packet of `flow` whose payload is its own id.
-net::Packet StampedPacket(const net::FlowKey& flow);
+/// A UDP packet of `flow` whose payload is `marker`.  The marker names the
+/// input in a history; packet ids cannot, because a packet buffered during
+/// failover is re-injected under a new id.
+net::Packet StampedPacket(const net::FlowKey& flow, std::uint64_t marker);
 
 struct Echo {
-  std::uint64_t id = 0;
+  std::uint64_t marker = 0;
   std::uint64_t count = 0;
 };
 /// Decodes a CountingEchoApp output; nullopt if the payload is too short.

@@ -192,6 +192,38 @@ class SinkNode : public Node {
   std::vector<std::pair<SimTime, net::PacketId>> arrivals;
 };
 
+/// Forwards every packet out of port 1 unchanged.
+class RelayNode : public Node {
+ public:
+  using Node::Node;
+  void HandlePacket(net::Packet pkt, PortId) override {
+    SendTo(1, std::move(pkt));
+  }
+};
+
+TEST(PacketIdTest, SentPacketsCountFromOnePerSimulator) {
+  // Two simulations in turn: each numbers its packets from 1, whatever ran
+  // before it in the process.
+  for (int run = 0; run < 2; ++run) {
+    Simulator sim;
+    Network net(sim, 1);
+    auto* src = net.AddNode<HostNode>("src", net::Ipv4Addr(10, 0, 0, 1));
+    auto* relay = net.AddNode<RelayNode>("relay");
+    auto* dst = net.AddNode<SinkNode>("dst");
+    net.Connect(src, 0, relay, 0);
+    net.Connect(relay, 1, dst, 0);
+    const net::Packet unsent = net::MakeUdpPacket(TestFlow(), 0);
+    EXPECT_EQ(unsent.id, 0u);  // ids are drawn on send, not at creation
+    for (int i = 0; i < 3; ++i) src->Send(net::MakeUdpPacket(TestFlow(), 0));
+    sim.Run();
+    // Distinct and non-zero, and kept across the relay's hop.
+    ASSERT_EQ(dst->arrivals.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(dst->arrivals[i].second, i + 1) << "run " << run;
+    }
+  }
+}
+
 TEST(LinkTest, PropagationAndSerializationDelay) {
   Simulator sim;
   Network net(sim, 1);
@@ -259,12 +291,7 @@ TEST(LinkTest, ReorderJitterReordersSomePackets) {
   cfg.reorder_jitter = Microseconds(10);
   net.Connect(a, 0, b, 0, cfg);
 
-  std::vector<net::PacketId> sent;
-  for (int i = 0; i < 200; ++i) {
-    auto p = net::MakeUdpPacket(TestFlow(), 0);
-    sent.push_back(p.id);
-    a->SendTo(0, std::move(p));
-  }
+  for (int i = 0; i < 200; ++i) a->SendTo(0, net::MakeUdpPacket(TestFlow(), 0));
   sim.Run();
   ASSERT_EQ(b->arrivals.size(), 200u);
   bool reordered = false;

@@ -130,7 +130,6 @@ RunResult RunSchedule(const Schedule& schedule, core::ConsistencyMode mode,
   const bool replicated = mode == core::ConsistencyMode::kReplicatedRead;
   const bool mergeable = mode == core::ConsistencyMode::kMergeable;
 
-  net::ResetPacketIds();
   // Declared before the simulator, which detaches it when the run ends.
   obs::Tracer local_tracer;
   obs::Tracer& tracer = tracer_override != nullptr ? *tracer_override
