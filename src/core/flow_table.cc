@@ -5,77 +5,24 @@
 
 namespace redplane::core {
 
-namespace {
-constexpr std::size_t kMinIndexCap = 16;
-}  // namespace
-
-std::size_t FlowTable::FindCell(std::uint64_t digest,
-                                const net::PartitionKey& key) const {
-  if (idx_slot_.empty()) return SIZE_MAX;
-  const std::size_t mask = idx_slot_.size() - 1;
-  std::size_t i = digest & mask;
-  while (idx_slot_[i] != kNilSlot) {
-    if (idx_digest_[i] == digest && cold_[idx_slot_[i]].key == key) return i;
-    i = (i + 1) & mask;
-  }
-  return SIZE_MAX;
-}
-
-void FlowTable::GrowIndex() {
-  const std::size_t cap = std::max(kMinIndexCap, idx_slot_.size() * 2);
-  std::vector<std::uint64_t> digests(cap, 0);
-  std::vector<std::uint32_t> slots(cap, kNilSlot);
-  const std::size_t mask = cap - 1;
-  for (std::size_t i = 0; i < idx_slot_.size(); ++i) {
-    if (idx_slot_[i] == kNilSlot) continue;
-    std::size_t j = idx_digest_[i] & mask;
-    while (slots[j] != kNilSlot) j = (j + 1) & mask;
-    digests[j] = idx_digest_[i];
-    slots[j] = idx_slot_[i];
-  }
-  idx_digest_ = std::move(digests);
-  idx_slot_ = std::move(slots);
-}
-
-void FlowTable::EraseCell(std::size_t cell) {
-  const std::size_t mask = idx_slot_.size() - 1;
-  std::size_t hole = cell;
-  std::size_t i = (cell + 1) & mask;
-  while (idx_slot_[i] != kNilSlot) {
-    const std::size_t home = idx_digest_[i] & mask;
-    const bool movable = ((i - home) & mask) >= ((i - hole) & mask);
-    if (movable) {
-      idx_digest_[hole] = idx_digest_[i];
-      idx_slot_[hole] = idx_slot_[i];
-      hole = i;
-    }
-    i = (i + 1) & mask;
-  }
-  idx_slot_[hole] = kNilSlot;
-  idx_digest_[hole] = 0;
-  --idx_used_;
-}
-
 std::uint32_t FlowTable::FindSlot(const net::PartitionKey& key) const {
   const std::size_t cell = FindCell(net::HashPartitionKey(key), key);
-  return cell == SIZE_MAX ? kNilSlot : idx_slot_[cell];
+  return cell == dp::DigestIndex::kNoCell ? kNilSlot : index_.slot(cell);
 }
 
 std::uint32_t FlowTable::GetOrCreateSlot(const net::PartitionKey& key) {
   const std::uint64_t digest = net::HashPartitionKey(key);
   {
     const std::size_t cell = FindCell(digest, key);
-    if (cell != SIZE_MAX) return idx_slot_[cell];
+    if (cell != dp::DigestIndex::kNoCell) return index_.slot(cell);
   }
-  if (idx_slot_.empty() || (idx_used_ + 1) * 10 > idx_slot_.size() * 7) {
-    GrowIndex();
-  }
-  std::uint32_t slot;
+  const std::uint32_t slot = free_head_ != kNilSlot
+                                 ? free_head_
+                                 : static_cast<std::uint32_t>(live_.size());
+  index_.Insert(digest, slot);
   if (free_head_ != kNilSlot) {
-    slot = free_head_;
     free_head_ = free_link_[slot];
   } else {
-    slot = static_cast<std::uint32_t>(live_.size());
     status_.emplace_back();
     lease_expiry_.emplace_back();
     cur_seq_.emplace_back();
@@ -89,13 +36,6 @@ std::uint32_t FlowTable::GetOrCreateSlot(const net::PartitionKey& key) {
   cold_[slot].key = key;
   live_[slot] = 1;
   ++count_;
-
-  const std::size_t mask = idx_slot_.size() - 1;
-  std::size_t i = digest & mask;
-  while (idx_slot_[i] != kNilSlot) i = (i + 1) & mask;
-  idx_digest_[i] = digest;
-  idx_slot_[i] = slot;
-  ++idx_used_;
   return slot;
 }
 
@@ -120,9 +60,9 @@ void FlowTable::Reinit(std::uint32_t slot) {
 
 void FlowTable::Erase(const net::PartitionKey& key) {
   const std::size_t cell = FindCell(net::HashPartitionKey(key), key);
-  if (cell == SIZE_MAX) return;
-  const std::uint32_t slot = idx_slot_[cell];
-  EraseCell(cell);
+  if (cell == dp::DigestIndex::kNoCell) return;
+  const std::uint32_t slot = index_.slot(cell);
+  index_.Erase(cell);
   cold_[slot].state.clear();
   cold_[slot].state.shrink_to_fit();
   cold_[slot].pending_sends.Release();
@@ -144,9 +84,7 @@ void FlowTable::Reset() {
   free_link_.clear();
   free_head_ = kNilSlot;
   count_ = 0;
-  idx_digest_.clear();
-  idx_slot_.clear();
-  idx_used_ = 0;
+  index_ = {};
 }
 
 void FlowTable::NoteSend(std::uint32_t slot, std::uint64_t seq, SimTime now,
@@ -184,20 +122,6 @@ SimTime FlowTable::SendTimeOf(std::uint32_t slot, std::uint64_t seq) const {
     if (pseq == seq) return at;
   }
   return 0;
-}
-
-FlowTable::IndexStats FlowTable::IndexStatsNow() const {
-  IndexStats s;
-  s.capacity = idx_slot_.size();
-  s.used = idx_used_;
-  if (s.capacity == 0) return s;
-  const std::size_t mask = s.capacity - 1;
-  for (std::size_t i = 0; i < idx_slot_.size(); ++i) {
-    if (idx_slot_[i] == kNilSlot) continue;
-    const std::size_t home = idx_digest_[i] & mask;
-    s.max_probe = std::max(s.max_probe, ((i - home) & mask) + 1);
-  }
-  return s;
 }
 
 }  // namespace redplane::core

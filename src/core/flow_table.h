@@ -3,11 +3,11 @@
 // On hardware this is the SRAM the paper charges in §7.4: a key-digest
 // table resolving the flow to a slot, plus register arrays holding the
 // lease expiration time, the current sequence number, and the last
-// acknowledged sequence number.  The model now keeps the same layout: an
-// open-addressed digest index maps a flow to a stable slot, and the four
-// hot fields live in separate dense arrays (`status_`, `lease_expiry_`,
-// `cur_seq_`, `last_acked_`) — one software lane per hardware register
-// array — so the per-packet path touches only the lanes it reads.
+// acknowledged sequence number.  The model now keeps the same layout: a
+// dp::DigestIndex maps a flow to a stable slot, and the four hot fields
+// live in separate dense arrays (`status_`, `lease_expiry_`, `cur_seq_`,
+// `last_acked_`) — one software lane per hardware register array — so the
+// per-packet path touches only the lanes it reads.
 // Everything the per-packet path does not need (the application state
 // blob, pending-send bookkeeping, renew-timer plumbing) sits in a parallel
 // cold array, the analogue of control-plane-managed SRAM.
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "dataplane/digest_index.h"
 #include "net/flow.h"
 
 namespace redplane::core {
@@ -251,22 +252,17 @@ class FlowTable {
   }
 
   /// Digest-index health for the load-factor / max-probe gauges.
-  struct IndexStats {
-    std::size_t capacity = 0;
-    std::size_t used = 0;
-    std::size_t max_probe = 0;  // longest probe chain over occupied cells
-  };
-  /// O(index capacity); sampled by the fleet time-series exporter, never on
-  /// the packet path.
-  IndexStats IndexStatsNow() const;
+  dp::DigestIndex::Stats IndexStatsNow() const { return index_.StatsNow(); }
 
  private:
   friend class FlowRef;
 
+  /// Index cell of `key`, or dp::DigestIndex::kNoCell.
   std::size_t FindCell(std::uint64_t digest,
-                       const net::PartitionKey& key) const;
-  void EraseCell(std::size_t cell);
-  void GrowIndex();
+                       const net::PartitionKey& key) const {
+    return index_.Find(digest,
+                       [&](std::uint32_t s) { return cold_[s].key == key; });
+  }
 
   std::vector<FlowStatus> status_;
   std::vector<SimTime> lease_expiry_;
@@ -279,13 +275,9 @@ class FlowTable {
   std::uint32_t free_head_ = kNilSlot;
   std::size_t count_ = 0;
 
-  /// Open-addressed digest index (linear probe, power-of-two capacity,
-  /// backward-shift deletion): cell = {digest, slot}; key equality is
-  /// confirmed against the cold blob, so digest collisions only cost an
-  /// extra probe.
-  std::vector<std::uint64_t> idx_digest_;
-  std::vector<std::uint32_t> idx_slot_;
-  std::size_t idx_used_ = 0;
+  /// Flow key digest -> slot; key equality is confirmed against the cold
+  /// blob.
+  dp::DigestIndex index_;
 };
 
 using FlowRef = FlowTable::FlowRef;

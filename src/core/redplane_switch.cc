@@ -21,6 +21,13 @@ obs::ProfSite g_prof_process("switch.process");
 obs::ProfSite g_prof_handle_ack("switch.handle_ack");
 obs::ProfSite g_prof_send_request("switch.send_request");
 
+/// Max loops through the network buffer while awaiting a lease grant
+/// before a packet is dropped (loss is permitted by the model).
+constexpr std::uint32_t kMaxInitLoops = 64;
+/// A pending coalesced batch flushes early once it holds this many encoded
+/// payload bytes (or RedPlaneConfig::coalesce_max_msgs sub-messages).
+constexpr std::size_t kCoalesceMaxBytes = 4096;
+
 /// Mirror-buffer sequence for one snapshot slot: unique per (round, index)
 /// and ordered so that acknowledging a slot clears superseded rounds too.
 std::uint64_t SnapSeq(std::uint64_t round, std::uint32_t index) {
@@ -86,20 +93,13 @@ RedPlaneSwitch::RedPlaneSwitch(
   });
   // PR 7 SoA-table health: digest-index load factor and worst probe chain,
   // sampled on demand by the fleet time-series exporter (obs/timeseries.h).
-  stats_.AddCallbackGauge("flow_idx_load", [this] {
-    const auto s = flows_.IndexStatsNow();
-    return s.capacity == 0 ? 0.0
-                           : static_cast<double>(s.used) /
-                                 static_cast<double>(s.capacity);
-  });
+  stats_.AddCallbackGauge("flow_idx_load",
+                          [this] { return flows_.IndexStatsNow().load(); });
   stats_.AddCallbackGauge("flow_idx_max_probe", [this] {
     return static_cast<double>(flows_.IndexStatsNow().max_probe);
   });
   stats_.AddCallbackGauge("mirror_idx_load", [this] {
-    const auto s = node_.mirror().IndexStatsNow();
-    return s.capacity == 0 ? 0.0
-                           : static_cast<double>(s.used) /
-                                 static_cast<double>(s.capacity);
+    return node_.mirror().IndexStatsNow().load();
   });
   stats_.AddCallbackGauge("mirror_idx_max_probe", [this] {
     return static_cast<double>(node_.mirror().IndexStatsNow().max_probe);
@@ -576,7 +576,7 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
             flows_.status(slot) == FlowStatus::kInitPending) {
           // Still no lease (e.g. a control-plane install in progress):
           // loop again, bounded per packet.
-          if (msg.snapshot_index() >= config_.max_init_loops) {
+          if (msg.snapshot_index() >= kMaxInitLoops) {
             m_.init_loop_drops.Add();
             if (trace_.armed(obs::Ev::kOutputDropped)) {
               trace_.Emit(obs::Ev::kOutputDropped, net::HashPartitionKey(key),
@@ -777,7 +777,7 @@ void RedPlaneSwitch::EnqueueForBatch(net::Ipv4Addr shard,
   b.bytes += msg.size();
   b.msgs.push_back(std::move(msg));
   if (b.msgs.size() >= config_.coalesce_max_msgs ||
-      b.bytes >= config_.coalesce_max_bytes) {
+      b.bytes >= kCoalesceMaxBytes) {
     FlushBatch(shard);
   }
 }

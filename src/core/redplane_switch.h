@@ -63,19 +63,15 @@ struct RedPlaneConfig {
   std::uint32_t max_retransmissions = 50;
   /// Snapshot period T_snap for kSnapshot mode.
   SimDuration snapshot_period = Milliseconds(1);
-  /// Max loops through the network buffer while awaiting a lease grant
-  /// before a packet is dropped (loss is permitted by the model).
-  std::uint32_t max_init_loops = 64;
   /// --- replication coalescing (batch envelope, DESIGN.md §10) ---
   /// Hold outgoing write-replication (kLeaseRenewReq) and renew-only
   /// requests to the same shard for up to this long, then flush them as one
   /// batch envelope.  0 (the default) disables coalescing: every request
   /// leaves immediately as its own packet, bit-for-bit today's behaviour.
   SimDuration coalesce_delay = 0;
-  /// Flush a pending batch early once it holds this many sub-messages...
+  /// Flush a pending batch early once it holds this many sub-messages (or
+  /// kCoalesceMaxBytes encoded payload bytes).
   std::size_t coalesce_max_msgs = 16;
-  /// ...or this many encoded payload bytes.
-  std::size_t coalesce_max_bytes = 4096;
   /// TEST-ONLY protocol mutation: inflates the switch's believed lease
   /// expiry by this much beyond the conservative send-time derivation,
   /// breaking the invariant that the switch never outlives the store's

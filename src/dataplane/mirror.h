@@ -13,10 +13,9 @@
 // needs.  Slots are addressed by Handle{slot, gen}; the generation bumps on
 // release, making a stale handle (entry acked while its retransmit timer
 // was in flight) a detectable no-op.  Entries of one flow are linked into
-// an intrusive chain reached through an open-addressed digest index, so a
-// cumulative ack touches O(entries of that flow), never the whole table —
-// there is deliberately no whole-table scan on any per-packet or per-timer
-// path.
+// an intrusive chain reached through a DigestIndex, so a cumulative ack
+// touches O(entries of that flow), never the whole table — there is
+// deliberately no whole-table scan on any per-packet or per-timer path.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +24,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "dataplane/digest_index.h"
 #include "net/buffer.h"
 #include "net/flow.h"
 #include "obs/tracer.h"
@@ -70,10 +70,11 @@ class MirrorTable {
   void Acknowledge(const net::PartitionKey& key, std::uint64_t acked_seq,
                    OnRelease&& on_release) {
     if (count_ == 0) return;
-    const std::size_t cell = FindCell(net::HashPartitionKey(key));
-    if (cell == SIZE_MAX) return;
+    const std::uint64_t digest = net::HashPartitionKey(key);
+    const std::size_t cell = FindChain(digest);
+    if (cell == DigestIndex::kNoCell) return;
     std::size_t cleared = 0;
-    std::uint32_t slot = idx_head_[cell];
+    std::uint32_t slot = index_.slot(cell);
     while (slot != kNilSlot) {
       const std::uint32_t next = fnext_[slot];
       // The chain is per digest; confirm the key (collisions cost a
@@ -86,8 +87,8 @@ class MirrorTable {
       slot = next;
     }
     if (cleared > 0 && trace_.armed(obs::Ev::kMirrorCleared)) {
-      trace_.Emit(obs::Ev::kMirrorCleared, net::HashPartitionKey(key),
-                  acked_seq, static_cast<double>(cleared));
+      trace_.Emit(obs::Ev::kMirrorCleared, digest, acked_seq,
+                  static_cast<double>(cleared));
     }
   }
   void Acknowledge(const net::PartitionKey& key, std::uint64_t acked_seq) {
@@ -123,14 +124,7 @@ class MirrorTable {
   void set_timer(Handle h, std::uint64_t id) { timer_[h.slot] = id; }
 
   /// Digest-index health for the load-factor / max-probe gauges.
-  struct IndexStats {
-    std::size_t capacity = 0;
-    std::size_t used = 0;
-    std::size_t max_probe = 0;  // longest probe chain over occupied cells
-  };
-  /// O(index capacity); sampled by the fleet time-series exporter, never on
-  /// the packet path.
-  IndexStats IndexStatsNow() const;
+  DigestIndex::Stats IndexStatsNow() const { return index_.StatsNow(); }
 
   /// Current buffer occupancy in bytes.
   std::size_t OccupancyBytes() const { return occupancy_; }
@@ -153,9 +147,7 @@ class MirrorTable {
       fnext_[s] = free_head_;
       free_head_ = s;
     }
-    idx_digest_.assign(idx_digest_.size(), 0);
-    idx_head_.assign(idx_head_.size(), kNilSlot);
-    idx_used_ = 0;
+    index_.Clear();
     count_ = 0;
     occupancy_ = 0;
     peak_ = 0;
@@ -165,16 +157,14 @@ class MirrorTable {
   }
 
  private:
-  /// Index cell holding `digest`, or SIZE_MAX when absent.
-  std::size_t FindCell(std::uint64_t digest) const;
-  /// Index cell holding `digest`, inserting an empty chain if absent
-  /// (grows + rehashes the index at 70% load).
-  std::size_t FindOrInsertCell(std::uint64_t digest);
+  /// Index cell of the chain for `digest`, or DigestIndex::kNoCell.  The
+  /// index holds one cell per digest, so any cell with the digest matches.
+  std::size_t FindChain(std::uint64_t digest) const {
+    return index_.Find(digest, [](std::uint32_t) { return true; });
+  }
   /// Unlinks `slot` from its flow chain (index cell `cell`), erasing the
-  /// cell via backward-shift when the chain empties, and frees the slot.
+  /// cell when the chain empties, and frees the slot.
   void ReleaseSlot(std::uint32_t slot, std::size_t cell);
-  void EraseCell(std::size_t cell);
-  void GrowIndex();
 
   std::size_t truncate_to_;
   obs::TraceHandle trace_;
@@ -195,11 +185,8 @@ class MirrorTable {
   std::uint32_t free_head_ = kNilSlot;
   std::size_t count_ = 0;
 
-  /// Open-addressed digest index (linear probe, power-of-two capacity,
-  /// backward-shift deletion): digest -> chain head slot.
-  std::vector<std::uint64_t> idx_digest_;
-  std::vector<std::uint32_t> idx_head_;
-  std::size_t idx_used_ = 0;
+  /// Flow key digest -> head slot of that digest's chain.
+  DigestIndex index_;
 
   std::size_t occupancy_ = 0;
   std::size_t peak_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <ostream>
 #include <sstream>
 
@@ -295,39 +294,6 @@ void WriteCsvField(std::ostream& os, const std::string& s) {
   os << '"';
 }
 
-// Splits one CSV line into fields (RFC 4180 quoting).  Returns false on a
-// dangling quote.
-bool SplitCsvLine(std::string_view line, std::vector<std::string>& out) {
-  out.clear();
-  std::string field;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        field += c;
-      }
-    } else if (c == '"' && field.empty()) {
-      quoted = true;
-    } else if (c == ',') {
-      out.push_back(std::move(field));
-      field.clear();
-    } else {
-      field += c;
-    }
-  }
-  if (quoted) return false;
-  out.push_back(std::move(field));
-  return true;
-}
-
 }  // namespace
 
 void TimeSeriesLog::WriteCsv(std::ostream& os) const {
@@ -365,47 +331,6 @@ std::string TimeSeriesLog::Csv() const {
   std::ostringstream oss;
   WriteCsv(oss);
   return oss.str();
-}
-
-std::optional<TimeSeriesLog> TimeSeriesLog::ParseCsv(std::string_view csv) {
-  TimeSeriesLog log;
-  std::vector<std::string> header;
-  std::vector<std::string> fields;
-  std::size_t pos = 0;
-  bool first_line = true;
-  while (pos <= csv.size()) {
-    const std::size_t eol = csv.find('\n', pos);
-    std::string_view line = csv.substr(
-        pos, eol == std::string_view::npos ? std::string_view::npos : eol - pos);
-    pos = eol == std::string_view::npos ? csv.size() + 1 : eol + 1;
-    if (line.empty()) continue;
-    if (first_line) {
-      if (!SplitCsvLine(line, header) || header.empty() ||
-          header[0] != "t_ns") {
-        return std::nullopt;
-      }
-      first_line = false;
-      continue;
-    }
-    if (!SplitCsvLine(line, fields) || fields.size() != header.size()) {
-      return std::nullopt;
-    }
-    MetricsSnapshot snap;
-    char* endp = nullptr;
-    snap.at = static_cast<SimTime>(std::strtoll(fields[0].c_str(), &endp, 10));
-    if (endp == fields[0].c_str()) return std::nullopt;
-    for (std::size_t i = 1; i < fields.size(); ++i) {
-      if (fields[i].empty()) continue;
-      MetricValue v;
-      v.name = header[i];
-      v.kind = MetricKind::kGauge;
-      v.value = std::strtod(fields[i].c_str(), &endp);
-      if (endp == fields[i].c_str()) return std::nullopt;
-      snap.values.push_back(std::move(v));
-    }
-    log.Append(std::move(snap));
-  }
-  return log;
 }
 
 std::string MetricsSnapshot::Json() const {

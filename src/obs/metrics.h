@@ -15,9 +15,7 @@
 #include <deque>
 #include <functional>
 #include <iosfwd>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -233,11 +231,6 @@ class TimeSeriesLog {
   /// quotes are double-quoted per RFC 4180.
   void WriteCsv(std::ostream& os) const;
   std::string Csv() const;
-
-  /// Parses WriteCsv output back into a log.  Scalar kinds collapse to
-  /// gauges (CSV carries no kind column); empty cells are skipped.  Returns
-  /// nullopt on malformed input.
-  static std::optional<TimeSeriesLog> ParseCsv(std::string_view csv);
 
  private:
   std::vector<MetricsSnapshot> snapshots_;

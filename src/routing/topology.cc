@@ -90,12 +90,7 @@ Testbed BuildTestbed(sim::Simulator& sim, const TestbedConfig& config) {
     tb.fabric->AssignAddress(server, server->ip());
     tb.store.push_back(server);
   }
-  for (int i = 0; i < chain; ++i) {
-    tb.store[i]->SetIsHead(i == 0);
-    if (i + 1 < chain) {
-      tb.store[i]->SetChainSuccessor(tb.store[i + 1]->ip());
-    }
-  }
+  store::WireChain(tb.store);
 
   tb.fabric->Install();
   return tb;

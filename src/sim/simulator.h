@@ -155,7 +155,10 @@ class Simulator {
   /// Total events processed since construction.
   std::uint64_t EventsProcessed() const { return processed_; }
 
-  /// Number of pending (non-cancelled) events.
+  /// Number of queued events, cancelled ones included until they are
+  /// popped: a cancelled heap event (or wheel timer already spilled into
+  /// the heap) still counts until the run loop skips it.  Only a wheel
+  /// timer cancelled while parked in the wheel leaves the count at once.
   std::size_t PendingEvents() const { return pending_; }
 
   /// Number of cancel tombstones currently carried for events that were no

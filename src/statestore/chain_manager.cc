@@ -37,14 +37,7 @@ net::Ipv4Addr ChainManager::HeadIp() const {
 
 void ChainManager::Rewire() {
   obs::ProfScope prof(g_prof_rewire);
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    active_[i]->SetIsHead(i == 0);
-    if (i + 1 < active_.size()) {
-      active_[i]->SetChainSuccessor(active_[i + 1]->ip());
-    } else {
-      active_[i]->ClearChainSuccessor();  // the last replica is the tail
-    }
-  }
+  WireChain(active_);
 }
 
 void ChainManager::Probe() {

@@ -827,4 +827,15 @@ void StateStoreServer::ImportFlows(
   }
 }
 
+void WireChain(const std::vector<StateStoreServer*>& chain) {
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    chain[i]->SetIsHead(i == 0);
+    if (i + 1 < chain.size()) {
+      chain[i]->SetChainSuccessor(chain[i + 1]->ip());
+    } else {
+      chain[i]->ClearChainSuccessor();
+    }
+  }
+}
+
 }  // namespace redplane::store

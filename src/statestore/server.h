@@ -353,4 +353,8 @@ class StateStoreServer : public sim::Node {
   std::vector<net::BufferView> batch_forward_;
 };
 
+/// Wires `chain` (head first) as one replication chain: the first replica
+/// is the head, each forwards to the next, and the last is the tail.
+void WireChain(const std::vector<StateStoreServer*>& chain);
+
 }  // namespace redplane::store

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "core/flow_table.h"
 #include "dataplane/control_plane.h"
+#include "dataplane/digest_index.h"
 #include "dataplane/match_table.h"
 #include "dataplane/mirror.h"
 #include "dataplane/packet_generator.h"
@@ -102,6 +109,156 @@ TEST(MirrorTest, AckOnlyAffectsMatchingKey) {
                 0);
   mirror.Acknowledge(net::PartitionKey::OfObject(1), 5);
   EXPECT_EQ(mirror.NumEntries(), 1u);
+}
+
+// Cell of (digest, slot), or kNoCell.
+std::size_t CellOf(const DigestIndex& index, std::uint64_t digest,
+                   std::uint32_t slot) {
+  return index.Find(digest, [slot](std::uint32_t s) { return s == slot; });
+}
+
+TEST(DigestIndexTest, BackwardShiftAcrossTheWrapKeepsEveryDigestReachable) {
+  DigestIndex index;
+  // Capacity 16: four digests share home cell 14 and wrap into cells 15, 0
+  // and 1; 16 (home 0), 3 (home 3) and 17 (home 1) probe past them.
+  const std::vector<std::pair<std::uint64_t, std::size_t>> layout = {
+      {14, 14}, {30, 15}, {46, 0}, {62, 1}, {16, 2}, {3, 3}, {17, 4}};
+  for (std::uint32_t s = 0; s < layout.size(); ++s) {
+    EXPECT_EQ(index.Insert(layout[s].first, s), layout[s].second);
+  }
+  ASSERT_EQ(index.StatsNow().capacity, 16u);
+  // 62 sits 3 cells past its home; 17 at cell 4 sits 3 past cell 1.
+  EXPECT_EQ(index.StatsNow().max_probe, 4u);
+
+  index.Erase(CellOf(index, 30, 1));
+  // Followers shift back into the hole, except 3, which is at its home.
+  const std::vector<std::pair<std::uint32_t, std::size_t>> after = {
+      {0, 14}, {2, 15}, {3, 0}, {4, 1}, {5, 3}, {6, 2}};
+  for (const auto& [slot, cell] : after) {
+    EXPECT_EQ(CellOf(index, layout[slot].first, slot), cell) << slot;
+  }
+  EXPECT_EQ(CellOf(index, 30, 1), DigestIndex::kNoCell);
+  EXPECT_EQ(index.StatsNow().used, 6u);
+  EXPECT_EQ(index.StatsNow().max_probe, 3u);
+}
+
+TEST(DigestIndexTest, GrowsFrom16To32OnTheTwelfthInsert) {
+  DigestIndex index;
+  EXPECT_EQ(index.StatsNow().capacity, 0u);
+  for (std::uint32_t s = 0; s < 11; ++s) index.Insert(s * 7, s);
+  EXPECT_EQ(index.StatsNow().capacity, 16u);  // 11/16 is under 70%
+  index.Insert(1000, 11);
+  EXPECT_EQ(index.StatsNow().capacity, 32u);
+  EXPECT_EQ(index.StatsNow().used, 12u);
+  EXPECT_DOUBLE_EQ(index.StatsNow().load(), 12.0 / 32.0);
+  for (std::uint32_t s = 0; s < 11; ++s) {
+    EXPECT_NE(CellOf(index, s * 7, s), DigestIndex::kNoCell);
+  }
+}
+
+TEST(DigestIndexTest, ClearKeepsTheCapacity) {
+  DigestIndex index;
+  for (std::uint32_t s = 0; s < 20; ++s) index.Insert(s, s);
+  ASSERT_EQ(index.StatsNow().capacity, 32u);
+  index.Clear();
+  EXPECT_EQ(index.StatsNow().capacity, 32u);
+  EXPECT_EQ(index.StatsNow().used, 0u);
+  EXPECT_EQ(index.StatsNow().max_probe, 0u);
+  EXPECT_EQ(CellOf(index, 3, 3), DigestIndex::kNoCell);
+  index.Insert(3, 3);
+  EXPECT_EQ(CellOf(index, 3, 3), 3u);
+}
+
+TEST(DigestIndexTest, MatchesUnorderedMultimapUnderChurn) {
+  DigestIndex index;
+  std::unordered_multimap<std::uint64_t, std::uint32_t> model;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> live;
+  std::mt19937_64 rng(38);
+  std::uint32_t next_slot = 0;
+  // Few distinct low bits: most digests share home cells at every capacity
+  // the index reaches, so probe chains run long and erases shift cells.
+  auto draw_digest = [&rng] { return ((rng() % 64) << 8) | (rng() % 4); };
+  for (int op = 0; op < 10000; ++op) {
+    const std::uint64_t r = rng() % 10;
+    if (r < 4 && live.size() < 300) {
+      const std::uint64_t d = draw_digest();
+      index.Insert(d, next_slot);
+      model.emplace(d, next_slot);
+      live.emplace_back(d, next_slot);
+      ++next_slot;
+    } else if (r < 7 && !live.empty()) {
+      const std::size_t pick = rng() % live.size();
+      const auto [d, s] = live[pick];
+      const std::size_t cell = CellOf(index, d, s);
+      ASSERT_NE(cell, DigestIndex::kNoCell) << "op " << op;
+      index.Erase(cell);
+      auto range = model.equal_range(d);
+      for (auto it = range.first; it != range.second; ++it) {
+        if (it->second == s) {
+          model.erase(it);
+          break;
+        }
+      }
+      live[pick] = live.back();
+      live.pop_back();
+    } else {
+      // A predicate that never matches visits every cell holding `d`.
+      const std::uint64_t d = draw_digest();
+      std::size_t seen = 0;
+      const auto count_all = [&seen](std::uint32_t) {
+        ++seen;
+        return false;
+      };
+      EXPECT_EQ(index.Find(d, count_all), DigestIndex::kNoCell);
+      ASSERT_EQ(seen, model.count(d)) << "op " << op;
+    }
+    ASSERT_EQ(index.StatsNow().used, model.size()) << "op " << op;
+    if (op % 100 == 0) {
+      for (const auto& [d, s] : live) {
+        const std::size_t cell = CellOf(index, d, s);
+        ASSERT_NE(cell, DigestIndex::kNoCell) << "op " << op;
+        ASSERT_EQ(index.slot(cell), s);
+      }
+    }
+  }
+}
+
+TEST(DigestIndexTest, FlowTableResetDropsTheIndexMirrorResetKeepsIt) {
+  core::FlowTable flows;
+  sim::Simulator sim;
+  MirrorTable mirror(sim, "m", 64);
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    flows.GetOrCreateSlot(net::PartitionKey::OfObject(i));
+    mirror.Mirror(net::PartitionKey::OfObject(i), 1,
+                  std::vector<std::byte>(8), 0);
+  }
+  ASSERT_EQ(flows.IndexStatsNow().capacity, 32u);
+  ASSERT_EQ(mirror.IndexStatsNow().capacity, 32u);
+  flows.Reset();
+  mirror.Reset();
+  EXPECT_EQ(flows.IndexStatsNow().capacity, 0u);
+  EXPECT_EQ(mirror.IndexStatsNow().capacity, 32u);
+  EXPECT_EQ(mirror.IndexStatsNow().used, 0u);
+  EXPECT_EQ(flows.FindSlot(net::PartitionKey::OfObject(3)),
+            core::FlowTable::kNilSlot);
+}
+
+TEST(DigestIndexTest, MirrorOfAKnownDigestNeverGrowsTheIndex) {
+  sim::Simulator sim;
+  MirrorTable mirror(sim, "m", 64);
+  for (std::uint64_t i = 0; i < 11; ++i) {
+    mirror.Mirror(net::PartitionKey::OfObject(i), 1,
+                  std::vector<std::byte>(8), 0);
+  }
+  ASSERT_EQ(mirror.IndexStatsNow().capacity, 16u);
+  // A second entry of a mirrored flow joins its chain: no new cell.
+  mirror.Mirror(net::PartitionKey::OfObject(0), 2, std::vector<std::byte>(8),
+                0);
+  EXPECT_EQ(mirror.IndexStatsNow().capacity, 16u);
+  EXPECT_EQ(mirror.IndexStatsNow().used, 11u);
+  mirror.Acknowledge(net::PartitionKey::OfObject(0), 2);
+  EXPECT_EQ(mirror.IndexStatsNow().used, 10u);
+  EXPECT_EQ(mirror.NumEntries(), 10u);
 }
 
 TEST(ControlPlaneTest, OperationsSerializeFifo) {

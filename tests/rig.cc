@@ -36,12 +36,7 @@ Rig::Rig(core::SwitchApp& app, RigOptions opt) : net(sim, opt.seed) {
         net::Ipv4Addr(172, 16, 1, static_cast<std::uint8_t>(1 + i)), cfg));
     net.Connect(stores.back(), 0, hub, sw_port(opt.switches + i));
   }
-  if (opt.chain) {
-    for (std::size_t i = 0; i + 1 < stores.size(); ++i) {
-      stores[i + 1]->SetIsHead(false);
-      stores[i]->SetChainSuccessor(stores[i + 1]->ip());
-    }
-  }
+  if (opt.chain) store::WireChain(stores);
 
   hub->SetHandler([this](sim::HostNode& self, net::Packet pkt) {
     if (!pkt.ip.has_value()) return;
