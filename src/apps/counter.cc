@@ -13,7 +13,7 @@ core::ProcessResult SyncCounterApp::Process(core::AppContext& ctx,
   std::uint64_t count = core::StateAs<std::uint64_t>(state).value_or(0);
   core::SetState(state, count + 1);
   result.state_modified = true;
-  result.outputs.push_back(std::move(pkt));
+  result.output = std::move(pkt);
   return result;
 }
 
@@ -38,7 +38,7 @@ core::ProcessResult AsyncCounterApp::Process(core::AppContext& ctx,
     counters_.Update(pass, net::HashFlowKey(*flow) % counters_.slots(),
                      [](std::uint64_t v) { return v + 1; });
   }
-  result.outputs.push_back(std::move(pkt));
+  result.output = std::move(pkt);
   return result;
 }
 

@@ -31,7 +31,7 @@ core::ProcessResult EpcSgwApp::Process(core::AppContext& ctx, net::Packet pkt,
     if (!r.ok()) return result;
     core::SetState(state, bearer);
     result.state_modified = true;
-    result.outputs.push_back(std::move(pkt));  // ack toward the MME path
+    result.output = std::move(pkt);  // ack toward the MME path
     return result;
   }
 
@@ -42,7 +42,7 @@ core::ProcessResult EpcSgwApp::Process(core::AppContext& ctx, net::Packet pkt,
   // Model GTP-U encapsulation: route toward the eNodeB, tag with the TEID.
   pkt.ip->dscp = 1;
   pkt.ip->identification = static_cast<std::uint16_t>(bearer->teid);
-  result.outputs.push_back(std::move(pkt));
+  result.output = std::move(pkt);
   return result;
 }
 

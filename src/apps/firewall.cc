@@ -35,13 +35,13 @@ core::ProcessResult FirewallApp::Process(core::AppContext& ctx,
       core::SetState(state, updated);
       result.state_modified = true;
     }
-    result.outputs.push_back(std::move(pkt));
+    result.output = std::move(pkt);
     return result;
   }
 
   // Inbound: admit only established connections.
   if (entry.has_value() && entry->established != 0) {
-    result.outputs.push_back(std::move(pkt));
+    result.output = std::move(pkt);
   }
   return result;
 }

@@ -45,7 +45,7 @@ core::ProcessResult HeavyHitterApp::Process(core::AppContext& ctx,
       heavy_[pkt.vlan].insert(*flow);
     }
   }
-  result.outputs.push_back(std::move(pkt));
+  result.output = std::move(pkt);
   return result;
 }
 

@@ -50,7 +50,7 @@ core::ProcessResult KvStoreApp::Process(core::AppContext& ctx, net::Packet pkt,
     result.state_modified = true;
     // Acknowledge toward the client (the written value echoed back).
     net::FlowKey reply_flow = pkt.Flow()->Reversed();
-    result.outputs.push_back(MakeKvPacket(reply_flow, *req));
+    result.output = MakeKvPacket(reply_flow, *req);
     return result;
   }
 
@@ -61,7 +61,7 @@ core::ProcessResult KvStoreApp::Process(core::AppContext& ctx, net::Packet pkt,
   resp.value = value;
   net::FlowKey reply_flow = pkt.Flow()->Reversed();
   net::Packet out = MakeKvPacket(reply_flow, resp);
-  result.outputs.push_back(std::move(out));
+  result.output = std::move(out);
   return result;
 }
 

@@ -58,7 +58,7 @@ core::ProcessResult LoadBalancerApp::Process(core::AppContext& ctx,
     if (pkt.tcp) pkt.tcp->src_port = global_.vip_port();
     if (pkt.udp) pkt.udp->src_port = global_.vip_port();
   }
-  result.outputs.push_back(std::move(pkt));
+  result.output = std::move(pkt);
   return result;
 }
 

@@ -73,7 +73,7 @@ core::ProcessResult NatApp::Process(core::AppContext& ctx, net::Packet pkt,
     if (pkt.udp) pkt.udp->dst_port = entry->rewrite_port;
   }
   pkt.ip->ttl = pkt.ip->ttl > 0 ? pkt.ip->ttl - 1 : 0;
-  result.outputs.push_back(std::move(pkt));
+  result.output = std::move(pkt);
   return result;
 }
 

@@ -57,7 +57,7 @@ core::ProcessResult SequencerApp::Process(core::AppContext& ctx,
   w.U64(group);
   w.U64(stamp);
   pkt.payload = std::move(buf);
-  result.outputs.push_back(std::move(pkt));
+  result.output = std::move(pkt);
   return result;
 }
 

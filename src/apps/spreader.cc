@@ -41,7 +41,7 @@ core::ProcessResult SpreaderApp::Process(core::AppContext& ctx,
       spreaders_.insert(pkt.ip->src.value);
     }
   }
-  result.outputs.push_back(std::move(pkt));
+  result.output = std::move(pkt);
   return result;
 }
 

@@ -41,7 +41,7 @@ core::ProcessResult SynDefenseApp::Process(core::AppContext& ctx,
   if (pkt.tcp->syn() && !pkt.tcp->ack_flag()) {
     if (IsValidated(src)) {
       ++admitted_;
-      result.outputs.push_back(std::move(pkt));
+      result.output = std::move(pkt);
     } else {
       // Unproven source: issue a challenge (cookie) instead of admitting.
       ++challenges_;
@@ -55,12 +55,12 @@ core::ProcessResult SynDefenseApp::Process(core::AppContext& ctx,
       validated_.Insert(src.value);
     }
     ++admitted_;
-    result.outputs.push_back(std::move(pkt));
+    result.output = std::move(pkt);
     return result;
   }
   // Other segments of admitted connections pass through.
   ++admitted_;
-  result.outputs.push_back(std::move(pkt));
+  result.output = std::move(pkt);
   return result;
 }
 

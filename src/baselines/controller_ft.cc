@@ -4,7 +4,7 @@
 
 namespace redplane::baselines {
 
-void ControllerNode::HandlePacket(net::Packet pkt, PortId in_port) {
+void ControllerNode::HandlePacket(net::Packet&& pkt, PortId in_port) {
   (void)in_port;
   if (!core::IsProtocolPacket(pkt)) return;
   auto msg = core::DecodeFromPacket(pkt);
@@ -98,9 +98,7 @@ void ControllerFtPipeline::RunApp(dp::SwitchContext& ctx,
       controller_.CommitDirect(key, std::move(state));
     });
   }
-  for (auto& out : result.outputs) {
-    ctx.Forward(std::move(out));
-  }
+  if (result.output) ctx.Forward(std::move(*result.output));
 }
 
 std::size_t ControllerFtPipeline::RestoreFromController() {

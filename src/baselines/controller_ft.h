@@ -33,7 +33,7 @@ class ControllerNode : public sim::Node {
   /// Called by a pipeline when its synchronous commit round trip lands.
   void NoteCommitReceived() { commits_received_.Add(); }
 
-  void HandlePacket(net::Packet pkt, PortId in_port) override;
+  void HandlePacket(net::Packet&& pkt, PortId in_port) override;
 
   /// Committed state, for failover restoration and tests.
   const std::unordered_map<net::PartitionKey, std::vector<std::byte>>&

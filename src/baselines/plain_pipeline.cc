@@ -67,9 +67,7 @@ void PlainAppPipeline::RunApp(dp::SwitchContext& ctx, Entry& entry,
   core::ProcessResult result = app_.Process(actx, std::move(pkt), entry.state);
   m_.app_pkts.Add();
   if (result.state_modified) m_.state_writes.Add();
-  for (auto& out : result.outputs) {
-    ctx.Forward(std::move(out));
-  }
+  if (result.output) ctx.Forward(std::move(*result.output));
 }
 
 void PlainAppPipeline::Reset() {

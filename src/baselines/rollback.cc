@@ -33,9 +33,7 @@ void RollbackPipeline::Process(dp::SwitchContext& ctx, net::Packet pkt) {
   auto& state = state_[*key];
   core::ProcessResult result = app_.Process(actx, std::move(pkt), state);
   app_pkts_.Add();
-  for (auto& out : result.outputs) {
-    ctx.Forward(std::move(out));
-  }
+  if (result.output) ctx.Forward(std::move(*result.output));
 }
 
 std::unordered_map<net::PartitionKey, std::vector<std::byte>>

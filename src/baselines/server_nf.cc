@@ -19,7 +19,7 @@ ServerNfNode::ServerNfNode(
   m_.replications = stats_.RegisterCounter("replications");
 }
 
-void ServerNfNode::HandlePacket(net::Packet pkt, PortId in_port) {
+void ServerNfNode::HandlePacket(net::Packet&& pkt, PortId in_port) {
   (void)in_port;
   if (!IsUp()) return;
   // NIC ingress, then FIFO CPU service.
@@ -54,10 +54,11 @@ void ServerNfNode::RunApp(net::Packet pkt) {
       (must_replicate ? config_.replication_latency : 0);
   if (must_replicate) m_.replications.Add();
 
-  for (auto& out : result.outputs) {
-    sim_.Schedule(release_delay, [this, o = std::move(out)]() mutable {
-      SendTo(0, std::move(o));
-    });
+  if (result.output) {
+    sim_.Schedule(release_delay,
+                  [this, o = std::move(*result.output)]() mutable {
+                    SendTo(0, std::move(o));
+                  });
   }
 }
 

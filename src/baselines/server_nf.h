@@ -39,7 +39,7 @@ class ServerNfNode : public sim::Node {
 
   net::Ipv4Addr ip() const { return ip_; }
 
-  void HandlePacket(net::Packet pkt, PortId in_port) override;
+  void HandlePacket(net::Packet&& pkt, PortId in_port) override;
 
   obs::MetricRegistry& stats() { return stats_; }
 

@@ -51,9 +51,7 @@ void SwitchChainPipeline::Process(dp::SwitchContext& ctx, net::Packet pkt) {
     update.type = core::MsgType::kLeaseRenewReq;
     update.key = *key;
     update.state = state;
-    if (!result.outputs.empty()) {
-      update.piggyback = std::move(result.outputs.front());
-    }
+    update.piggyback = std::move(result.output);
     net::Packet chain_pkt =
         core::MakeProtocolPacket(node_.ip(), *next_hop_ip_, update);
     chain_pkt.udp->dst_port = chain_port_;
@@ -63,9 +61,7 @@ void SwitchChainPipeline::Process(dp::SwitchContext& ctx, net::Packet pkt) {
     return;
   }
 
-  for (auto& out : result.outputs) {
-    ctx.Forward(std::move(out));
-  }
+  if (result.output) ctx.Forward(std::move(*result.output));
 }
 
 void SwitchChainPipeline::ApplyChainUpdate(dp::SwitchContext& ctx,
@@ -75,7 +71,7 @@ void SwitchChainPipeline::ApplyChainUpdate(dp::SwitchContext& ctx,
     m_.malformed_chain_updates.Add();
     return;
   }
-  state_[msg->key()] = msg->state().ToVector();
+  state_[msg->key()].assign(msg->state().begin(), msg->state().end());
   m_.chain_updates_applied.Add();
   if (next_hop_ip_.has_value()) {
     // Forward the received bytes verbatim — the replica never re-encodes.

@@ -1,7 +1,7 @@
 // The stateful in-switch application interface.
 //
 // An application is the paper's Definition 1: a transition function from
-// (input packet, current state) to (output packets, new state).  State is
+// (input packet, current state) to (output packet, new state).  State is
 // partitioned by a key derived from the packet (KeyOf); the per-partition
 // state travels as a byte blob so RedPlane can replicate it without knowing
 // its structure.  Applications written against this interface run unchanged
@@ -48,9 +48,10 @@ struct AppContext {
 
 /// Output of processing one packet.
 struct ProcessResult {
-  /// Packets to emit (normally the translated/forwarded input).  Empty
-  /// means drop.
-  std::vector<net::Packet> outputs;
+  /// The packet to emit (normally the translated/forwarded input); empty
+  /// means drop.  An app emits at most one packet per input, the one a
+  /// replicated write piggybacks.
+  std::optional<net::Packet> output;
   /// True if the per-partition state changed (triggers replication in
   /// linearizable mode).
   bool state_modified = false;

@@ -1,6 +1,6 @@
 #include "core/protocol.h"
 
-#include <atomic>
+#include <cassert>
 
 #include "common/logging.h"
 
@@ -10,7 +10,8 @@ namespace {
 
 constexpr std::uint16_t kMagic = 0x9D1A;
 
-std::atomic<std::uint64_t> g_encode_count{0};
+// Per thread, like every other piece of simulation state (DESIGN.md §8).
+thread_local std::uint64_t t_encode_count = 0;
 
 void EncodeKey(net::ByteWriter& w, const net::PartitionKey& key) {
   w.U8(static_cast<std::uint8_t>(key.kind));
@@ -67,8 +68,18 @@ std::size_t HeaderWireSize(const net::PartitionKey& key) {
 }
 
 net::Buffer EncodeMsg(const Msg& msg) {
-  g_encode_count.fetch_add(1, std::memory_order_relaxed);
+  ++t_encode_count;
+  // Reserve the exact size, then write header, state and the piggyback's
+  // wire image in one pass: one allocation, no second piggyback buffer.
+  // piggy-len is patched from the bytes actually written, so a wrong
+  // prediction costs a reallocation, never a misframed message.
+  const std::size_t piggy_size = msg.piggyback.has_value()
+                                     ? net::SerializedSize(*msg.piggyback)
+                                     : msg.piggyback_raw.size();
+  const std::size_t reserved =
+      HeaderWireSize(msg.key) + msg.state.size() + piggy_size;
   std::vector<std::byte> out;
+  out.reserve(reserved);
   net::ByteWriter w(out);
   w.U16(kMagic);
   w.U8(static_cast<std::uint8_t>(msg.type));
@@ -81,17 +92,18 @@ net::Buffer EncodeMsg(const Msg& msg) {
   w.U8(static_cast<std::uint8_t>(msg.mode));
   EncodeKey(w, msg.key);
   w.U16(static_cast<std::uint16_t>(msg.state.size()));
+  const std::size_t piggy_len_at = w.Size();
+  w.U16(0);
+  w.Bytes(msg.state);
+  const std::size_t piggy_at = w.Size();
   if (msg.piggyback.has_value()) {
-    const std::vector<std::byte> piggy = net::Serialize(*msg.piggyback);
-    w.U16(static_cast<std::uint16_t>(piggy.size()));
-    w.Bytes(msg.state);
-    w.Bytes(piggy);
+    net::SerializeInto(*msg.piggyback, w);
   } else {
     // Splice pre-serialized piggyback bytes verbatim (echo paths).
-    w.U16(static_cast<std::uint16_t>(msg.piggyback_raw.size()));
-    w.Bytes(msg.state);
     w.Bytes(msg.piggyback_raw);
   }
+  w.PatchU16(piggy_len_at, static_cast<std::uint16_t>(w.Size() - piggy_at));
+  assert(out.size() == reserved);
   return net::Buffer::FromVector(std::move(out));
 }
 
@@ -116,8 +128,7 @@ std::optional<MsgView> MsgView::Parse(net::BufferView payload) {
   // fixed section offsets from its size.
   net::ByteReader r(payload.span().subspan(wire::kOffKeyKind));
   if (!DecodeKey(r, v.key_)) return std::nullopt;
-  const std::size_t key_end =
-      wire::kOffKeyKind + (payload.size() - wire::kOffKeyKind - r.Remaining());
+  const std::size_t key_end = wire::kOffKeyKind + r.Position();
   if (payload.size() < key_end + 4) return std::nullopt;
   v.state_len_ = payload.U16At(key_end);
   v.piggy_len_ = payload.U16At(key_end + 2);
@@ -218,12 +229,8 @@ std::optional<Msg> DecodeFromPacket(const net::Packet& pkt) {
   return msg;
 }
 
-std::uint64_t EncodeCount() {
-  return g_encode_count.load(std::memory_order_relaxed);
-}
+std::uint64_t EncodeCount() { return t_encode_count; }
 
-void ResetEncodeCount() {
-  g_encode_count.store(0, std::memory_order_relaxed);
-}
+void ResetEncodeCount() { t_encode_count = 0; }
 
 }  // namespace redplane::core

@@ -143,6 +143,9 @@ struct Msg {
 
 /// Serializes `msg` into payload bytes (everything after the UDP header).
 /// Called once per message at its origin; forwarding patches the buffer.
+/// The result is exactly HeaderWireSize(key) + state + the piggyback's wire
+/// size (net::SerializedSize, or the raw bytes' size) long, written in one
+/// pass into one allocation.
 net::Buffer EncodeMsg(const Msg& msg);
 
 /// Parses payload bytes back into a message, including the piggybacked
@@ -193,7 +196,9 @@ class MsgView {
     return bytes_.Slice(state_off_ + state_len_, piggy_len_);
   }
   /// Parses the piggybacked inner packet on demand; nullopt if absent or
-  /// malformed.
+  /// malformed.  Zero-copy: the packet's payload is a slice of this
+  /// message's buffer, so patching it copies-on-write and leaves the
+  /// message bytes alone.
   std::optional<net::Packet> PiggybackPacket() const;
 
   /// --- in-place header patching (copy-on-write when shared) ---
@@ -246,8 +251,8 @@ bool IsProtocolPacket(const net::Packet& pkt);
 /// IsProtocolPacket); nullopt if the payload is malformed.
 std::optional<Msg> DecodeFromPacket(const net::Packet& pkt);
 
-/// Number of EncodeMsg calls since reset — the copy-regression tests assert
-/// forwarding paths stay encode-free.
+/// Number of EncodeMsg calls on this thread since reset — the
+/// copy-regression tests assert forwarding paths stay encode-free.
 std::uint64_t EncodeCount();
 void ResetEncodeCount();
 

@@ -255,17 +255,7 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
     repl.seq = seq;
     repl.reply_to = node_.ip();
     repl.mode = spec_.mode;
-    repl.state = flows_.cold(slot).state;
-    if (!result.outputs.empty()) {
-      if (result.outputs.size() > 1) {
-        // Protocol carries one piggyback; multi-output writes are not used
-        // by the bundled applications.
-        RP_LOG(kWarn) << app_.name() << ": write produced "
-                      << result.outputs.size()
-                      << " outputs; piggybacking the first only";
-      }
-      repl.piggyback = std::move(result.outputs.front());
-    }
+    repl.piggyback = std::move(result.output);
     repl.span_id = NewSpanId();
     // Pending-send records older than the retransmit give-up horizon are
     // dead (their request was acked or abandoned); NoteSend compacts them.
@@ -276,9 +266,15 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
     if (trace_.armed(obs::Ev::kReplicationSent)) {
       flows_.cold(slot).last_write_span = repl.span_id;
       trace_.Emit(obs::Ev::kReplicationSent, net::HashPartitionKey(key), seq,
-                  static_cast<double>(repl.state.size()), repl.span_id);
+                  static_cast<double>(flows_.cold(slot).state.size()),
+                  repl.span_id);
     }
+    // The new state is only encoded: lend the flow's vector to the message
+    // for the send and take it back, instead of copying it.  SendRequest
+    // never reads the flow's own state, which is empty meanwhile.
+    repl.state = std::move(flows_.cold(slot).state);
     SendRequest(repl, /*mirror=*/true);
+    flows_.cold(slot).state = std::move(repl.state);
     return;
   }
 
@@ -293,7 +289,7 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
       const SimTime oldest = flows_.OldestPendingSendTime(slot);
       const SimDuration staleness = oldest != 0 ? ctx.Now() - oldest : 0;
       if (config_.mutation_stale_reads || staleness <= spec_.staleness_bound) {
-        for (auto& out : result.outputs) {
+        if (result.output) {
           m_.local_reads_served.Add();
           m_.local_read_staleness_us.Record(ToMicroseconds(staleness));
           if (trace_.armed(obs::Ev::kLocalReadServed)) {
@@ -302,7 +298,7 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
                 flows_.cur_seq(slot), static_cast<double>(staleness), 0, 0,
                 static_cast<std::uint64_t>(spec_.staleness_bound));
           }
-          ReleaseOutput(ctx, key, std::move(out));
+          ReleaseOutput(ctx, key, std::move(*result.output));
         }
         return;
       }
@@ -310,14 +306,14 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
     // A read while writes are in flight: its output may depend on state not
     // yet durable, so it buffers through the network until the newest write
     // is acknowledged (§5.1).
-    for (auto& out : result.outputs) {
+    if (result.output) {
       Msg buf;
       buf.type = MsgType::kReadBufferReq;
       buf.key = key;
       buf.seq = flows_.cur_seq(slot);
       buf.reply_to = node_.ip();
       buf.mode = spec_.mode;
-      buf.piggyback = std::move(out);
+      buf.piggyback = std::move(result.output);
       buf.span_id = NewSpanId();
       m_.reads_buffered.Add();
       if (trace_.armed(obs::Ev::kBufferedRead)) {
@@ -334,9 +330,7 @@ void RedPlaneSwitch::RunApp(dp::SwitchContext& ctx,
 
   // Read with nothing in flight (or any packet in snapshot mode): release
   // immediately.
-  for (auto& out : result.outputs) {
-    ReleaseOutput(ctx, key, std::move(out));
-  }
+  if (result.output) ReleaseOutput(ctx, key, std::move(*result.output));
 }
 
 void RedPlaneSwitch::HandleMergeablePacket(dp::SwitchContext& ctx,
@@ -367,8 +361,7 @@ void RedPlaneSwitch::HandleMergeablePacket(dp::SwitchContext& ctx,
       merge_dirty_.emplace_back(slot, flows_.gen(slot));
     }
     EnsureMergeTick();
-  } else if (trace_.armed(obs::Ev::kLocalReadServed) &&
-             !result.outputs.empty()) {
+  } else if (trace_.armed(obs::Ev::kLocalReadServed) && result.output) {
     // A locally served read with no staleness contract (aux 0): legal at
     // any staleness in this mode, and reported so the mode-aware monitors
     // can prove they know that.
@@ -377,9 +370,7 @@ void RedPlaneSwitch::HandleMergeablePacket(dp::SwitchContext& ctx,
   }
   // Zero-RTT writes: every output releases immediately; durability comes
   // from the periodic idempotent merge push, not from an ack.
-  for (auto& out : result.outputs) {
-    ReleaseOutput(ctx, key, std::move(out));
-  }
+  if (result.output) ReleaseOutput(ctx, key, std::move(*result.output));
 }
 
 void RedPlaneSwitch::EnsureMergeTick() {
@@ -709,7 +700,7 @@ void RedPlaneSwitch::HandleAck(dp::SwitchContext& ctx, MsgView msg) {
           flows_.WritesInFlight(slot) || seq < flows_.cur_seq(slot)) {
         return;
       }
-      flows_.cold(slot).state = msg.state().ToVector();
+      flows_.cold(slot).state.assign(msg.state().begin(), msg.state().end());
       flows_.cold(slot).has_state = true;
       flows_.set_cur_seq(slot, seq);
       flows_.set_last_acked_seq(slot, seq);

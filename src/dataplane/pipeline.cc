@@ -6,11 +6,11 @@ namespace redplane::dp {
 
 SimTime SwitchContext::Now() const { return sw_.sim().Now(); }
 
-void SwitchContext::Forward(net::Packet pkt) {
+void SwitchContext::Forward(net::Packet&& pkt) {
   sw_.ForwardPacket(std::move(pkt), in_port_);
 }
 
-void SwitchContext::Emit(PortId port, net::Packet pkt) {
+void SwitchContext::Emit(PortId port, net::Packet&& pkt) {
   sw_.SendTo(port, std::move(pkt));
 }
 
@@ -31,7 +31,7 @@ SwitchNode::SwitchNode(sim::Simulator& sim, NodeId id, std::string name,
 
 SwitchNode::~SwitchNode() = default;
 
-void SwitchNode::HandlePacket(net::Packet pkt, PortId in_port) {
+void SwitchNode::HandlePacket(net::Packet&& pkt, PortId in_port) {
   if (!IsUp()) return;
   sim_.StampPacketId(pkt.id);
   const std::uint64_t epoch = epoch_;
@@ -75,7 +75,7 @@ void SwitchNode::SetForwarder(
   forwarder_ = std::move(fwd);
 }
 
-void SwitchNode::ForwardPacket(net::Packet pkt, PortId in_port) {
+void SwitchNode::ForwardPacket(net::Packet&& pkt, PortId in_port) {
   if (!forwarder_) {
     counters().Add("drop_no_forwarder");
     return;

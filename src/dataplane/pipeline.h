@@ -41,10 +41,10 @@ class SwitchContext {
   const PipelinePass& pass() const { return pass_; }
 
   /// Emits a packet through the switch's forwarder (normal L3 output).
-  void Forward(net::Packet pkt);
+  void Forward(net::Packet&& pkt);
 
   /// Emits a packet out of a specific port.
-  void Emit(PortId port, net::Packet pkt);
+  void Emit(PortId port, net::Packet&& pkt);
 
   /// Drops the packet (bookkeeping only; handlers drop by not emitting).
   void Drop(const net::Packet& pkt);
@@ -89,7 +89,7 @@ class SwitchNode : public sim::Node {
 
   /// Stamps a packet injected here rather than over a link, then runs the
   /// pipeline.
-  void HandlePacket(net::Packet pkt, PortId in_port) override;
+  void HandlePacket(net::Packet&& pkt, PortId in_port) override;
 
   /// Fails or recovers the switch.  Failure clears the pipeline handler's
   /// state, pending control-plane work, and mirror buffers.
@@ -105,7 +105,7 @@ class SwitchNode : public sim::Node {
   PipelineHandler* pipeline() const { return handler_; }
 
   /// Forwards `pkt` using the installed forwarder (drops if none/no route).
-  void ForwardPacket(net::Packet pkt, PortId in_port);
+  void ForwardPacket(net::Packet&& pkt, PortId in_port);
 
   ControlPlane& control_plane() { return control_plane_; }
   PacketGenerator& packet_generator() { return pktgen_; }

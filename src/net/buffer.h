@@ -15,11 +15,11 @@
 //   - Slicing (`Slice`, mirror truncation) never copies.
 //
 // The static `DeepCopies()` / `Allocations()` counters instrument the
-// copy-regression tests in tests/zero_copy_test.cc; they are process-wide
-// and not synchronized beyond atomicity (the simulator is single-threaded).
+// copy-regression tests in tests/zero_copy_test.cc.  They are plain per-thread
+// integers: a simulation runs on one thread (DESIGN.md §8), so a test reads
+// the counts of its own run only.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -28,6 +28,25 @@
 #include <vector>
 
 namespace redplane::net {
+
+/// Big-endian whole-field load and store.  Each folds into one load or
+/// store plus a byte swap.
+template <typename T>
+T LoadBE(const std::byte* p) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v = static_cast<T>((v << 8) | std::to_integer<T>(p[i]));
+  }
+  return v;
+}
+
+template <typename T>
+void StoreBE(std::byte* p, T v) {
+  for (std::size_t i = sizeof(T); i-- > 0;) {
+    p[i] = static_cast<std::byte>(v & 0xff);
+    v = static_cast<T>(v >> 8);
+  }
+}
 
 /// Refcounted immutable byte array.  Copies are O(1).
 class Buffer {
@@ -53,9 +72,11 @@ class Buffer {
   explicit operator bool() const { return static_cast<bool>(data_); }
 
   /// --- instrumentation (for copy/alloc regression tests) ---
-  /// Number of byte-copying backing-store creations since reset.
+  /// Number of byte-copying backing-store creations on this thread since
+  /// reset.
   static std::uint64_t DeepCopies();
-  /// Number of backing stores created since reset (copying or not).
+  /// Number of backing stores created on this thread since reset (copying
+  /// or not).
   static std::uint64_t Allocations();
   static void ResetCounters();
 
@@ -122,16 +143,24 @@ class BufferView {
   /// clones the viewed range first (counted as a deep copy).  Out-of-range
   /// patches are ignored.
   void Patch(std::size_t offset, std::span<const std::byte> bytes);
-  void PatchU8(std::size_t offset, std::uint8_t v);
-  void PatchU16(std::size_t offset, std::uint16_t v);
-  void PatchU32(std::size_t offset, std::uint32_t v);
-  void PatchU64(std::size_t offset, std::uint64_t v);
+  void PatchU8(std::size_t offset, std::uint8_t v) { PatchAt(offset, v); }
+  void PatchU16(std::size_t offset, std::uint16_t v) { PatchAt(offset, v); }
+  void PatchU32(std::size_t offset, std::uint32_t v) { PatchAt(offset, v); }
+  void PatchU64(std::size_t offset, std::uint64_t v) { PatchAt(offset, v); }
 
   /// Big-endian reads (bounds-checked; 0 on overrun).
-  std::uint8_t U8At(std::size_t offset) const;
-  std::uint16_t U16At(std::size_t offset) const;
-  std::uint32_t U32At(std::size_t offset) const;
-  std::uint64_t U64At(std::size_t offset) const;
+  std::uint8_t U8At(std::size_t offset) const {
+    return At<std::uint8_t>(offset);
+  }
+  std::uint16_t U16At(std::size_t offset) const {
+    return At<std::uint16_t>(offset);
+  }
+  std::uint32_t U32At(std::size_t offset) const {
+    return At<std::uint32_t>(offset);
+  }
+  std::uint64_t U64At(std::size_t offset) const {
+    return At<std::uint64_t>(offset);
+  }
 
   const Buffer& buffer() const { return buffer_; }
   std::size_t offset() const { return offset_; }
@@ -139,6 +168,15 @@ class BufferView {
  private:
   /// Ensures sole ownership of the viewed range; returns mutable base ptr.
   std::byte* EnsureUnique();
+
+  template <typename T>
+  T At(std::size_t offset) const {
+    return offset + sizeof(T) > len_ ? T{0} : LoadBE<T>(data() + offset);
+  }
+  template <typename T>
+  void PatchAt(std::size_t offset, T v) {
+    if (offset + sizeof(T) <= len_) StoreBE<T>(EnsureUnique() + offset, v);
+  }
 
   Buffer buffer_;
   std::size_t offset_ = 0;

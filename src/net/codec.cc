@@ -1,7 +1,5 @@
 #include "net/codec.h"
 
-#include <cassert>
-
 #include "obs/profiler.h"
 
 namespace redplane::net {
@@ -11,104 +9,49 @@ namespace {
 // armed cost is a countdown decrement on the other 63.
 obs::ProfSite g_prof_serialize("net.serialize", /*stride=*/64);
 obs::ProfSite g_prof_parse("net.parse", /*stride=*/64);
+
+void WriteIpv4(ByteWriter& w, const Ipv4Header& ip, std::size_t l4_size) {
+  std::byte h[Ipv4Header::kWireSize];
+  h[0] = std::byte{0x45};  // version 4, IHL 5
+  h[1] = std::byte{static_cast<std::uint8_t>(ip.dscp << 2)};
+  StoreBE(h + 2, static_cast<std::uint16_t>(Ipv4Header::kWireSize + l4_size));
+  StoreBE(h + 4, ip.identification);
+  StoreBE(h + 6, std::uint16_t{0});  // flags/fragment
+  h[8] = std::byte{ip.ttl};
+  h[9] = static_cast<std::byte>(ip.protocol);
+  StoreBE(h + 10, std::uint16_t{0});  // checksum placeholder
+  StoreBE(h + 12, ip.src.value);
+  StoreBE(h + 16, ip.dst.value);
+  StoreBE(h + 10, InternetChecksum(reinterpret_cast<const std::uint8_t*>(h),
+                                   Ipv4Header::kWireSize));
+  w.Bytes(h);
+}
+
+std::size_t L4Size(const Packet& p) {
+  std::size_t size = p.payload.size() + p.pad_bytes;
+  if (p.udp) size += UdpHeader::kWireSize;
+  if (p.tcp) size += TcpHeader::kWireSize;
+  return size;
+}
+
 }  // namespace
 
-void ByteWriter::U8(std::uint8_t v) { out_.push_back(std::byte{v}); }
-
-void ByteWriter::U16(std::uint16_t v) {
-  U8(static_cast<std::uint8_t>(v >> 8));
-  U8(static_cast<std::uint8_t>(v));
-}
-
-void ByteWriter::U32(std::uint32_t v) {
-  U16(static_cast<std::uint16_t>(v >> 16));
-  U16(static_cast<std::uint16_t>(v));
-}
-
-void ByteWriter::U64(std::uint64_t v) {
-  U32(static_cast<std::uint32_t>(v >> 32));
-  U32(static_cast<std::uint32_t>(v));
-}
-
-void ByteWriter::Bytes(std::span<const std::byte> data) {
-  out_.insert(out_.end(), data.begin(), data.end());
-}
-
-void ByteWriter::PatchU16(std::size_t offset, std::uint16_t v) {
-  assert(offset + 2 <= out_.size());
-  out_[offset] = std::byte{static_cast<std::uint8_t>(v >> 8)};
-  out_[offset + 1] = std::byte{static_cast<std::uint8_t>(v)};
-}
-
-bool ByteReader::Ensure(std::size_t n) {
-  if (pos_ + n > data_.size()) {
-    ok_ = false;
-    return false;
+std::size_t SerializedSize(const Packet& p) {
+  std::size_t size = p.payload.size() + p.pad_bytes;
+  if (p.eth) size += EthernetHeader::kWireSize + (p.vlan != 0 ? 4 : 0);
+  if (p.ip) size += Ipv4Header::kWireSize;
+  // Exactly the L4 header SerializeInto writes (UDP wins over TCP), which
+  // is not always what L4Size counts for the IP length field.
+  if (p.udp) {
+    size += UdpHeader::kWireSize;
+  } else if (p.tcp) {
+    size += TcpHeader::kWireSize;
   }
-  return true;
+  return size;
 }
 
-std::uint8_t ByteReader::U8() {
-  if (!Ensure(1)) return 0;
-  return static_cast<std::uint8_t>(data_[pos_++]);
-}
-
-std::uint16_t ByteReader::U16() {
-  std::uint16_t hi = U8();
-  return static_cast<std::uint16_t>((hi << 8) | U8());
-}
-
-std::uint32_t ByteReader::U32() {
-  std::uint32_t hi = U16();
-  return (hi << 16) | U16();
-}
-
-std::uint64_t ByteReader::U64() {
-  std::uint64_t hi = U32();
-  return (hi << 32) | U32();
-}
-
-std::vector<std::byte> ByteReader::Bytes(std::size_t n) {
-  if (!Ensure(n)) return {};
-  std::vector<std::byte> out(data_.begin() + pos_, data_.begin() + pos_ + n);
-  pos_ += n;
-  return out;
-}
-
-void ByteReader::Skip(std::size_t n) {
-  if (Ensure(n)) pos_ += n;
-}
-
-namespace {
-
-void WriteIpv4(ByteWriter& w, const Ipv4Header& ip, std::size_t l4_size,
-               std::vector<std::byte>& buf) {
-  const std::size_t start = buf.size();
-  const std::uint16_t total =
-      static_cast<std::uint16_t>(Ipv4Header::kWireSize + l4_size);
-  w.U8(0x45);  // version 4, IHL 5
-  w.U8(ip.dscp << 2);
-  w.U16(total);
-  w.U16(ip.identification);
-  w.U16(0);  // flags/fragment
-  w.U8(ip.ttl);
-  w.U8(static_cast<std::uint8_t>(ip.protocol));
-  w.U16(0);  // checksum placeholder
-  w.U32(ip.src.value);
-  w.U32(ip.dst.value);
-  const std::uint16_t csum = InternetChecksum(
-      reinterpret_cast<const std::uint8_t*>(buf.data() + start),
-      Ipv4Header::kWireSize);
-  w.PatchU16(start + 10, csum);
-}
-
-}  // namespace
-
-std::vector<std::byte> Serialize(const Packet& p) {
+void SerializeInto(const Packet& p, ByteWriter& w) {
   obs::ProfScope prof(g_prof_serialize);
-  std::vector<std::byte> out;
-  ByteWriter w(out);
-
   if (p.eth) {
     w.Bytes(std::as_bytes(std::span(p.eth->dst.bytes)));
     w.Bytes(std::as_bytes(std::span(p.eth->src.bytes)));
@@ -120,11 +63,7 @@ std::vector<std::byte> Serialize(const Packet& p) {
   }
 
   const std::size_t payload_size = p.payload.size() + p.pad_bytes;
-  std::size_t l4_size = payload_size;
-  if (p.udp) l4_size += UdpHeader::kWireSize;
-  if (p.tcp) l4_size += TcpHeader::kWireSize;
-
-  if (p.ip) WriteIpv4(w, *p.ip, l4_size, out);
+  if (p.ip) WriteIpv4(w, *p.ip, L4Size(p));
 
   if (p.udp) {
     w.U16(p.udp->src_port);
@@ -144,7 +83,14 @@ std::vector<std::byte> Serialize(const Packet& p) {
   }
 
   w.Bytes(p.payload);
-  out.resize(out.size() + p.pad_bytes, std::byte{0});
+  w.Zeros(p.pad_bytes);
+}
+
+std::vector<std::byte> Serialize(const Packet& p) {
+  std::vector<std::byte> out;
+  out.reserve(SerializedSize(p));
+  ByteWriter w(out);
+  SerializeInto(p, w);
   return out;
 }
 
@@ -190,20 +136,16 @@ std::optional<BatchView> BatchView::Parse(BufferView frame) {
   return v;
 }
 
-std::optional<Packet> Parse(std::span<const std::byte> wire) {
+std::optional<Packet> Parse(const BufferView& wire) {
   obs::ProfScope prof(g_prof_parse);
-  ByteReader r(wire);
+  ByteReader r(wire.span());
   Packet p;
 
   EthernetHeader eth;
-  auto dst = r.Bytes(6);
-  auto src = r.Bytes(6);
+  r.Read(std::as_writable_bytes(std::span(eth.dst.bytes)));
+  r.Read(std::as_writable_bytes(std::span(eth.src.bytes)));
   std::uint16_t ethertype = r.U16();
   if (!r.ok()) return std::nullopt;
-  std::copy(dst.begin(), dst.end(),
-            reinterpret_cast<std::byte*>(eth.dst.bytes.data()));
-  std::copy(src.begin(), src.end(),
-            reinterpret_cast<std::byte*>(eth.src.bytes.data()));
   if (ethertype == 0x8100) {
     p.vlan = r.U16() & 0x0fff;
     ethertype = r.U16();
@@ -212,7 +154,7 @@ std::optional<Packet> Parse(std::span<const std::byte> wire) {
   p.eth = eth;
   if (eth.ethertype != EtherType::kIpv4) return std::nullopt;
 
-  const std::size_t ip_start = wire.size() - r.Remaining();
+  const std::size_t ip_start = r.Position();
   const std::uint8_t ver_ihl = r.U8();
   if ((ver_ihl >> 4) != 4 || (ver_ihl & 0x0f) != 5) return std::nullopt;
   Ipv4Header ip;
@@ -235,6 +177,7 @@ std::optional<Packet> Parse(std::span<const std::byte> wire) {
   if (ip.total_length < Ipv4Header::kWireSize) return std::nullopt;
   std::size_t l4_len = ip.total_length - Ipv4Header::kWireSize;
 
+  std::size_t payload_len = 0;
   if (ip.protocol == IpProto::kUdp) {
     UdpHeader udp;
     udp.src_port = r.U16();
@@ -248,7 +191,7 @@ std::optional<Packet> Parse(std::span<const std::byte> wire) {
     // (fuzz-found silent-accept).  Serialize always emits them equal.
     if (udp.length != l4_len) return std::nullopt;
     p.udp = udp;
-    p.payload = r.Bytes(udp.length - UdpHeader::kWireSize);
+    payload_len = udp.length - UdpHeader::kWireSize;
   } else if (ip.protocol == IpProto::kTcp) {
     TcpHeader tcp;
     tcp.src_port = r.U16();
@@ -263,11 +206,15 @@ std::optional<Packet> Parse(std::span<const std::byte> wire) {
     r.Skip((offset - 5) * 4);
     p.tcp = tcp;
     if (l4_len < static_cast<std::size_t>(offset) * 4) return std::nullopt;
-    p.payload = r.Bytes(l4_len - offset * 4);
+    payload_len = l4_len - offset * 4;
   } else {
     return std::nullopt;
   }
+  // The payload is a window onto the wire bytes: parsing copies nothing.
+  const std::size_t payload_at = r.Position();
+  r.Skip(payload_len);
   if (!r.ok()) return std::nullopt;
+  p.payload = wire.Slice(payload_at, payload_len);
   return p;
 }
 

@@ -22,13 +22,13 @@ class HostNode : public Node {
 
   /// Installs the receive handler.  Without one, packets are counted and
   /// dropped (a pure sink).
-  void SetHandler(std::function<void(HostNode&, net::Packet)> handler) {
+  void SetHandler(std::function<void(HostNode&, net::Packet&&)> handler) {
     handler_ = std::move(handler);
   }
 
   /// Transmits out of the host's single uplink; the ingress record
   /// carries the packet id.
-  void Send(net::Packet pkt) {
+  void Send(net::Packet&& pkt) {
     sim_.StampPacketId(pkt.id);
     if (trace().armed(obs::Ev::kIngress)) {
       const auto flow = pkt.Flow();
@@ -38,7 +38,7 @@ class HostNode : public Node {
     SendTo(0, std::move(pkt));
   }
 
-  void HandlePacket(net::Packet pkt, PortId in_port) override {
+  void HandlePacket(net::Packet&& pkt, PortId in_port) override {
     (void)in_port;
     if (!IsUp()) return;
     if (trace().armed(obs::Ev::kHostRecv)) {
@@ -55,7 +55,7 @@ class HostNode : public Node {
 
  private:
   net::Ipv4Addr ip_;
-  std::function<void(HostNode&, net::Packet)> handler_;
+  std::function<void(HostNode&, net::Packet&&)> handler_;
 };
 
 }  // namespace redplane::sim

@@ -43,7 +43,7 @@ double Link::DirectionLoss(NodeId from) const {
   return dir.loss_override >= 0 ? dir.loss_override : config_.loss_rate;
 }
 
-void Link::Transmit(NodeId from, net::Packet pkt) {
+void Link::Transmit(NodeId from, net::Packet&& pkt) {
   assert(a_ != nullptr && b_ != nullptr);
   if (!up_) {
     ++dropped_;
@@ -82,7 +82,7 @@ void Link::Transmit(NodeId from, net::Packet pkt) {
   });
 }
 
-void Link::Deliver(Node* to, PortId port, net::Packet pkt,
+void Link::Deliver(Node* to, PortId port, net::Packet&& pkt,
                    std::uint64_t epoch) {
   if (!up_ || epoch != epoch_ || !to->IsUp()) {
     ++dropped_;

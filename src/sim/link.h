@@ -44,7 +44,7 @@ class Link {
   void Connect(Node* a, PortId port_a, Node* b, PortId port_b);
 
   /// Transmits from the endpoint owned by node `from` toward the other end.
-  void Transmit(NodeId from, net::Packet pkt);
+  void Transmit(NodeId from, net::Packet&& pkt);
 
   /// Administratively disables/enables the link (fiber-cut failure model).
   /// Packets in flight when the link goes down are dropped.
@@ -77,7 +77,7 @@ class Link {
     double loss_override = -1.0;
   };
 
-  void Deliver(Node* to, PortId port, net::Packet pkt, std::uint64_t epoch);
+  void Deliver(Node* to, PortId port, net::Packet&& pkt, std::uint64_t epoch);
 
   Simulator& sim_;
   LinkConfig config_;

@@ -33,7 +33,7 @@ Link* Node::LinkAt(PortId port) const {
   return port < links_.size() ? links_[port] : nullptr;
 }
 
-void Node::SendTo(PortId port, net::Packet pkt) {
+void Node::SendTo(PortId port, net::Packet&& pkt) {
   if (!up_) {
     drop_node_down_.Add();
     return;

@@ -27,7 +27,7 @@ class Node {
   Simulator& sim() { return sim_; }
 
   /// Delivers a packet arriving on `in_port`.  Called by Link.
-  virtual void HandlePacket(net::Packet pkt, PortId in_port) = 0;
+  virtual void HandlePacket(net::Packet&& pkt, PortId in_port) = 0;
 
   /// Marks this node as failed/recovered.  A failed node silently drops all
   /// deliveries; subclasses may also clear volatile state on failure.
@@ -45,7 +45,7 @@ class Node {
 
   /// Transmits `pkt` out of `port`.  Drops silently (with a counter) if the
   /// port has no link or the node is down.  Stamps the packet id.
-  void SendTo(PortId port, net::Packet pkt);
+  void SendTo(PortId port, net::Packet&& pkt);
 
   /// Per-node metric registry ("tx_pkts", "rx_pkts", "drop_no_link", ...).
   /// Typed handles for the hot-path counters are pre-registered; ad-hoc

@@ -86,7 +86,7 @@ StateStoreServer::StateStoreServer(sim::Simulator& sim, NodeId id,
   });
 }
 
-void StateStoreServer::HandlePacket(net::Packet pkt, PortId in_port) {
+void StateStoreServer::HandlePacket(net::Packet&& pkt, PortId in_port) {
   obs::ProfScope prof(g_prof_handle_packet);
   (void)in_port;
   if (!core::IsProtocolPacket(pkt)) {
@@ -537,7 +537,7 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
   switch (msg.type()) {
     case MsgType::kLeaseNewReq:
       rec.exists = true;
-      rec.state = msg.state().ToVector();
+      rec.state.assign(msg.state().begin(), msg.state().end());
       rec.last_applied_seq = msg.seq();
       rec.owner = msg.reply_to();
       rec.lease_expiry = sim_.Now() + config_.lease_period;
@@ -547,7 +547,7 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
       if (msg.seq() > rec.last_applied_seq ||
           config_.mutations.disable_seq_filter) {
         const std::uint64_t prev_applied = rec.last_applied_seq;
-        rec.state = msg.state().ToVector();
+        rec.state.assign(msg.state().begin(), msg.state().end());
         rec.last_applied_seq = msg.seq();
         if (trace().armed(obs::Ev::kStoreApplied)) {
           trace().Emit(obs::Ev::kStoreApplied,
@@ -590,7 +590,7 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
       FlowModeState& mode = rec.mode.GetOrCreate();
       auto& slot = mode.snapshot_slots[msg.snapshot_index()];
       if (msg.seq() > slot.second) {
-        slot.first = msg.state().ToVector();
+        slot.first.assign(msg.state().begin(), msg.state().end());
         slot.second = msg.seq();
       }
       mode.last_snapshot_at = sim_.Now();
@@ -601,7 +601,7 @@ void StateStoreServer::ApplyAndContinue(MsgView msg) {
       rec.mergeable = true;
       if (config_.mutations.overwrite_instead_of_merge ||
           spec_.merge == nullptr) {
-        rec.state = msg.state().ToVector();
+        rec.state.assign(msg.state().begin(), msg.state().end());
       } else {
         spec_.merge(rec.state, msg.state().span());
       }

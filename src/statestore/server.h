@@ -157,7 +157,7 @@ class StateStoreServer : public sim::Node {
   /// requests; a single stand-alone server is both head and tail).
   void SetIsHead(bool head) { is_head_ = head; }
 
-  void HandlePacket(net::Packet pkt, PortId in_port) override;
+  void HandlePacket(net::Packet&& pkt, PortId in_port) override;
 
   /// Fail-stop: going down clears the in-memory state (DRAM) and cancels
   /// queued work; a recovered replica rejoins empty and must be resynced by

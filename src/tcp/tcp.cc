@@ -89,7 +89,7 @@ void TcpSenderNode::TrySendData() {
   }
 }
 
-void TcpSenderNode::HandlePacket(net::Packet pkt, PortId in_port) {
+void TcpSenderNode::HandlePacket(net::Packet&& pkt, PortId in_port) {
   (void)in_port;
   if (!IsUp() || !pkt.tcp.has_value()) return;
   const net::TcpHeader& tcp = *pkt.tcp;
@@ -192,7 +192,7 @@ void TcpReceiverNode::SendAck(const net::Packet& data_pkt) {
   SendTo(0, std::move(ack));
 }
 
-void TcpReceiverNode::HandlePacket(net::Packet pkt, PortId in_port) {
+void TcpReceiverNode::HandlePacket(net::Packet&& pkt, PortId in_port) {
   (void)in_port;
   if (!IsUp() || !pkt.tcp.has_value() || !pkt.Flow().has_value()) return;
   const net::TcpHeader& tcp = *pkt.tcp;

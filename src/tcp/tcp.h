@@ -48,7 +48,7 @@ class TcpSenderNode : public sim::Node {
   /// data indefinitely (iperf-style) until the simulation ends.
   void Start(const net::FlowKey& flow);
 
-  void HandlePacket(net::Packet pkt, PortId in_port) override;
+  void HandlePacket(net::Packet&& pkt, PortId in_port) override;
 
   std::uint64_t bytes_acked() const { return bytes_acked_; }
   double cwnd_segments() const { return cwnd_; }
@@ -102,7 +102,7 @@ class TcpReceiverNode : public sim::Node {
 
   net::Ipv4Addr ip() const { return ip_; }
 
-  void HandlePacket(net::Packet pkt, PortId in_port) override;
+  void HandlePacket(net::Packet&& pkt, PortId in_port) override;
 
   /// Delivered (in-order) bytes per time bucket.
   const TimeSeries& goodput() const { return goodput_; }

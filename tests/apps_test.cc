@@ -37,8 +37,8 @@ TEST(NatTest, OutboundRewriteUsesAllocatedPort) {
   auto ctx = Ctx();
   auto result =
       nat.Process(ctx, net::MakeTcpPacket(OutboundFlow(), 0, 1, 0, 10), state);
-  ASSERT_EQ(result.outputs.size(), 1u);
-  const net::Packet& out = result.outputs[0];
+  ASSERT_TRUE(result.output.has_value());
+  const net::Packet& out = *result.output;
   EXPECT_EQ(out.ip->src, kExtIp);
   EXPECT_EQ(out.tcp->src_port, 2000);
   EXPECT_EQ(out.ip->dst, OutboundFlow().dst_ip);
@@ -60,9 +60,9 @@ TEST(NatTest, InboundRewriteRestoresInternalEndpoint) {
   auto ctx = Ctx();
   auto result =
       nat.Process(ctx, net::MakeTcpPacket(inbound, 0, 1, 0, 10), in_state);
-  ASSERT_EQ(result.outputs.size(), 1u);
-  EXPECT_EQ(result.outputs[0].ip->dst, OutboundFlow().src_ip);
-  EXPECT_EQ(result.outputs[0].tcp->dst_port, OutboundFlow().src_port);
+  ASSERT_TRUE(result.output.has_value());
+  EXPECT_EQ(result.output->ip->dst, OutboundFlow().src_ip);
+  EXPECT_EQ(result.output->tcp->dst_port, OutboundFlow().src_port);
 }
 
 TEST(NatTest, UnknownInboundFlowDropped) {
@@ -75,7 +75,7 @@ TEST(NatTest, UnknownInboundFlowDropped) {
   auto ctx = Ctx();
   auto result =
       nat.Process(ctx, net::MakeTcpPacket(inbound, 0, 1, 0, 10), state);
-  EXPECT_TRUE(result.outputs.empty());
+  EXPECT_FALSE(result.output.has_value());
 }
 
 TEST(NatTest, PoolExhaustionAndIdempotentReallocation) {
@@ -114,19 +114,19 @@ TEST(FirewallTest, InboundBlockedUntilOutboundEstablishes) {
 
   auto blocked = fw.Process(
       ctx, net::MakeTcpPacket(OutboundFlow().Reversed(), 0, 1, 0, 0), state);
-  EXPECT_TRUE(blocked.outputs.empty());
+  EXPECT_FALSE(blocked.output.has_value());
   EXPECT_FALSE(blocked.state_modified);
 
   auto open = fw.Process(
       ctx,
       net::MakeTcpPacket(OutboundFlow(), net::TcpFlags::kSyn, 1, 0, 0),
       state);
-  EXPECT_EQ(open.outputs.size(), 1u);
+  EXPECT_TRUE(open.output.has_value());
   EXPECT_TRUE(open.state_modified);  // the connection-establishing write
 
   auto admitted = fw.Process(
       ctx, net::MakeTcpPacket(OutboundFlow().Reversed(), 0, 1, 0, 0), state);
-  EXPECT_EQ(admitted.outputs.size(), 1u);
+  EXPECT_TRUE(admitted.output.has_value());
   EXPECT_FALSE(admitted.state_modified);
 }
 
@@ -158,9 +158,9 @@ TEST(LoadBalancerTest, ForwardAndReverseTranslation) {
 
   auto ctx = Ctx();
   auto fwd = lb.Process(ctx, net::MakeTcpPacket(client, 0, 1, 0, 0), state);
-  ASSERT_EQ(fwd.outputs.size(), 1u);
-  EXPECT_EQ(fwd.outputs[0].ip->dst, net::Ipv4Addr(192, 168, 10, 10));
-  EXPECT_EQ(fwd.outputs[0].tcp->dst_port, 8080);
+  ASSERT_TRUE(fwd.output.has_value());
+  EXPECT_EQ(fwd.output->ip->dst, net::Ipv4Addr(192, 168, 10, 10));
+  EXPECT_EQ(fwd.output->tcp->dst_port, 8080);
 
   // Reverse traffic canonicalizes to the same key and presents the VIP.
   net::FlowKey reverse{net::Ipv4Addr(192, 168, 10, 10),
@@ -170,9 +170,9 @@ TEST(LoadBalancerTest, ForwardAndReverseTranslation) {
   ASSERT_TRUE(lb.KeyOf(rev_pkt).has_value());
   EXPECT_EQ(*lb.KeyOf(rev_pkt), net::PartitionKey::OfFlow(client));
   auto rev = lb.Process(ctx, rev_pkt, state);
-  ASSERT_EQ(rev.outputs.size(), 1u);
-  EXPECT_EQ(rev.outputs[0].ip->src, global.vip());
-  EXPECT_EQ(rev.outputs[0].tcp->src_port, 80);
+  ASSERT_TRUE(rev.output.has_value());
+  EXPECT_EQ(rev.output->ip->src, global.vip());
+  EXPECT_EQ(rev.output->tcp->src_port, 80);
 }
 
 TEST(LoadBalancerTest, BackendsRotateAcrossFlows) {
@@ -202,7 +202,7 @@ TEST(EpcSgwTest, SignalingInstallsBearerDataReadsIt) {
   net::FlowKey data{net::Ipv4Addr(10, 0, 0, 1), user, 40000, kSgwDataPort,
                     net::IpProto::kUdp};
   auto dropped = sgw.Process(ctx, net::MakeUdpPacket(data, 100), state);
-  EXPECT_TRUE(dropped.outputs.empty());
+  EXPECT_FALSE(dropped.output.has_value());
 
   auto sig = MakeSgwSignalingPacket(net::Ipv4Addr(10, 0, 0, 1), user, 777,
                                     net::Ipv4Addr(192, 168, 11, 1));
@@ -212,9 +212,9 @@ TEST(EpcSgwTest, SignalingInstallsBearerDataReadsIt) {
   EXPECT_EQ(core::StateAs<SgwBearer>(state)->teid, 777u);
 
   auto forwarded = sgw.Process(ctx, net::MakeUdpPacket(data, 100), state);
-  ASSERT_EQ(forwarded.outputs.size(), 1u);
+  ASSERT_TRUE(forwarded.output.has_value());
   EXPECT_FALSE(forwarded.state_modified);
-  EXPECT_EQ(forwarded.outputs[0].ip->identification, 777);
+  EXPECT_EQ(forwarded.output->ip->identification, 777);
 }
 
 TEST(EpcSgwTest, NonSgwTrafficIgnored) {
@@ -312,7 +312,7 @@ TEST(CounterTest, SyncCounterWritesEveryPacket) {
   for (int i = 1; i <= 5; ++i) {
     auto result = app.Process(ctx, net::MakeUdpPacket(f, 0), state);
     EXPECT_TRUE(result.state_modified);
-    EXPECT_EQ(result.outputs.size(), 1u);
+    EXPECT_TRUE(result.output.has_value());
     EXPECT_EQ(*core::StateAs<std::uint64_t>(state),
               static_cast<std::uint64_t>(i));
   }
@@ -346,15 +346,15 @@ TEST(KvStoreTest, UpdateThenReadReturnsValue) {
   KvRequest update{KvOp::kUpdate, 77, 4242};
   auto wres = app.Process(ctx, MakeKvPacket(client, update), state);
   EXPECT_TRUE(wres.state_modified);
-  ASSERT_EQ(wres.outputs.size(), 1u);
+  ASSERT_TRUE(wres.output.has_value());
 
   KvRequest read{KvOp::kRead, 77, 0};
   auto rres = app.Process(ctx, MakeKvPacket(client, read), state);
   EXPECT_FALSE(rres.state_modified);
-  ASSERT_EQ(rres.outputs.size(), 1u);
+  ASSERT_TRUE(rres.output.has_value());
   // The reply flows back toward the client (src port is the KV port).
-  EXPECT_EQ(rres.outputs[0].ip->dst, client.src_ip);
-  net::ByteReader r(rres.outputs[0].payload);
+  EXPECT_EQ(rres.output->ip->dst, client.src_ip);
+  net::ByteReader r(rres.output->payload);
   r.U8();
   EXPECT_EQ(r.U64(), 77u);
   EXPECT_EQ(r.U64(), 4242u);

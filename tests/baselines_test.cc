@@ -30,7 +30,7 @@ class TableEchoApp : public core::SwitchApp {
                               std::vector<std::byte>& state) override {
     (void)state;
     core::ProcessResult result;
-    result.outputs.push_back(std::move(pkt));
+    result.output = std::move(pkt);
     return result;
   }
 };

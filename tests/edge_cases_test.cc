@@ -387,7 +387,7 @@ TEST(SgwEdgeTest, TruncatedSignalingIgnored) {
   auto pkt = net::MakeUdpPacket(f, 0);
   pkt.payload = {std::byte{1}, std::byte{2}};  // too short for teid+enb
   const auto result = sgw.Process(ctx, std::move(pkt), state);
-  EXPECT_TRUE(result.outputs.empty());
+  EXPECT_FALSE(result.output.has_value());
   EXPECT_FALSE(result.state_modified);
   EXPECT_TRUE(state.empty());
 }

@@ -75,15 +75,15 @@ TEST(SynDefenseTest, UnvalidatedSynChallengedThenAdmitted) {
   const net::Ipv4Addr client(10, 0, 0, 1);
 
   auto first = app.Process(ctx, Syn(client), state);
-  EXPECT_TRUE(first.outputs.empty());  // challenged
+  EXPECT_FALSE(first.output.has_value());  // challenged
   EXPECT_EQ(app.challenges_sent(), 1u);
 
   auto proof = app.Process(ctx, Ack(client), state);
-  EXPECT_EQ(proof.outputs.size(), 1u);  // handshake proof admits + validates
+  EXPECT_TRUE(proof.output.has_value());  // handshake proof admits + validates
   EXPECT_TRUE(app.IsValidated(client));
 
   auto retry = app.Process(ctx, Syn(client), state);
-  EXPECT_EQ(retry.outputs.size(), 1u);  // validated source passes
+  EXPECT_TRUE(retry.output.has_value());  // validated source passes
 }
 
 TEST(SynDefenseTest, FailureDropsValidSourcesWithoutSnapshotRestore) {
@@ -107,7 +107,7 @@ TEST(SynDefenseTest, FailureDropsValidSourcesWithoutSnapshotRestore) {
   // Table 1's "dropping valid packets".
   app.Reset();
   auto dropped = app.Process(ctx, Syn(client), state);
-  EXPECT_TRUE(dropped.outputs.empty());
+  EXPECT_FALSE(dropped.output.has_value());
 
   // Failover restore from the replicated snapshot: client admitted.
   for (std::uint32_t i = 0; i < snapshot.size(); ++i) {
@@ -115,7 +115,7 @@ TEST(SynDefenseTest, FailureDropsValidSourcesWithoutSnapshotRestore) {
   }
   EXPECT_TRUE(app.IsValidated(client));
   auto admitted = app.Process(ctx, Syn(client), state);
-  EXPECT_EQ(admitted.outputs.size(), 1u);
+  EXPECT_TRUE(admitted.output.has_value());
 }
 
 // ------------------------------------------------------------ Sequencer --
@@ -128,16 +128,16 @@ TEST(SequencerTest, StampsMonotonicallyPerGroup) {
                  kSequencerPort, net::IpProto::kUdp};
   for (std::uint64_t i = 1; i <= 5; ++i) {
     auto result = app.Process(ctx, MakeSequencedPacket(f, 7), g1_state);
-    ASSERT_EQ(result.outputs.size(), 1u);
+    ASSERT_TRUE(result.output.has_value());
     EXPECT_TRUE(result.state_modified);
-    const auto hdr = ParseSequencedPacket(result.outputs[0]);
+    const auto hdr = ParseSequencedPacket(*result.output);
     ASSERT_TRUE(hdr.has_value());
     EXPECT_EQ(hdr->group, 7u);
     EXPECT_EQ(hdr->stamp, i);
   }
   // Independent group: its own sequence.
   auto other = app.Process(ctx, MakeSequencedPacket(f, 9), g2_state);
-  EXPECT_EQ(ParseSequencedPacket(other.outputs[0])->stamp, 1u);
+  EXPECT_EQ(ParseSequencedPacket(*other.output)->stamp, 1u);
 }
 
 TEST(SequencerTest, KeyOfPartitionsByGroup) {

@@ -120,6 +120,7 @@ TEST_P(CodecRoundTrip, SerializeParsePreservesFields) {
   p.payload = std::move(body);
 
   const auto wire = Serialize(p);
+  EXPECT_EQ(wire.size(), SerializedSize(p));
   const auto parsed = Parse(wire);
   ASSERT_TRUE(parsed.has_value()) << c.name;
   EXPECT_EQ(parsed->vlan, c.vlan);
@@ -161,6 +162,16 @@ TEST(CodecTest, TruncatedFrameRejected) {
   auto wire = Serialize(MakeUdpPacket(f, 10));
   wire.resize(20);
   EXPECT_FALSE(Parse(wire).has_value());
+}
+
+TEST(CodecTest, SerializedSizeCountsOnlyTheWrittenL4Header) {
+  // A packet carrying both L4 headers serializes only the UDP one; the
+  // size a protocol message reserves for it and writes into its length
+  // field must agree.
+  FlowKey f{Ipv4Addr(1, 1, 1, 1), Ipv4Addr(2, 2, 2, 2), 1, 2, IpProto::kUdp};
+  Packet p = MakeUdpPacket(f, 3);
+  p.tcp = TcpHeader{};
+  EXPECT_EQ(SerializedSize(p), Serialize(p).size());
 }
 
 TEST(CodecTest, EmptyInputRejected) {

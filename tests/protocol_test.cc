@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "core/protocol.h"
 
 namespace redplane::core {
@@ -153,6 +157,164 @@ TEST(ProtocolTest, PiggybackedProtocolPacketSurvivesWireRoundTrip) {
   ASSERT_TRUE(decoded->piggyback.has_value());
   EXPECT_EQ(*decoded->piggyback->Flow(), inner);
   EXPECT_EQ(decoded->piggyback->tcp->seq, 9u);
+}
+
+// --- One-pass encoding and zero-copy piggyback release ----------------------
+
+/// Appends `v` big-endian, byte by byte: an encoder independent of
+/// net::ByteWriter, for the reference encoding below.
+void PutBE(std::vector<std::byte>& out, std::uint64_t v, int bytes) {
+  for (int i = bytes - 1; i >= 0; --i) {
+    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+  }
+}
+
+/// The wire layout of core/protocol.h written out field by field, with the
+/// piggyback serialized on its own and appended.
+std::vector<std::byte> ReferenceEncoding(const Msg& m) {
+  std::vector<std::byte> out;
+  PutBE(out, 0x9D1A, 2);
+  PutBE(out, static_cast<std::uint8_t>(m.type), 1);
+  PutBE(out, static_cast<std::uint8_t>(m.ack), 1);
+  PutBE(out, m.seq, 8);
+  PutBE(out, m.snapshot_index, 4);
+  PutBE(out, m.reply_to.value, 4);
+  PutBE(out, m.chain_hop, 1);
+  PutBE(out, m.span_id, 8);
+  PutBE(out, static_cast<std::uint8_t>(m.mode), 1);
+  PutBE(out, static_cast<std::uint8_t>(m.key.kind), 1);
+  switch (m.key.kind) {
+    case net::PartitionKey::Kind::kFlow:
+      PutBE(out, m.key.flow.src_ip.value, 4);
+      PutBE(out, m.key.flow.dst_ip.value, 4);
+      PutBE(out, m.key.flow.src_port, 2);
+      PutBE(out, m.key.flow.dst_port, 2);
+      PutBE(out, static_cast<std::uint8_t>(m.key.flow.proto), 1);
+      break;
+    case net::PartitionKey::Kind::kVlan: PutBE(out, m.key.vlan, 2); break;
+    case net::PartitionKey::Kind::kObject: PutBE(out, m.key.object, 8); break;
+  }
+  const std::vector<std::byte> piggy =
+      m.piggyback ? net::Serialize(*m.piggyback) : m.piggyback_raw.ToVector();
+  PutBE(out, m.state.size(), 2);
+  PutBE(out, piggy.size(), 2);
+  out.insert(out.end(), m.state.begin(), m.state.end());
+  out.insert(out.end(), piggy.begin(), piggy.end());
+  return out;
+}
+
+net::Packet InnerPacket(std::uint32_t pad_bytes) {
+  net::FlowKey inner{net::Ipv4Addr(1, 1, 1, 1), net::Ipv4Addr(2, 2, 2, 2), 7,
+                     8, net::IpProto::kUdp};
+  net::Packet p = net::MakeUdpPacket(inner, pad_bytes);
+  p.payload = {std::byte{0x11}, std::byte{0x22}, std::byte{0x33}};
+  return p;
+}
+
+TEST(EncodeSizeTest, ExactSizeAndReferenceBytesForEveryKeyAndPiggyback) {
+  const net::PartitionKey keys[] = {FlowKey1(), net::PartitionKey::OfVlan(77),
+                                    net::PartitionKey::OfObject(0xabcdef01)};
+  for (const net::PartitionKey& key : keys) {
+    for (int piggy = 0; piggy < 4; ++piggy) {
+      SCOPED_TRACE(::testing::Message()
+                   << "key " << net::ToString(key) << " piggy " << piggy);
+      Msg m;
+      m.type = MsgType::kLeaseRenewReq;
+      m.ack = AckKind::kWriteAck;
+      m.seq = 0x0102030405060708ull;
+      m.snapshot_index = 9;
+      m.reply_to = net::Ipv4Addr(172, 16, 0, 1);
+      m.chain_hop = 2;
+      m.span_id = 0xfeedfacecafebeefull;
+      m.mode = ConsistencyMode::kReplicatedRead;
+      m.key = key;
+      m.state = {std::byte{1}, std::byte{2}, std::byte{3}, std::byte{4}};
+      std::size_t piggy_size = 0;
+      if (piggy == 1) m.piggyback = InnerPacket(0);
+      if (piggy == 2) m.piggyback = InnerPacket(100);  // pad bytes
+      if (piggy == 3) m.piggyback_raw = net::Serialize(InnerPacket(5));
+      if (m.piggyback) piggy_size = net::SerializedSize(*m.piggyback);
+      if (piggy == 3) piggy_size = m.piggyback_raw.size();
+      if (m.piggyback) {
+        EXPECT_EQ(piggy_size, net::Serialize(*m.piggyback).size());
+      }
+
+      const net::Buffer bytes = EncodeMsg(m);
+      EXPECT_EQ(bytes.size(),
+                HeaderWireSize(key) + m.state.size() + piggy_size);
+      const std::vector<std::byte> want = ReferenceEncoding(m);
+      EXPECT_TRUE(std::equal(bytes.data(), bytes.data() + bytes.size(),
+                             want.begin(), want.end()));
+    }
+  }
+}
+
+TEST(PiggybackReleaseTest, ZeroCopySliceThatCopiesOnWrite) {
+  Msg m;
+  m.type = MsgType::kAck;
+  m.ack = AckKind::kWriteAck;
+  m.key = FlowKey1();
+  m.seq = 5;
+  m.state = {std::byte{9}};
+  m.piggyback = InnerPacket(0);
+  const auto view = MsgView::Parse(EncodeMsg(m));
+  ASSERT_TRUE(view.has_value());
+  const std::vector<std::byte> before = view->bytes().ToVector();
+  const net::BufferView want = m.piggyback->payload;
+
+  net::Buffer::ResetCounters();
+  std::optional<net::Packet> out = view->PiggybackPacket();
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(net::Buffer::Allocations(), 0u);
+  EXPECT_EQ(out->payload, want);
+  // The payload is a window onto the message's own buffer.
+  const std::byte* msg_begin = view->bytes().data();
+  const std::byte* msg_end = msg_begin + view->bytes().size();
+  EXPECT_GE(out->payload.data(), msg_begin);
+  EXPECT_LE(out->payload.data() + out->payload.size(), msg_end);
+  EXPECT_EQ(out->payload.buffer().data(), view->bytes().buffer().data());
+
+  // Patching the released packet clones its payload and leaves the message
+  // bytes alone.
+  out->payload.PatchU8(0, 0xee);
+  EXPECT_EQ(net::Buffer::DeepCopies(), 1u);
+  EXPECT_EQ(out->payload.U8At(0), 0xee);
+  EXPECT_NE(out->payload.buffer().data(), view->bytes().buffer().data());
+  EXPECT_EQ(view->bytes().ToVector(), before);
+}
+
+TEST(PiggybackReleaseTest, TruncatedOrLengthMismatchedPiggybackRejected) {
+  const std::vector<std::byte> wire = net::Serialize(InnerPacket(0));
+  Msg m;
+  m.type = MsgType::kAck;
+  m.ack = AckKind::kWriteAck;
+  m.key = FlowKey1();
+
+  // Cut off the last payload byte: the message still frames, the inner
+  // packet does not parse.
+  m.piggyback_raw = std::vector<std::byte>(wire.begin(), wire.end() - 1);
+  auto view = MsgView::Parse(EncodeMsg(m));
+  ASSERT_TRUE(view.has_value());
+  EXPECT_TRUE(view->has_piggyback());
+  EXPECT_FALSE(view->PiggybackPacket().has_value());
+  EXPECT_FALSE(DecodeMsg(view->bytes()).has_value());
+
+  // A UDP length that disagrees with the IP total length.
+  std::vector<std::byte> bad = wire;
+  const std::size_t udp_len_at = net::EthernetHeader::kWireSize +
+                                 net::Ipv4Header::kWireSize + 4;
+  bad[udp_len_at + 1] = static_cast<std::byte>(
+      std::to_integer<std::uint8_t>(bad[udp_len_at + 1]) + 1);
+  m.piggyback_raw = bad;
+  view = MsgView::Parse(EncodeMsg(m));
+  ASSERT_TRUE(view.has_value());
+  EXPECT_FALSE(view->PiggybackPacket().has_value());
+
+  // The untouched wire image still parses.
+  m.piggyback_raw = wire;
+  view = MsgView::Parse(EncodeMsg(m));
+  ASSERT_TRUE(view.has_value());
+  EXPECT_TRUE(view->PiggybackPacket().has_value());
 }
 
 }  // namespace

@@ -113,7 +113,7 @@ core::ProcessResult CountingEchoApp::Process(core::AppContext&,
   w.U64(marker);
   w.U64(count);
   pkt.payload = std::move(buf);
-  result.outputs.push_back(std::move(pkt));
+  result.output = std::move(pkt);
   return result;
 }
 

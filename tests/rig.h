@@ -116,7 +116,7 @@ class ReadEchoApp : public core::SwitchApp {
   core::ProcessResult Process(core::AppContext&, net::Packet pkt,
                               std::vector<std::byte>&) override {
     core::ProcessResult result;
-    result.outputs.push_back(std::move(pkt));
+    result.output = std::move(pkt);
     return result;
   }
 };

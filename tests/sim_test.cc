@@ -186,7 +186,7 @@ TEST(SimulatorTest, NegativeDelayClampsToNow) {
 class SinkNode : public Node {
  public:
   using Node::Node;
-  void HandlePacket(net::Packet pkt, PortId) override {
+  void HandlePacket(net::Packet&& pkt, PortId) override {
     arrivals.emplace_back(sim_.Now(), pkt.id);
   }
   std::vector<std::pair<SimTime, net::PacketId>> arrivals;
@@ -196,7 +196,7 @@ class SinkNode : public Node {
 class RelayNode : public Node {
  public:
   using Node::Node;
-  void HandlePacket(net::Packet pkt, PortId) override {
+  void HandlePacket(net::Packet&& pkt, PortId) override {
     SendTo(1, std::move(pkt));
   }
 };

@@ -66,7 +66,7 @@ class StampedCounterApp : public core::SwitchApp {
     pkt.payload = net::BufferView(std::move(stamped));
     core::ProcessResult result;
     result.state_modified = !is_read;
-    result.outputs.push_back(std::move(pkt));
+    result.output = std::move(pkt);
     return result;
   }
   /// Mergeable-capable: per-flow counts only grow, so replicas join by max.
